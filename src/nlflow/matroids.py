@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -20,7 +20,13 @@ from .digraphs import Digraph, incidence_matrix
 from .errors import BudgetExceededError
 from .groups import AbelianGroup
 from .linalg import farkas_nonneg_solve, kernel_basis, matrix_rank
-from .oracles import DEFAULT_BUDGET, _CHUNK
+from .oracles import (
+    DEFAULT_BUDGET,
+    _CHUNK,
+    check_histogram_budget,
+    cyclic_supports,
+    nl_integer_kflow_counts,
+)
 
 DEFAULT_TU_CHECK_BOUND = 8
 
@@ -245,20 +251,13 @@ def _support_contraction_cyclic(m: TUMatrix, mask: int) -> bool:
     return contract_matroid(m, supp).is_totally_cyclic()
 
 
-def _sum_cyclic_supports_matroid(m: TUMatrix, support_counts) -> int:
-    total = 0
-    for mask in np.nonzero(support_counts)[0]:
-        if _support_contraction_cyclic(m, int(mask)):
-            total += int(support_counts[mask])
-    return total
-
-
 def count_nl_group_flows_matroid(m: TUMatrix, g: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
     """Kernel elements over G whose support contraction is totally cyclic."""
     k = g.order
     q = m.q
     if k**q > budget:
         raise BudgetExceededError(f"|G|^q = {k}^{q} exceeds budget {budget}")
+    check_histogram_budget(1, q, budget)
     if q == 0:
         return 1 if is_totally_cyclic_matroid(m) else 0
 
@@ -274,8 +273,9 @@ def count_nl_group_flows_matroid(m: TUMatrix, g: AbelianGroup, budget: int = DEF
 
     support_counts = np.zeros(1 << q, dtype=np.int64)
     total = k**q
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+    rows = max(1, _CHUNK // q)  # keep each chunk's q-wide temporaries small
+    for start in range(0, total, rows):
+        idx = np.arange(start, min(start + rows, total), dtype=np.int64)
         assign = (idx[:, None] // colpow[None, :]) % k
         ok = np.ones(len(idx), dtype=bool)
         for f, stride in strides:
@@ -283,35 +283,24 @@ def count_nl_group_flows_matroid(m: TUMatrix, g: AbelianGroup, budget: int = DEF
             ok &= ((digits @ mat_t) % f == 0).all(axis=1)
         supp = (assign[ok] != 0) @ bits
         support_counts += np.bincount(supp, minlength=1 << q)
-    return _sum_cyclic_supports_matroid(m, support_counts)
+    good = cyclic_supports(support_counts, partial(_support_contraction_cyclic, m))
+    return int(support_counts[good].sum())
+
+
+def _integer_kflow_counts_matroid(m: TUMatrix, ks, budget: int) -> list[int]:
+    return nl_integer_kflow_counts(
+        m.rows, m.q, ks, partial(_support_contraction_cyclic, m), budget
+    )
 
 
 def count_nl_integer_kflows_matroid(m: TUMatrix, k: int, budget: int = DEFAULT_BUDGET) -> int:
     """Integer kernel elements with entries in {0, +-1, ..., +-(k-1)} and
     totally cyclic support contraction; exact integer arithmetic.
+
+    Enumerates the (2k-1)^nullity cotree box, so the budget bounds that
+    box (and the k * 2^q support histogram), not (2k-1)^q.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    q = m.q
-    base = 2 * k - 1
-    if base**q > budget:
-        raise BudgetExceededError(f"(2k-1)^q = {base}^{q} exceeds budget {budget}")
-    if q == 0:
-        return 1 if is_totally_cyclic_matroid(m) else 0
-
-    mat_t = np.array(m.rows, dtype=np.int64).reshape(m.p, q).T
-    colpow = np.array([base ** (q - 1 - j) for j in range(q)], dtype=np.int64)
-    bits = 1 << np.arange(q, dtype=np.int64)
-
-    support_counts = np.zeros(1 << q, dtype=np.int64)
-    total = base**q
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        assign = (idx[:, None] // colpow[None, :]) % base - (k - 1)
-        ok = ((assign @ mat_t) == 0).all(axis=1)
-        supp = (assign[ok] != 0) @ bits
-        support_counts += np.bincount(supp, minlength=1 << q)
-    return _sum_cyclic_supports_matroid(m, support_counts)
+    return _integer_kflow_counts_matroid(m, [k], budget)[0]
 
 
 def fit_integer_flow_polynomial_matroid(m: TUMatrix, k_range, budget: int = DEFAULT_BUDGET):
@@ -328,7 +317,7 @@ def fit_integer_flow_polynomial_matroid(m: TUMatrix, k_range, budget: int = DEFA
         raise ValueError(
             f"need at least {bound + 2} evaluation points, got {len(k_range)}"
         )
-    points = [(k, count_nl_integer_kflows_matroid(m, k, budget)) for k in k_range]
+    points = list(zip(k_range, _integer_kflow_counts_matroid(m, k_range, budget)))
     try:
         poly = interpolate_rational(points, bound)
     except WitnessMismatchError as exc:

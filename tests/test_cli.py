@@ -149,6 +149,23 @@ class TestErrors:
         assert status == 1
         assert err.startswith("error: budget:")
 
+    @pytest.mark.parametrize("arcs", [40, 64])
+    def test_budget_bounds_support_histogram(self, capsys, tmp_path, arcs):
+        # A directed path has nullity 0, so its box is the zero flow alone,
+        # but the support histogram would have k * 2^m cells.
+        p = tmp_path / f"path{arcs}.dg"
+        p.write_text(f"{arcs + 1} {arcs}\n" + "".join(f"{i} {i + 1}\n" for i in range(arcs)))
+        status, out, err = run(capsys, ["count-int", str(p), "-k", "2"])
+        assert status == 1 and out == ""
+        assert err.startswith("error: budget:")
+
+    def test_budget_bounds_trivial_group(self, capsys, tmp_path):
+        p = tmp_path / "loops64.dg"
+        p.write_text("1 64\n" + "0 0\n" * 64)
+        status, _, err = run(capsys, ["count", str(p), "--group", "z1"])
+        assert status == 1
+        assert err.startswith("error: budget:")
+
     def test_bad_group_spec(self, capsys, cycle_path):
         status, _, err = run(capsys, ["count", cycle_path, "--group", "q7"])
         assert status == 1

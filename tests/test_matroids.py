@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from reference_counters import count_nl_integer_kflows_matroid_naive
 
 from nlflow import (
     BudgetExceededError,
@@ -26,13 +27,45 @@ from nlflow import (
     read_matrix,
     write_matrix,
 )
-from nlflow.digraphs import contract
+from nlflow.digraphs import contract, incidence_matrix
 from nlflow.groups import AbelianGroup
+from nlflow.linalg import rref
 from nlflow.matroids import fit_integer_flow_polynomial_matroid
+
+# [I5 | A] represents R10, which is neither graphic nor cographic.
+R10 = TUMatrix(
+    tuple(
+        tuple(int(i == j) for j in range(5)) + row
+        for i, row in enumerate(
+            (
+                (-1, 1, 0, 0, 1),
+                (1, -1, 1, 0, 0),
+                (0, 1, -1, 1, 0),
+                (0, 0, 1, -1, 1),
+                (1, 0, 0, 1, -1),
+            )
+        )
+    )
+)
 
 
 def inc(d: Digraph) -> TUMatrix:
     return TUMatrix.from_digraph(d)
+
+
+def cographic(d: Digraph) -> TUMatrix:
+    """[-E^T | I] from the rref [I | E] of the incidence matrix, in arc
+    order: its kernel is the tension space of d."""
+    rows, pivots = rref(incidence_matrix(d))
+    free = [c for c in range(d.m) if c not in pivots]
+    out = []
+    for fc in free:
+        row = [0] * d.m
+        for r, pc in enumerate(pivots):
+            row[pc] = -int(rows[r][fc])
+        row[fc] = 1
+        out.append(tuple(row))
+    return TUMatrix(tuple(out))
 
 
 class TestTUMatrix:
@@ -177,6 +210,34 @@ class TestMatroidCounts:
                 assert (count_nl_group_flows_matroid(m, cyclic(k)) > 0) == (
                     count_nl_integer_kflows_matroid(m, k) > 0
                 )
+
+
+class TestIntegerCountsAgainstFullBox:
+    # The cotree half-box counter against the test-side (2k-1)^q reference.
+    def test_graphic_and_cographic(self, catalog_small):
+        for d in catalog_small[::4]:
+            for m in (inc(d), cographic(d)):
+                if m.p == 0:
+                    continue
+                for k in (1, 2, 3):
+                    assert count_nl_integer_kflows_matroid(
+                        m, k
+                    ) == count_nl_integer_kflows_matroid_naive(m, k), (m, k)
+
+    def test_r10(self):
+        assert is_totally_unimodular(R10, max_dim=5)
+        for k in (1, 2, 3):
+            assert count_nl_integer_kflows_matroid(
+                R10, k
+            ) == count_nl_integer_kflows_matroid_naive(R10, k), k
+
+    def test_budget_bounds_the_cotree_box(self):
+        # R10 has nullity 5: the k = 3 box is 5^5 = 3125 points, not 5^10.
+        assert count_nl_integer_kflows_matroid(R10, 3, budget=10**4) == (
+            count_nl_integer_kflows_matroid(R10, 3)
+        )
+        with pytest.raises(BudgetExceededError, match="nullity"):
+            count_nl_integer_kflows_matroid(R10, 3, budget=10**3)
 
 
 class TestLiftingLemma:

@@ -1,9 +1,11 @@
-"""Brute-force oracles: group flows, integer flows (cotree vs full-box),
-acyclic colorings, equivalence, and polynomiality fits.
+"""Brute-force oracles: group flows, integer flows (one-pass half-box
+enumerator vs the full-box reference), acyclic colorings, equivalence, and
+polynomiality fits.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_counters import count_nl_integer_kflows_naive, full_box_histogram
 
 from nlflow import (
     BudgetExceededError,
@@ -19,8 +21,11 @@ from nlflow import (
     is_totally_cyclic,
 )
 from nlflow.cuts import is_dijoin
+from nlflow.digraphs import incidence_matrix, rank
 from nlflow.groups import AbelianGroup
-from nlflow.oracles import count_nl_integer_kflows_naive
+from nlflow.matroids import TUMatrix, fit_integer_flow_polynomial_matroid
+from nlflow import oracles
+from nlflow.oracles import kernel_height_histogram
 
 
 class TestIsGroupFlow:
@@ -117,6 +122,73 @@ class TestCountIntegerFlows:
         assert count_nl_integer_kflows(d, k) == count_nl_integer_kflows_naive(d, k)
 
 
+class TestKernelHeightHistogram:
+    # The doubled half box plus the zero flow must reproduce the full box
+    # exactly, by support mask and height.
+    EDGE_CASES = (
+        Digraph(1, ()),  # m = 0
+        Digraph(3, ()),
+        Digraph(3, ((0, 1), (1, 2))),  # nullity 0: only the zero flow
+        Digraph(2, ((0, 1),)),
+        Digraph(1, ((0, 0),)),  # loops
+        Digraph(1, ((0, 0), (0, 0), (0, 0))),
+        Digraph(2, ((0, 0), (0, 1), (1, 0), (1, 1))),
+    )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_edge_cases_equal_full_box(self, k):
+        for d in self.EDGE_CASES:
+            inc = incidence_matrix(d)
+            assert (
+                kernel_height_histogram(inc, d.m, k) == full_box_histogram(inc, d.m, k)
+            ).all(), (d, k)
+
+    def test_catalog_equals_full_box(self, catalog_small):
+        for d in catalog_small[::3]:
+            inc = incidence_matrix(d)
+            for k in (1, 2, 3):
+                assert (
+                    kernel_height_histogram(inc, d.m, k) == full_box_histogram(inc, d.m, k)
+                ).all(), (d, k)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 20])
+    def test_batches_equal_full_box(self, monkeypatch, catalog_small, chunk):
+        # Small chunks split the box into leading-coordinate batches and,
+        # below 2k-1 points, force a one-coordinate trailing block.
+        monkeypatch.setattr(oracles, "_CHUNK", chunk)
+        for d in catalog_small[::5] + self.EDGE_CASES:
+            inc = incidence_matrix(d)
+            for k in (1, 2, 3):
+                assert (
+                    kernel_height_histogram(inc, d.m, k) == full_box_histogram(inc, d.m, k)
+                ).all(), (d, k)
+
+    def test_non_unimodular_matrix_is_exact(self):
+        # The cotree expression of this matrix has denominator 2, so only
+        # the even free values give integer kernel points.
+        rows = ((1, 1, 0), (1, -1, 1))
+        for k in (1, 2, 3, 4):
+            assert (kernel_height_histogram(rows, 3, k) == full_box_histogram(rows, 3, k)).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 5), st.data())
+    def test_random_matrices_equal_full_box(self, p, q, data):
+        rows = tuple(
+            tuple(data.draw(st.integers(-1, 1)) for _ in range(q)) for _ in range(p)
+        )
+        k = data.draw(st.integers(1, 3))
+        assert (kernel_height_histogram(rows, q, k) == full_box_histogram(rows, q, k)).all()
+
+    def test_budget_bounds_the_histogram(self):
+        # Nullity 0: the box is one point, but the histogram has k * 2^m cells.
+        path = Digraph(41, tuple((i, i + 1) for i in range(40)))
+        with pytest.raises(BudgetExceededError):
+            count_nl_integer_kflows(path, 2)
+        with pytest.raises(BudgetExceededError):
+            count_nl_group_flows(path, cyclic(1))
+        assert count_nl_integer_kflows(Digraph(5, path.arcs[:4]), 2) == 0
+
+
 class TestAcyclicColorings:
     def test_cycle3_k2(self, cycle3):
         assert count_acyclic_colorings(cycle3, 2) == 6
@@ -171,6 +243,26 @@ class TestPolynomialityFit:
     def test_insufficient_points(self, cycle3):
         with pytest.raises(ValueError):
             fit_integer_flow_polynomial(cycle3, [2, 3][:1])
+
+    def test_one_pass_fit_equals_counts(self, catalog_small):
+        for d in catalog_small:
+            bound = d.m - rank(d, d.all_arcs)
+            if bound > 4:
+                continue
+            ks = list(range(2, bound + 4))
+            poly = fit_integer_flow_polynomial(d, ks)
+            for k in ks:
+                assert poly(k) == count_nl_integer_kflows(d, k), (d, k)
+
+    def test_matroid_fit_equals_digraph_fit(self, catalog_small):
+        for d in catalog_small[::9]:
+            bound = d.m - rank(d, d.all_arcs)
+            if bound > 4:
+                continue
+            ks = list(range(2, bound + 4))
+            assert fit_integer_flow_polynomial_matroid(
+                TUMatrix.from_digraph(d), ks
+            ) == fit_integer_flow_polynomial(d, ks), d
 
     def test_rational_coefficients_possible(self):
         # Four parallel arcs: the count is integer-valued but the cubic
