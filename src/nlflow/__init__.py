@@ -1,7 +1,10 @@
 """Exact Neumann-Lara flow theory for digraphs: NL-flow and NL-coflow
-polynomials via Moebius inversion over dicut-union lattices, closed forms
-for complete digraphs, the regular-matroid generalization, and exhaustive
-brute-force oracles validating all of it.
+polynomials as crosscut Moebius sums over the unions of dicuts and of
+directed cycles, closed forms for complete digraphs, the regular-matroid
+generalization, and exhaustive brute-force oracles validating all of it.
+
+FinitePoset (nlflow.posets) is exported for reference use; the polynomial
+formulas do not go through it.
 """
 
 from .digraphs import (
@@ -20,8 +23,6 @@ from .digraphs import (
     write_digraph,
 )
 from .cuts import (
-    build_cut_lattice,
-    build_cycle_lattice,
     enumerate_dicuts,
     enumerate_directed_cycles,
     is_dijoin,
@@ -65,7 +66,6 @@ from .tournaments import (
 from .matroids import (
     TUMatrix,
     contract_matroid,
-    count_group_kernel,
     count_nl_group_flows_matroid,
     count_nl_integer_kflows_matroid,
     farkas_certificate,

@@ -203,8 +203,11 @@ def _run(args, out) -> tuple[int, dict]:
     raise AssertionError(f"unhandled command {cmd}")
 
 
+# A budget can admit an array the machine cannot hold; numpy then raises
+# MemoryError when it asks for it.
 _ERROR_KINDS = [
     (BudgetExceededError, "budget"),
+    (MemoryError, "budget"),
     (LatticeSizeError, "lattice-size"),
     (ValueError, "domain"),
     (NLFlowError, "io"),

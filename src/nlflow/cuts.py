@@ -1,5 +1,6 @@
-"""Directed cuts, directed cycles, and the union-closed lattices whose
-Moebius values drive the NL polynomials.
+"""Directed cuts, directed cycles, dijoins and feedback arc sets.  The
+dicuts and the directed cycles are the families whose unions carry the
+Moebius sums of the NL polynomials (see nlflow.nl).
 
 A dicut is delta(U) for a vertex set U with no arcs entering U; no dicut
 can separate a strongly connected component, so enumeration runs over
@@ -9,12 +10,10 @@ not 2^n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .digraphs import ArcSet, Digraph, condensation_labels, contract, delete, is_acyclic, is_totally_cyclic
 from .errors import LatticeSizeError
-from .posets import FinitePoset
 
 DEFAULT_LATTICE_CAP = 10**6
 
@@ -89,53 +88,3 @@ def is_dijoin(d: Digraph, s: ArcSet) -> bool:
 
 def is_feedback_arc_set(d: Digraph, s: ArcSet) -> bool:
     return is_acyclic(delete(d, s))
-
-
-@dataclass
-class CutLattice:
-    """The poset of arc sets A \\ C with C a union of family members,
-    ordered by reverse inclusion and containing A (the empty union).
-    """
-
-    digraph: Digraph
-    elements: list[ArcSet]
-    top: ArcSet
-    poset: FinitePoset = field(repr=False)
-
-    def mobius_from_top(self, b: ArcSet) -> int:
-        return self.poset.mobius(self.top, b)
-
-
-def _union_closure(family, cap):
-    unions = {frozenset()}
-    frontier = {frozenset()}
-    while frontier:
-        nxt = set()
-        for u in frontier:
-            for c in family:
-                w = u | c
-                if w not in unions:
-                    unions.add(w)
-                    nxt.add(w)
-                    if len(unions) > cap:
-                        raise LatticeSizeError(
-                            f"lattice would exceed the {cap}-element cap"
-                        )
-        frontier = nxt
-    return unions
-
-
-def _build_lattice(d: Digraph, family, cap) -> CutLattice:
-    top = d.all_arcs
-    elements = sorted({top - u for u in _union_closure(family, cap)},
-                      key=lambda s: (-len(s), sorted(s)))
-    poset = FinitePoset(elements, lambda a, b: a >= b)
-    return CutLattice(digraph=d, elements=elements, top=top, poset=poset)
-
-
-def build_cut_lattice(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> CutLattice:
-    return _build_lattice(d, enumerate_dicuts(d), cap)
-
-
-def build_cycle_lattice(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> CutLattice:
-    return _build_lattice(d, enumerate_directed_cycles(d, cap), cap)

@@ -1,6 +1,6 @@
 """NL-flow theory over regular oriented matroids given by totally
 unimodular matrices: total cyclicity via exact Farkas certificates,
-kernel counting, contraction, and the group/integer flow oracles.
+contraction, and the group/integer flow oracles.
 
 The oriented matroid is represented linear-algebraically: flows are the
 rational kernel of the matrix, coflows its row space.  All feasibility
@@ -129,52 +129,6 @@ def is_totally_unimodular(m: TUMatrix, max_dim: int = DEFAULT_TU_CHECK_BOUND) ->
 @lru_cache(maxsize=100_000)
 def _kernel_basis_cached(m: TUMatrix):
     return tuple(tuple(v) for v in kernel_basis([list(r) for r in m.rows], m.q))
-
-
-def full_row_rank(m: TUMatrix) -> bool:
-    return matrix_rank([list(r) for r in m.rows]) == m.p
-
-
-def count_group_kernel(m: TUMatrix, g: AbelianGroup, budget: int = 10**6) -> int:
-    """|{x in G^q : M x = 0 in G}| = |G|^(q-p) for full-row-rank TU M.
-
-    The closed count is confirmed by exhaustive enumeration whenever
-    |G|^q fits the budget.
-    """
-    if not full_row_rank(m):
-        raise ValueError("matrix is not of full row rank; row-reduce it first")
-    k = g.order
-    value = k ** (m.q - m.p)
-    if k**m.q <= budget:
-        brute = sum(
-            1
-            for x in _group_tuples(g, m.q)
-            if _is_group_kernel_element(m, g, x)
-        )
-        if brute != value:
-            raise AssertionError(
-                f"kernel count mismatch: closed form {value}, enumeration {brute}"
-            )
-    return value
-
-
-def _group_tuples(g: AbelianGroup, q: int):
-    from itertools import product
-
-    return product(list(g.elements()), repeat=q)
-
-
-def _is_group_kernel_element(m: TUMatrix, g: AbelianGroup, x) -> bool:
-    for row in m.rows:
-        acc = g.zero
-        for coef, val in zip(row, x):
-            if coef == 1:
-                acc = g.add(acc, val)
-            elif coef == -1:
-                acc = g.add(acc, g.neg(val))
-        if acc != g.zero:
-            return False
-    return True
 
 
 # --- total cyclicity and the Farkas alternative ---------------------------

@@ -1,47 +1,77 @@
-"""The central formulas: NL-flow polynomial from the dicut lattice and
-NL-coflow polynomial from the dicycle lattice, both via Moebius inversion
-from the full arc set.
+"""The central formulas: the NL-flow polynomial as a Moebius sum over the
+unions of dicuts, and the NL-coflow polynomial as the same sum over the
+unions of directed cycles.
+
+One engine serves both.  By Rota's crosscut theorem the Moebius value
+mu(empty, C) in the lattice of unions is the sum of (-1)^|S| over the
+subsets S of the family whose union is C; this holds for any family that
+generates the lattice, so the enumerated dicuts or dicycles are used as
+they come.  The signed sum is built one member at a time in a dict keyed
+by union, so no lattice order or Moebius recursion is ever formed.
 """
 
 from __future__ import annotations
 
-from .cuts import DEFAULT_LATTICE_CAP, build_cut_lattice, build_cycle_lattice
-from .digraphs import Digraph, rank
+from collections import defaultdict
+
+# The enumerators are called through their module, where the benchmark's
+# tracer (perfbench/tracer.py) times them.
+from . import cuts
+from .digraphs import ArcSet, Digraph, rank
+from .errors import LatticeSizeError
 from .polynomials import IntPolynomial
 
 
-def nl_flow_polynomial(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> IntPolynomial:
-    """phi(x) = sum over lattice elements B of mu(A, B) * x^(|B| - rk(B)).
+def _signed_unions(family, cap: int) -> dict[ArcSet, int]:
+    """mu(empty, C) for every union C of members of family, the empty
+    union included; zero values are kept, so the keys are exactly the
+    union lattice, and more than cap unions raise LatticeSizeError.
+    """
+    mu = {frozenset(): 1}
+    for a in family:
+        for u, s in list(mu.items()):
+            w = u | a
+            mu[w] = mu.get(w, 0) - s
+            if len(mu) > cap:
+                raise LatticeSizeError(f"lattice would exceed the {cap}-element cap")
+    return mu
+
+
+def _polynomial(mu: dict[ArcSet, int], exponent) -> IntPolynomial:
+    coeffs = defaultdict(int)
+    for u, s in mu.items():
+        if s:
+            coeffs[exponent(u)] += s
+    return IntPolynomial(coeffs)
+
+
+def nl_flow_polynomial(d: Digraph, cap: int = cuts.DEFAULT_LATTICE_CAP) -> IntPolynomial:
+    """phi(x) = sum over unions C of dicuts of mu(empty, C) * x^(|B| - rk(B)),
+    with B = A \\ C.
 
     Evaluating at k = |G| counts the NL-G-flows of d for every finite
     abelian group G of that order.
     """
-    lattice = build_cut_lattice(d, cap)
-    out = IntPolynomial.zero()
-    for b in lattice.elements:
-        mu = lattice.mobius_from_top(b)
-        if mu:
-            out = out + IntPolynomial.monomial(len(b) - rank(d, b), mu)
-    return out
+    top = d.all_arcs
+
+    def exponent(u):
+        b = top - u
+        return len(b) - rank(d, b)
+
+    return _polynomial(_signed_unions(cuts.enumerate_dicuts(d), cap), exponent)
 
 
-def nl_coflow_polynomial(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> IntPolynomial:
-    """psi(x) = sum over dicycle-lattice elements B of
-    mu(A, B) * x^(rk(A) - rk(A \\ B)).
+def nl_coflow_polynomial(d: Digraph, cap: int = cuts.DEFAULT_LATTICE_CAP) -> IntPolynomial:
+    """psi(x) = sum over unions C of directed cycles of
+    mu(empty, C) * x^(rk(A) - rk(C)).
 
-    The exponent is the dimension of the space of coflows supported
-    inside B (coflows vanishing on the contracted cycles), which is what
-    the inversion from above actually sums; it coincides with rk(B) on
-    simple digraphs but not in the presence of parallel digons.
+    The exponent is the dimension of the space of coflows vanishing on C,
+    the coflows of d / C: rk(A) - rk(C), which is not rk(A \\ C) in
+    general (on K*3 with C one digon they are 1 and 2).
 
     For loopless d with c weak components, k^c * psi(k) counts the acyclic
     vertex k-colorings of d.
     """
-    lattice = build_cycle_lattice(d, cap)
     rk_all = rank(d, d.all_arcs)
-    out = IntPolynomial.zero()
-    for b in lattice.elements:
-        mu = lattice.mobius_from_top(b)
-        if mu:
-            out = out + IntPolynomial.monomial(rk_all - rank(d, lattice.top - b), mu)
-    return out
+    family = cuts.enumerate_directed_cycles(d, cap)
+    return _polynomial(_signed_unions(family, cap), lambda u: rk_all - rank(d, u))

@@ -13,7 +13,8 @@ only in their support predicate.
 
 The budget bounds, before anything is allocated, both the candidates
 enumerated (|G|^m, or (2K-1)^nullity) and the cells of the support
-histogram (2^m, or K * 2^m).
+histogram (2^m, or K * 2^m); support masks are int64, so more than 62
+arcs or columns are refused whatever the budget.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .polynomials import interpolate_rational
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 18
+MAX_MASK_BITS = 62
 
 
 def is_group_flow(d: Digraph, g: AbelianGroup, f) -> bool:
@@ -73,8 +75,13 @@ def cyclic_supports(counts, predicate) -> list[int]:
 
 def check_histogram_budget(kmax: int, ncols: int, budget: int) -> None:
     """Refuse a support histogram of kmax * 2^ncols cells over the budget,
-    before it is allocated.
+    before it is allocated, and any over more than MAX_MASK_BITS columns,
+    whose support masks would not fit in int64.
     """
+    if ncols > MAX_MASK_BITS:
+        raise BudgetExceededError(
+            f"support masks of {ncols} columns exceed {MAX_MASK_BITS} bits"
+        )
     if kmax << ncols > budget:
         raise BudgetExceededError(
             f"support histogram of {kmax}*2^{ncols} cells exceeds budget {budget}"

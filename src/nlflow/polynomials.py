@@ -9,6 +9,27 @@ from fractions import Fraction
 from .errors import NonIntegerPolynomialError, WitnessMismatchError
 
 
+def _render(coeffs) -> str:
+    """Canonical text of an exponent -> nonzero coefficient map:
+    descending exponents, `x^e` with x^1 -> x and x^0 omitted, unit
+    coefficients dropped, e.g. `x^10-2x^6+x^3-x^2+2x-1`.
+    """
+    if not coeffs:
+        return "0"
+    parts = []
+    for e in sorted(coeffs, reverse=True):
+        c = coeffs[e]
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "x" if e == 1 else f"x^{e}"
+            body = var if mag == 1 else f"{mag}{var}"
+        parts.append(sign + body)
+    return "".join(parts)
+
+
 class IntPolynomial:
     """Exponent -> coefficient map in canonical form (no zero entries).
 
@@ -105,23 +126,7 @@ class IntPolynomial:
     # --- rendering ---
 
     def to_text(self) -> str:
-        """Canonical form: descending exponents, `x^e` with x^1 -> x and
-        x^0 omitted, e.g. `x^10-2x^6+x^3-x^2+2x-1`.
-        """
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[e]
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "x" if e == 1 else f"x^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append(sign + body)
-        return "".join(parts)
+        return _render(self._coeffs)
 
     def __str__(self):
         return self.to_text()
@@ -185,20 +190,7 @@ class RationalPolynomial:
         return hash(frozenset(self._coeffs.items()))
 
     def to_text(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[e]
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "x" if e == 1 else f"x^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append(sign + body)
-        return "".join(parts)
+        return _render(self._coeffs)
 
     def __str__(self):
         return self.to_text()
@@ -230,9 +222,9 @@ def _lagrange_coeffs(base):
     return coeffs
 
 
-def interpolate_rational(points, degree_bound: int) -> RationalPolynomial:
-    """Unique rational polynomial of degree <= degree_bound through the
-    first degree_bound+1 points; remaining points are held-out witnesses.
+def _interpolate(points, degree_bound: int, build):
+    """build(coefficients) on the Lagrange interpolant of the first
+    degree_bound+1 points, checked against the remaining (held-out) points.
     """
     points = [(int(k), int(v)) for k, v in points]
     if degree_bound < 0:
@@ -242,8 +234,7 @@ def interpolate_rational(points, degree_bound: int) -> RationalPolynomial:
         raise ValueError(f"need at least {need} points, got {len(points)}")
     if len({k for k, _ in points}) != len(points):
         raise ValueError("interpolation points must have distinct abscissae")
-    coeffs = _lagrange_coeffs(points[:need])
-    poly = RationalPolynomial(dict(enumerate(coeffs)))
+    poly = build(_lagrange_coeffs(points[:need]))
     for k, v in points[need:]:
         got = poly(k)
         if got != v:
@@ -251,6 +242,24 @@ def interpolate_rational(points, degree_bound: int) -> RationalPolynomial:
                 f"held-out point k={k}: interpolant gives {got}, expected {v}"
             )
     return poly
+
+
+def _integer_polynomial(coeffs) -> IntPolynomial:
+    for e, c in enumerate(coeffs):
+        if c.denominator != 1:
+            raise NonIntegerPolynomialError(
+                f"not an integer polynomial: coefficient of x^{e} is {c}"
+            )
+    return IntPolynomial({e: int(c) for e, c in enumerate(coeffs)})
+
+
+def interpolate_rational(points, degree_bound: int) -> RationalPolynomial:
+    """Unique rational polynomial of degree <= degree_bound through the
+    first degree_bound+1 points; remaining points are held-out witnesses.
+    """
+    return _interpolate(
+        points, degree_bound, lambda coeffs: RationalPolynomial(dict(enumerate(coeffs)))
+    )
 
 
 def interpolate_exact(points, degree_bound: int) -> IntPolynomial:
@@ -261,29 +270,4 @@ def interpolate_exact(points, degree_bound: int) -> IntPolynomial:
     Raises NonIntegerPolynomialError if a coefficient comes out
     non-integral and WitnessMismatchError if a witness disagrees.
     """
-    points = [(int(k), int(v)) for k, v in points]
-    if degree_bound < 0:
-        raise ValueError("degree_bound must be >= 0")
-    need = degree_bound + 1
-    if len(points) < need:
-        raise ValueError(f"need at least {need} points, got {len(points)}")
-    if len({k for k, _ in points}) != len(points):
-        raise ValueError("interpolation points must have distinct abscissae")
-
-    coeffs = _lagrange_coeffs(points[:need])
-    out = {}
-    for e, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise NonIntegerPolynomialError(
-                f"not an integer polynomial: coefficient of x^{e} is {c}"
-            )
-        out[e] = int(c)
-    poly = IntPolynomial(out)
-
-    for k, v in points[need:]:
-        got = poly(k)
-        if got != v:
-            raise WitnessMismatchError(
-                f"held-out point k={k}: interpolant gives {got}, expected {v}"
-            )
-    return poly
+    return _interpolate(points, degree_bound, _integer_polynomial)

@@ -1,14 +1,20 @@
-"""Slow reference enumerators for the integer-flow oracles.
+"""Slow reference enumerators for the flow oracles.
 
-They walk the whole (2k-1)^q box of a matrix, testing every point for
-membership in the kernel, with no cotree parametrization and no x -> -x
-symmetry, so the one-pass kernel enumerator in nlflow.oracles is checked
-against code that shares none of its logic.  Test-side only.
+The integer ones walk the whole (2k-1)^q box of a matrix, testing every
+point for membership in the kernel, with no cotree parametrization and no
+x -> -x symmetry, so the one-pass kernel enumerator in nlflow.oracles is
+checked against code that shares none of its logic.  count_group_kernel
+checks the closed kernel count |G|^(q-p) over a group against a
+tuple-by-tuple enumeration.  Test-side only.
 """
+
+from itertools import product
 
 import numpy as np
 
 from nlflow.digraphs import Digraph, incidence_matrix
+from nlflow.groups import AbelianGroup
+from nlflow.linalg import matrix_rank
 from nlflow.matroids import TUMatrix, _support_contraction_cyclic
 from nlflow.oracles import _support_cyclic
 
@@ -47,3 +53,47 @@ def count_nl_integer_kflows_matroid_naive(m: TUMatrix, k: int) -> int:
     """Integer NL-k-flows of the matroid of m over the full (2k-1)^q box."""
     hist = full_box_histogram(m.rows, m.q, k)
     return _sum_cyclic(hist, lambda mask: _support_contraction_cyclic(m, mask))
+
+
+def full_row_rank(m: TUMatrix) -> bool:
+    return matrix_rank([list(r) for r in m.rows]) == m.p
+
+
+def count_group_kernel(m: TUMatrix, g: AbelianGroup, budget: int = 10**6) -> int:
+    """|{x in G^q : M x = 0 in G}| = |G|^(q-p) for full-row-rank TU M.
+
+    The closed count is confirmed by exhaustive enumeration whenever
+    |G|^q fits the budget.
+    """
+    if not full_row_rank(m):
+        raise ValueError("matrix is not of full row rank; row-reduce it first")
+    k = g.order
+    value = k ** (m.q - m.p)
+    if k**m.q <= budget:
+        brute = sum(
+            1
+            for x in _group_tuples(g, m.q)
+            if _is_group_kernel_element(m, g, x)
+        )
+        if brute != value:
+            raise AssertionError(
+                f"kernel count mismatch: closed form {value}, enumeration {brute}"
+            )
+    return value
+
+
+def _group_tuples(g: AbelianGroup, q: int):
+    return product(list(g.elements()), repeat=q)
+
+
+def _is_group_kernel_element(m: TUMatrix, g: AbelianGroup, x) -> bool:
+    for row in m.rows:
+        acc = g.zero
+        for coef, val in zip(row, x):
+            if coef == 1:
+                acc = g.add(acc, val)
+            elif coef == -1:
+                acc = g.add(acc, g.neg(val))
+        if acc != g.zero:
+            return False
+    return True

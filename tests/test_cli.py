@@ -3,10 +3,13 @@ run report.
 """
 
 import json
+from functools import partial
 
 import pytest
 
+from nlflow import cli
 from nlflow.cli import main
+from nlflow.nl import nl_coflow_polynomial
 
 K3_FILE = "3 3\n0 1\n0 2\n1 2\n"
 CYCLE_FILE = "3 3\n0 1\n1 2\n2 0\n"
@@ -165,6 +168,29 @@ class TestErrors:
         status, _, err = run(capsys, ["count", str(p), "--group", "z1"])
         assert status == 1
         assert err.startswith("error: budget:")
+
+    @pytest.mark.parametrize(
+        "arcs, budget, command",
+        [
+            (40, "100000000000000", ["count-int", "-k", "2"]),
+            (64, str(10**21), ["count-int", "-k", "2"]),
+            (64, str(10**21), ["count", "--group", "z1"]),
+        ],
+    )
+    def test_huge_budget_is_still_a_budget_error(self, capsys, tmp_path, arcs, budget, command):
+        # The budget admits the support histogram, but 16 TiB of it cannot
+        # be allocated, and masks of 64 arcs do not fit in int64.
+        p = tmp_path / f"path{arcs}.dg"
+        p.write_text(f"{arcs + 1} {arcs}\n" + "".join(f"{i} {i + 1}\n" for i in range(arcs)))
+        status, out, err = run(capsys, ["--budget", budget, command[0], str(p), *command[1:]])
+        assert status == 1 and out == ""
+        assert err.startswith("error: budget:")
+
+    def test_lattice_cap(self, capsys, cycle_path, monkeypatch):
+        monkeypatch.setattr(cli, "nl_coflow_polynomial", partial(nl_coflow_polynomial, cap=1))
+        status, out, err = run(capsys, ["copoly", cycle_path])
+        assert status == 1 and out == ""
+        assert err.startswith("error: lattice-size:")
 
     def test_bad_group_spec(self, capsys, cycle_path):
         status, _, err = run(capsys, ["count", cycle_path, "--group", "q7"])

@@ -1,16 +1,16 @@
 """Dicuts, directed cycles, dijoins, feedback arc sets, and the
-union-closed lattices they generate.
+union-closed lattices they generate (built by the test-side reference in
+reference_lattice).
 """
 
 from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_lattice import build_cut_lattice, build_cycle_lattice
 
 from nlflow import (
     Digraph,
-    build_cut_lattice,
-    build_cycle_lattice,
     enumerate_dicuts,
     enumerate_directed_cycles,
     is_dijoin,

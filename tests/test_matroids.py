@@ -7,14 +7,13 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from reference_counters import count_nl_integer_kflows_matroid_naive
+from reference_counters import count_group_kernel, count_nl_integer_kflows_matroid_naive
 
 from nlflow import (
     BudgetExceededError,
     Digraph,
     TUMatrix,
     contract_matroid,
-    count_group_kernel,
     count_nl_group_flows,
     count_nl_group_flows_matroid,
     count_nl_integer_kflows,

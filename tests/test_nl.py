@@ -1,10 +1,19 @@
-"""NL-flow and NL-coflow polynomials: worked small cases plus the oracle
+"""NL-flow and NL-coflow polynomials: worked small cases, the oracle
 identities on the small catalog (the full sweeps live in the acceptance
-suite).
+suite), and the crosscut engine against the explicit-lattice reference.
 """
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from reference_lattice import (
+    reference_coflow_polynomial,
+    reference_flow_polynomial,
+    union_closure,
+)
 
 from nlflow import (
     Digraph,
+    FinitePoset,
     IntPolynomial,
     cyclic,
     count_acyclic_colorings,
@@ -13,7 +22,27 @@ from nlflow import (
     nl_coflow_polynomial,
     nl_flow_polynomial,
 )
+from nlflow import nl
+from nlflow.cuts import enumerate_dicuts, enumerate_directed_cycles
 from nlflow.digraphs import num_weak_components
+from nlflow.errors import LatticeSizeError
+
+
+def grid(a: int, b: int) -> Digraph:
+    """The a x b grid with every arc pointing right or down (acyclic)."""
+    arcs = []
+    for i in range(a):
+        for j in range(b):
+            if j + 1 < b:
+                arcs.append((i * b + j, i * b + j + 1))
+            if i + 1 < a:
+                arcs.append((i * b + j, (i + 1) * b + j))
+    return Digraph(a * b, tuple(arcs))
+
+
+def complete_symmetric(n: int) -> Digraph:
+    """K*n: both arcs between every pair of distinct vertices."""
+    return Digraph(n, tuple((i, j) for i in range(n) for j in range(n) if i != j))
 
 
 class TestFlowPolynomial:
@@ -78,3 +107,70 @@ class TestCoflowPolynomial:
             c = num_weak_components(d)
             for k in (1, 2, 3):
                 assert k**c * psi(k) == count_acyclic_colorings(d, k), (d, k)
+
+
+class TestCrosscutEngine:
+    def test_catalog_matches_reference(self, catalog_full):
+        for d in catalog_full:
+            assert nl_flow_polynomial(d) == reference_flow_polynomial(d), d
+            assert nl_coflow_polynomial(d) == reference_coflow_polynomial(d), d
+
+    @pytest.mark.parametrize("shape", [(2, 5), (3, 4)])
+    def test_grid_phi(self, shape):
+        d = grid(*shape)
+        assert nl_flow_polynomial(d) == reference_flow_polynomial(d)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_complete_symmetric_psi(self, n):
+        d = complete_symmetric(n)
+        psi = nl_coflow_polynomial(d)
+        assert psi == reference_coflow_polynomial(d)
+        # Every pair of vertices spans a digon, so the acyclic colorings
+        # are the proper ones and psi(x) = (x-1)(x-2)...(x-n+1).
+        for k in (1, 2, 3, 4):
+            assert k * psi(k) == count_acyclic_colorings(d, k)
+
+    @pytest.mark.parametrize(
+        "d, polynomial, family",
+        [
+            (grid(2, 3), nl_flow_polynomial, enumerate_dicuts),
+            (complete_symmetric(3), nl_coflow_polynomial, enumerate_directed_cycles),
+            (Digraph(2, ((0, 1), (0, 1), (1, 0), (1, 1))), nl_coflow_polynomial,
+             enumerate_directed_cycles),
+            (Digraph(3, ((0, 1), (1, 2), (2, 0))), nl_coflow_polynomial,
+             enumerate_directed_cycles),
+        ],
+    )
+    def test_cap_bounds_the_union_count(self, d, polynomial, family):
+        unions = len(union_closure(family(d), cap=10**6))
+        assert polynomial(d, cap=unions) == polynomial(d)
+        with pytest.raises(LatticeSizeError):
+            polynomial(d, cap=unions - 1)
+
+    def test_zero_moebius_values_stay_in_the_lattice(self):
+        # {0,1,2,3} is the union of {01, 23} and of all three members, so
+        # its Moebius value is 0; it is still a union and counts to the cap.
+        family = [frozenset({0, 1}), frozenset({2, 3}), frozenset({0, 2})]
+        unions = union_closure(family, cap=10**6)
+        poset = FinitePoset(list(unions), lambda a, b: a <= b)
+        mu = nl._signed_unions(family, cap=len(unions))
+        assert mu == {c: poset.mobius(frozenset(), c) for c in unions}
+        assert mu[frozenset(range(4))] == 0
+        with pytest.raises(LatticeSizeError):
+            nl._signed_unions(family, cap=len(unions) - 1)
+
+
+@st.composite
+def digraphs(draw):
+    """Small digraphs with loops and parallel arcs allowed."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    return Digraph(n, tuple(arcs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(digraphs())
+def test_random_digraphs_match_reference(d):
+    assert nl_flow_polynomial(d) == reference_flow_polynomial(d)
+    assert nl_coflow_polynomial(d) == reference_coflow_polynomial(d)

@@ -188,6 +188,12 @@ class TestKernelHeightHistogram:
             count_nl_group_flows(path, cyclic(1))
         assert count_nl_integer_kflows(Digraph(5, path.arcs[:4]), 2) == 0
 
+    def test_masks_wider_than_62_bits_are_refused(self):
+        # int64 support masks: no budget admits a histogram over 63 columns.
+        oracles.check_histogram_budget(1, 62, 1 << 62)
+        with pytest.raises(BudgetExceededError):
+            oracles.check_histogram_budget(1, 63, 10**30)
+
 
 class TestAcyclicColorings:
     def test_cycle3_k2(self, cycle3):

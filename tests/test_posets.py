@@ -5,9 +5,9 @@ values, and inversion from above.
 from itertools import combinations
 
 from hypothesis import given, strategies as st
+from reference_lattice import build_cut_lattice
 
 from nlflow import FinitePoset, mobius_inversion_check
-from nlflow.cuts import build_cut_lattice
 
 
 def boolean_lattice(r: int) -> FinitePoset:
