@@ -12,7 +12,8 @@ import time
 
 from nlflow import IntPolynomial, fit_integer_flow_polynomial
 from nlflow.catalog import digraph_catalog
-from nlflow.digraphs import rank
+from nlflow.digraphs import incidence_matrix
+from nlflow.oracles import kernel_nullity
 
 
 def main() -> int:
@@ -25,7 +26,7 @@ def main() -> int:
     start = time.monotonic()
     rational = 0
     for i, d in enumerate(cat):
-        bound = d.m - rank(d, d.all_arcs)
+        bound = kernel_nullity(incidence_matrix(d), d.m)
         poly = fit_integer_flow_polynomial(d, list(range(2, bound + 5)))
         if not isinstance(poly, IntPolynomial):
             rational += 1

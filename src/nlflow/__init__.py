@@ -43,7 +43,6 @@ from .oracles import (
     count_nl_group_flows,
     count_nl_integer_kflows,
     fit_integer_flow_polynomial,
-    is_group_flow,
 )
 from .polynomials import (
     IntPolynomial,

@@ -30,6 +30,7 @@ from .oracles import (
     count_acyclic_colorings,
     count_nl_group_flows,
     count_nl_integer_kflows,
+    kernel_nullity,
 )
 from .polynomials import IntPolynomial
 from .tournaments import complete_acyclic_nl_poly, complete_digraph_nl_poly
@@ -178,10 +179,7 @@ def _run(args, out) -> tuple[int, dict]:
             if args.k_range is not None:
                 ks = [int(x) for x in args.k_range.split(",")]
             else:
-                from .linalg import matrix_rank
-
-                bound = m.q - matrix_rank([list(r) for r in m.rows])
-                ks = list(range(2, 2 + bound + 2))
+                ks = list(range(2, 2 + kernel_nullity(m.rows, m.q) + 2))
             poly = fit_integer_flow_polynomial_matroid(m, ks, args.budget)
             return 0, {"input": _digest(text), "outputs": _emit_poly(poly, args, out)}
     if cmd == "verify":

@@ -1,10 +1,13 @@
 """NL-flow theory over regular oriented matroids given by totally
-unimodular matrices: total cyclicity via exact Farkas certificates,
-contraction, and the group/integer flow oracles.
+unimodular matrices: TU-matrix I/O, the TU check, total cyclicity via
+exact Farkas certificates, and contraction, which gives the support
+predicate of the counting oracles.
 
 The oriented matroid is represented linear-algebraically: flows are the
 rational kernel of the matrix, coflows its row space.  All feasibility
-decisions are exact; no floating point.
+decisions are exact; no floating point.  The group and integer counts and
+the polynomial fit are the shared ones of nlflow.oracles, called with the
+matrix and the contraction predicate.
 """
 
 from __future__ import annotations
@@ -14,17 +17,14 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
 
-import numpy as np
-
 from .digraphs import Digraph, incidence_matrix
 from .errors import BudgetExceededError
 from .groups import AbelianGroup
-from .linalg import farkas_nonneg_solve, kernel_basis, matrix_rank
+from .linalg import farkas_nonneg_solve, kernel_basis
 from .oracles import (
     DEFAULT_BUDGET,
-    _CHUNK,
-    check_histogram_budget,
-    cyclic_supports,
+    fit_nl_integer_polynomial,
+    nl_group_flow_count,
     nl_integer_kflow_counts,
 )
 
@@ -207,43 +207,8 @@ def _support_contraction_cyclic(m: TUMatrix, mask: int) -> bool:
 
 def count_nl_group_flows_matroid(m: TUMatrix, g: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
     """Kernel elements over G whose support contraction is totally cyclic."""
-    k = g.order
-    q = m.q
-    if k**q > budget:
-        raise BudgetExceededError(f"|G|^q = {k}^{q} exceeds budget {budget}")
-    check_histogram_budget(1, q, budget)
-    if q == 0:
-        return 1 if is_totally_cyclic_matroid(m) else 0
-
-    mat_t = np.array(m.rows, dtype=np.int64).reshape(m.p, q).T
-    colpow = np.array([k ** (q - 1 - j) for j in range(q)], dtype=np.int64)
-    strides = []
-    s = 1
-    for f in reversed(g.factors):
-        strides.append((f, s))
-        s *= f
-    strides.reverse()
-    bits = 1 << np.arange(q, dtype=np.int64)
-
-    support_counts = np.zeros(1 << q, dtype=np.int64)
-    total = k**q
-    rows = max(1, _CHUNK // q)  # keep each chunk's q-wide temporaries small
-    for start in range(0, total, rows):
-        idx = np.arange(start, min(start + rows, total), dtype=np.int64)
-        assign = (idx[:, None] // colpow[None, :]) % k
-        ok = np.ones(len(idx), dtype=bool)
-        for f, stride in strides:
-            digits = (assign // stride) % f
-            ok &= ((digits @ mat_t) % f == 0).all(axis=1)
-        supp = (assign[ok] != 0) @ bits
-        support_counts += np.bincount(supp, minlength=1 << q)
-    good = cyclic_supports(support_counts, partial(_support_contraction_cyclic, m))
-    return int(support_counts[good].sum())
-
-
-def _integer_kflow_counts_matroid(m: TUMatrix, ks, budget: int) -> list[int]:
-    return nl_integer_kflow_counts(
-        m.rows, m.q, ks, partial(_support_contraction_cyclic, m), budget
+    return nl_group_flow_count(
+        m.rows, m.q, g, partial(_support_contraction_cyclic, m), budget
     )
 
 
@@ -254,7 +219,9 @@ def count_nl_integer_kflows_matroid(m: TUMatrix, k: int, budget: int = DEFAULT_B
     Enumerates the (2k-1)^nullity cotree box, so the budget bounds that
     box (and the k * 2^q support histogram), not (2k-1)^q.
     """
-    return _integer_kflow_counts_matroid(m, [k], budget)[0]
+    return nl_integer_kflow_counts(
+        m.rows, m.q, [k], partial(_support_contraction_cyclic, m), budget
+    )[0]
 
 
 def fit_integer_flow_polynomial_matroid(m: TUMatrix, k_range, budget: int = DEFAULT_BUDGET):
@@ -262,18 +229,6 @@ def fit_integer_flow_polynomial_matroid(m: TUMatrix, k_range, budget: int = DEFA
     q - rank(M), with held-out witnesses.  Integer coefficients when they
     exist, exact rational ones otherwise.
     """
-    from .errors import WitnessMismatchError
-    from .polynomials import interpolate_rational
-
-    k_range = list(k_range)
-    bound = m.q - matrix_rank([list(r) for r in m.rows])
-    if len(k_range) < bound + 2:
-        raise ValueError(
-            f"need at least {bound + 2} evaluation points, got {len(k_range)}"
-        )
-    points = list(zip(k_range, _integer_kflow_counts_matroid(m, k_range, budget)))
-    try:
-        poly = interpolate_rational(points, bound)
-    except WitnessMismatchError as exc:
-        raise WitnessMismatchError(f"polynomiality violated: {exc}") from None
-    return poly.to_int_polynomial() if poly.is_integral() else poly
+    return fit_nl_integer_polynomial(
+        m.rows, m.q, k_range, partial(_support_contraction_cyclic, m), budget
+    )

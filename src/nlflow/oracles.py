@@ -2,14 +2,20 @@
 colorings, the equivalence theorem, and polynomiality fits.
 
 These stay independent of the Moebius-inversion formulas they validate.
-Group-flow counting enumerates every assignment in G^m.  Integer-flow
-counting has one enumerator for the integer kernel of any matrix, used by
-digraphs (through their incidence matrix) and by TU matrices (matroids):
-the free (cotree) coordinates range over {-(K-1), ..., K-1}^nullity and
-determine the basic ones exactly.  One pass over half of that box (x and
--x share support and height) gives a histogram by support and max |x_j|,
-and the count for every k <= K is a cumulative sum of it; callers differ
-only in their support predicate.
+A digraph's NL-flows are those of its incidence matrix, so every count
+is taken over an integer matrix and a support predicate: the digraph
+path passes the incidence matrix and an SCC test of the contraction, the
+matroid path (nlflow.matroids) a TU matrix and a Farkas test.  There is
+one group counter, one integer counter and one polynomial fit:
+
+- nl_group_flow_count enumerates every assignment in G^ncols, chunked.
+- nl_integer_kflow_counts reads one histogram of the integer kernel: the
+  free (cotree) coordinates range over {-(K-1), ..., K-1}^nullity and
+  determine the basic ones exactly.  One pass over half of that box (x
+  and -x share support and height) gives a histogram by support and max
+  |x_j|, and the count for every k <= K is a cumulative sum of it.
+- fit_nl_integer_polynomial interpolates those counts to a polynomial of
+  degree at most the kernel nullity, with held-out witnesses.
 
 The budget bounds, before anything is allocated, both the candidates
 enumerated (|G|^m, or (2K-1)^nullity) and the cells of the support
@@ -30,7 +36,6 @@ from .digraphs import (
     incidence_matrix,
     is_acyclic,
     is_totally_cyclic,
-    rank,
 )
 from .errors import BudgetExceededError, WitnessMismatchError
 from .groups import AbelianGroup, abelian_groups_of_order, cyclic
@@ -40,20 +45,6 @@ from .polynomials import interpolate_rational
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 18
 MAX_MASK_BITS = 62
-
-
-def is_group_flow(d: Digraph, g: AbelianGroup, f) -> bool:
-    """Kirchhoff conservation at every vertex, in g.
-
-    f maps arc index -> group element (residue tuple); loops contribute to
-    both sides and never violate.
-    """
-    sums = [g.zero] * d.n
-    for j, (t, h) in enumerate(d.arcs):
-        val = tuple(f[j])
-        sums[t] = g.add(sums[t], val)
-        sums[h] = g.add(sums[h], g.neg(val))
-    return all(s == g.zero for s in sums)
 
 
 @lru_cache(maxsize=1_000_000)
@@ -88,43 +79,49 @@ def check_histogram_budget(kmax: int, ncols: int, budget: int) -> None:
         )
 
 
-def count_nl_group_flows(d: Digraph, g: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of assignments A -> G that are flows with totally cyclic
-    support contraction.  Enumerates all |G|^m assignments, chunked.
+def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, predicate, budget: int = DEFAULT_BUDGET) -> int:
+    """Number of x in G^ncols with rows @ x = 0 in G whose support mask
+    satisfies the predicate.  Enumerates all |G|^ncols assignments,
+    chunked; with no columns that is the one empty assignment, of support
+    mask 0.
     """
     k = g.order
-    m = d.m
-    if k**m > budget:
-        raise BudgetExceededError(f"|G|^m = {k}^{m} exceeds budget {budget}")
-    check_histogram_budget(1, m, budget)
-    if m == 0:
-        return 1 if is_totally_cyclic(d) else 0
+    if k**ncols > budget:
+        raise BudgetExceededError(f"|G|^m = {k}^{ncols} exceeds budget {budget}")
+    check_histogram_budget(1, ncols, budget)
 
-    inc_t = np.array(incidence_matrix(d), dtype=np.int64).T  # m x n
-    arcpow = np.array([k ** (m - 1 - j) for j in range(m)], dtype=np.int64)
+    mat_t = np.array(rows, dtype=np.int64).reshape(len(rows), ncols).T
+    colpow = np.array([k ** (ncols - 1 - j) for j in range(ncols)], dtype=np.int64)
     strides = []
     s = 1
     for f in reversed(g.factors):
         strides.append((f, s))
         s *= f
     strides.reverse()
-    bits = 1 << np.arange(m, dtype=np.int64)
+    bits = 1 << np.arange(ncols, dtype=np.int64)
 
-    support_counts = np.zeros(1 << m, dtype=np.int64)
-    total = k**m
-    rows = max(1, _CHUNK // m)  # keep each chunk's m-wide temporaries small
-    for start in range(0, total, rows):
-        idx = np.arange(start, min(start + rows, total), dtype=np.int64)
-        assign = (idx[:, None] // arcpow[None, :]) % k
+    support_counts = np.zeros(1 << ncols, dtype=np.int64)
+    total = k**ncols
+    chunk = max(1, _CHUNK // max(ncols, 1))  # keep each chunk's temporaries small
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        assign = (idx[:, None] // colpow[None, :]) % k
         ok = np.ones(len(idx), dtype=bool)
         for f, stride in strides:
             digits = (assign // stride) % f
-            ok &= ((digits @ inc_t) % f == 0).all(axis=1)
-        flows = assign[ok]
-        supp = (flows != 0) @ bits
-        support_counts += np.bincount(supp, minlength=1 << m)
-    good = cyclic_supports(support_counts, partial(_support_cyclic, d))
-    return int(support_counts[good].sum())
+            ok &= ((digits @ mat_t) % f == 0).all(axis=1)
+        supp = (assign[ok] != 0) @ bits
+        support_counts += np.bincount(supp, minlength=1 << ncols)
+    return int(support_counts[cyclic_supports(support_counts, predicate)].sum())
+
+
+def count_nl_group_flows(d: Digraph, g: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
+    """Number of assignments A -> G that are flows with totally cyclic
+    support contraction.
+    """
+    return nl_group_flow_count(
+        incidence_matrix(d), d.m, g, partial(_support_cyclic, d), budget
+    )
 
 
 @lru_cache(maxsize=100_000)
@@ -141,6 +138,13 @@ def _cotree_expression(rows: tuple[tuple[int, ...], ...], ncols: int):
     denom = lcm(*(reduced[r][c].denominator for r in range(len(pivots)) for c in free))
     expr = [[int(reduced[r][c] * denom) for c in free] for r in range(len(pivots))]
     return pivots, free, expr, denom
+
+
+def kernel_nullity(rows, ncols: int) -> int:
+    """Dimension of the rational kernel of an integer matrix: the number
+    of its free (cotree) columns, and the degree bound of the fit.
+    """
+    return len(_cotree_expression(tuple(map(tuple, rows)), ncols)[1])
 
 
 def _product(high, low):
@@ -238,18 +242,14 @@ def nl_integer_kflow_counts(rows, ncols: int, ks, predicate, budget: int = DEFAU
     return [int(totals[k - 1]) for k in ks]
 
 
-def _integer_kflow_counts(d: Digraph, ks, budget: int) -> list[int]:
-    return nl_integer_kflow_counts(
-        incidence_matrix(d), d.m, ks, partial(_support_cyclic, d), budget
-    )
-
-
 def count_nl_integer_kflows(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of integer flows with entries in {0, +-1, ..., +-(k-1)}
     (exact conservation over the integers) whose support contraction is
     totally cyclic.
     """
-    return _integer_kflow_counts(d, [k], budget)[0]
+    return nl_integer_kflow_counts(
+        incidence_matrix(d), d.m, [k], partial(_support_cyclic, d), budget
+    )[0]
 
 
 def count_acyclic_colorings(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -272,45 +272,45 @@ def count_acyclic_colorings(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) ->
     return count
 
 
-def exists_nl_group_flow(d: Digraph, g: AbelianGroup, budget: int = DEFAULT_BUDGET) -> bool:
-    return count_nl_group_flows(d, g, budget) > 0
-
-
-def exists_nl_integer_kflow(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
-    return count_nl_integer_kflows(d, k, budget) > 0
-
-
 def check_equivalence_theorem(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Existence must agree across Z_k, every abelian group of order k,
     and integer flows with entries bounded by k-1.
     """
-    flags = [exists_nl_group_flow(d, cyclic(k), budget)]
-    flags.extend(
-        exists_nl_group_flow(d, g, budget) for g in abelian_groups_of_order(k)
-    )
-    flags.append(exists_nl_integer_kflow(d, k, budget))
+    groups = [cyclic(k), *abelian_groups_of_order(k)]
+    flags = [count_nl_group_flows(d, g, budget) > 0 for g in groups]
+    flags.append(count_nl_integer_kflows(d, k, budget) > 0)
     return len(set(flags)) == 1
 
 
-def fit_integer_flow_polynomial(d: Digraph, k_range, budget: int = DEFAULT_BUDGET):
-    """Interpolate the integer NL-k-flow counts over k_range to a
-    polynomial of degree <= m - rk(A); at least one extra point must be
-    supplied and must match the interpolant exactly.
+def fit_nl_integer_polynomial(rows, ncols: int, k_range, predicate, budget: int = DEFAULT_BUDGET):
+    """Interpolate the integer NL-k-flow counts of rows (support masks
+    filtered by the predicate) over k_range to a polynomial of degree at
+    most the kernel nullity; at least one extra point must be supplied and
+    must match the interpolant exactly.
 
     Returns an IntPolynomial when the coefficients come out integral,
     otherwise the exact RationalPolynomial (the counts are Ehrhart-like:
     always integer-valued, not always integer-coefficient).
     """
     k_range = list(k_range)
-    bound = d.m - rank(d, d.all_arcs)
+    bound = kernel_nullity(rows, ncols)
     if len(k_range) < bound + 2:
         raise ValueError(
             f"need at least {bound + 2} evaluation points (degree bound {bound} "
             f"plus a held-out witness), got {len(k_range)}"
         )
-    points = list(zip(k_range, _integer_kflow_counts(d, k_range, budget)))
+    counts = nl_integer_kflow_counts(rows, ncols, k_range, predicate, budget)
     try:
-        poly = interpolate_rational(points, bound)
+        poly = interpolate_rational(list(zip(k_range, counts)), bound)
     except WitnessMismatchError as exc:
         raise WitnessMismatchError(f"polynomiality violated: {exc}") from None
     return poly.to_int_polynomial() if poly.is_integral() else poly
+
+
+def fit_integer_flow_polynomial(d: Digraph, k_range, budget: int = DEFAULT_BUDGET):
+    """Interpolate the integer NL-k-flow counts of d over k_range to a
+    polynomial of degree <= m - rk(A), with held-out witnesses.
+    """
+    return fit_nl_integer_polynomial(
+        incidence_matrix(d), d.m, k_range, partial(_support_cyclic, d), budget
+    )

@@ -3,9 +3,11 @@
 The integer ones walk the whole (2k-1)^q box of a matrix, testing every
 point for membership in the kernel, with no cotree parametrization and no
 x -> -x symmetry, so the one-pass kernel enumerator in nlflow.oracles is
-checked against code that shares none of its logic.  count_group_kernel
-checks the closed kernel count |G|^(q-p) over a group against a
-tuple-by-tuple enumeration.  Test-side only.
+checked against code that shares none of its logic.  The group ones walk
+G^q tuple by tuple in pure Python, with no numpy and no support
+histogram: count_nl_group_flows_naive checks the shared chunked group
+counter, count_group_kernel the closed kernel count |G|^(q-p), and
+is_group_flow tests conservation arc by arc on a digraph.  Test-side only.
 """
 
 from itertools import product
@@ -80,6 +82,32 @@ def count_group_kernel(m: TUMatrix, g: AbelianGroup, budget: int = 10**6) -> int
                 f"kernel count mismatch: closed form {value}, enumeration {brute}"
             )
     return value
+
+
+def count_nl_group_flows_naive(m: TUMatrix, g: AbelianGroup, predicate) -> int:
+    """Kernel elements of m over g, tuple by tuple, whose support bitmask
+    satisfies the predicate.
+    """
+    zero = g.zero
+    count = 0
+    for x in _group_tuples(g, m.q):
+        if _is_group_kernel_element(m, g, x):
+            count += predicate(sum(1 << j for j, v in enumerate(x) if v != zero))
+    return count
+
+
+def is_group_flow(d: Digraph, g: AbelianGroup, f) -> bool:
+    """Kirchhoff conservation at every vertex, in g.
+
+    f maps arc index -> group element (residue tuple); loops contribute to
+    both sides and never violate.
+    """
+    sums = [g.zero] * d.n
+    for j, (t, h) in enumerate(d.arcs):
+        val = tuple(f[j])
+        sums[t] = g.add(sums[t], val)
+        sums[h] = g.add(sums[h], g.neg(val))
+    return all(s == g.zero for s in sums)
 
 
 def _group_tuples(g: AbelianGroup, q: int):

@@ -4,10 +4,15 @@ the graph oracles.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 
 import pytest
-from reference_counters import count_group_kernel, count_nl_integer_kflows_matroid_naive
+from reference_counters import (
+    count_group_kernel,
+    count_nl_group_flows_naive,
+    count_nl_integer_kflows_matroid_naive,
+)
 
 from nlflow import (
     BudgetExceededError,
@@ -29,7 +34,7 @@ from nlflow import (
 from nlflow.digraphs import contract, incidence_matrix
 from nlflow.groups import AbelianGroup
 from nlflow.linalg import rref
-from nlflow.matroids import fit_integer_flow_polynomial_matroid
+from nlflow.matroids import _support_contraction_cyclic, fit_integer_flow_polynomial_matroid
 
 # [I5 | A] represents R10, which is neither graphic nor cographic.
 R10 = TUMatrix(
@@ -211,6 +216,36 @@ class TestMatroidCounts:
                 )
 
 
+class TestGroupCountsAgainstNaive:
+    # The shared chunked counter against a tuple-by-tuple walk of G^q.
+    GROUPS = [cyclic(1), cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2))]
+
+    @staticmethod
+    def check(m, g):
+        naive = count_nl_group_flows_naive(m, g, partial(_support_contraction_cyclic, m))
+        assert count_nl_group_flows_matroid(m, g) == naive, (m, g.spec())
+
+    def test_graphic_and_cographic(self, catalog_small):
+        for d in catalog_small[::12]:
+            for m in (inc(d), cographic(d)):
+                if m.p == 0:
+                    continue
+                for g in self.GROUPS:
+                    self.check(m, g)
+
+    def test_r10(self):
+        for g in (cyclic(2), cyclic(3)):
+            self.check(R10, g)
+
+    def test_no_columns(self):
+        # One empty assignment, of support mask 0, accepted by the Farkas
+        # predicate: exactly one NL-G-flow.
+        for m in (TUMatrix(()), TUMatrix(((), ()))):
+            for g in self.GROUPS + [AbelianGroup((2, 3))]:
+                self.check(m, g)
+                assert count_nl_group_flows_matroid(m, g) == 1
+
+
 class TestIntegerCountsAgainstFullBox:
     # The cotree half-box counter against the test-side (2k-1)^q reference.
     def test_graphic_and_cographic(self, catalog_small):
@@ -280,5 +315,5 @@ class TestMatroidFit:
         assert poly == IntPolynomial({1: 2, 0: -1})
 
     def test_insufficient_points(self, cycle3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degree bound 1 plus a held-out witness"):
             fit_integer_flow_polynomial_matroid(inc(cycle3), [2])

@@ -3,9 +3,16 @@ enumerator vs the full-box reference), acyclic colorings, equivalence, and
 polynomiality fits.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_counters import count_nl_integer_kflows_naive, full_box_histogram
+from reference_counters import (
+    count_nl_group_flows_naive,
+    count_nl_integer_kflows_naive,
+    full_box_histogram,
+    is_group_flow,
+)
 
 from nlflow import (
     BudgetExceededError,
@@ -17,7 +24,6 @@ from nlflow import (
     count_nl_integer_kflows,
     cyclic,
     fit_integer_flow_polynomial,
-    is_group_flow,
     is_totally_cyclic,
 )
 from nlflow.cuts import is_dijoin
@@ -25,7 +31,7 @@ from nlflow.digraphs import incidence_matrix, rank
 from nlflow.groups import AbelianGroup
 from nlflow.matroids import TUMatrix, fit_integer_flow_polynomial_matroid
 from nlflow import oracles
-from nlflow.oracles import kernel_height_histogram
+from nlflow.oracles import _support_cyclic, kernel_height_histogram, kernel_nullity
 
 
 class TestIsGroupFlow:
@@ -82,6 +88,40 @@ class TestCountGroupFlows:
                     if is_dijoin(d, supp):
                         brute += 1
             assert brute == count_nl_group_flows(d, g)
+
+
+class TestGroupCountsAgainstNaive:
+    # The shared chunked counter against a tuple-by-tuple walk of G^m.
+    GROUPS = [cyclic(1), cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2))]
+
+    @staticmethod
+    def naive(d, g):
+        return count_nl_group_flows_naive(TUMatrix.from_digraph(d), g, partial(_support_cyclic, d))
+
+    @pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.spec())
+    def test_catalog(self, catalog_small, g):
+        for d in catalog_small:
+            assert count_nl_group_flows(d, g) == self.naive(d, g), (d, g.spec())
+
+    def test_catalog_z2xz3(self, catalog_small):
+        g = AbelianGroup((2, 3))
+        for d in catalog_small:
+            if d.m <= 4:
+                assert count_nl_group_flows(d, g) == self.naive(d, g), d
+
+    def test_arcless(self):
+        # One empty assignment, of support mask 0: an arcless digraph is
+        # totally cyclic, so it has exactly one NL-G-flow.
+        for d in (Digraph(1, ()), Digraph(3, ())):
+            for g in self.GROUPS + [AbelianGroup((2, 3))]:
+                assert count_nl_group_flows(d, g) == self.naive(d, g) == 1, (d, g.spec())
+
+    @pytest.mark.parametrize("chunk", [1, 20])
+    def test_chunks(self, monkeypatch, catalog_small, chunk):
+        monkeypatch.setattr(oracles, "_CHUNK", chunk)
+        for d in catalog_small[::50]:
+            for g in (cyclic(3), AbelianGroup((2, 2))):
+                assert count_nl_group_flows(d, g) == self.naive(d, g), (d, g.spec())
 
 
 class TestCountIntegerFlows:
@@ -247,8 +287,12 @@ class TestPolynomialityFit:
         assert fit_integer_flow_polynomial(d, [2, 3]) == IntPolynomial.one()
 
     def test_insufficient_points(self, cycle3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degree bound 1 plus a held-out witness"):
             fit_integer_flow_polynomial(cycle3, [2, 3][:1])
+
+    def test_degree_bound_is_the_nullity(self, catalog_small):
+        for d in catalog_small:
+            assert kernel_nullity(incidence_matrix(d), d.m) == d.m - rank(d, d.all_arcs), d
 
     def test_one_pass_fit_equals_counts(self, catalog_small):
         for d in catalog_small:
