@@ -1,13 +1,14 @@
-"""Exact rational linear algebra: row reduction, kernel bases, and a
-small revised simplex used only to decide Farkas alternatives.
+"""Exact linear algebra: row reduction, kernel bases and a square solve
+on fractions.Fraction, and a phase-1 simplex that decides Farkas
+alternatives on one integer tableau, pivoted fraction-free.
 
-No floating point anywhere; everything runs on fractions.Fraction.
-Matrices are lists of row lists.
+No floating point anywhere.  Matrices are lists of row lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def _frac_rows(mat):
@@ -75,66 +76,70 @@ def farkas_nonneg_solve(a_mat, b_vec):
 
     Returns ("feasible", z) with A z = b, z >= 0, or ("infeasible", y)
     with y A <= 0 componentwise and y . b > 0 (the Farkas certificate).
+    Entries may be ints or Fractions; z and y are Fractions.
 
-    Phase-1 revised simplex with Bland's rule; dimensions here are tiny,
-    so each iteration refactorizes the basis from scratch.
+    Phase-1 simplex on one integer tableau [A | I | b] (rows with b_i < 0
+    negated, one artificial per row) under an objective row of reduced
+    costs.  Pivots are fraction-free (Bareiss): the tableau is kept as
+    integers T over the common denominator d, the previous pivot, and
+    updated by T[i][j] = (T[i][j] * pv - T[i][e] * T[r][j]) // d, which
+    divides exactly.  Bland's rule picks the pivots: the smallest column
+    with a negative reduced cost enters; the minimum ratio T[i][-1] /
+    T[i][e] over T[i][e] > 0 leaves, ties evicting the smallest basic
+    index.  Fractional input is scaled to integers column by column (and
+    b as a whole) first; a positive column scale changes neither the
+    pivots nor y, and z is scaled back at the end.
     """
-    a = _frac_rows(a_mat)
-    b = [Fraction(x) for x in b_vec]
-    p = len(b)
-    q = len(a[0]) if a else 0
-    signs = [1] * p
-    for i in range(p):
-        if b[i] < 0:
-            signs[i] = -1
-            b[i] = -b[i]
-            a[i] = [-x for x in a[i]]
-
-    # Columns 0..q-1 are the original variables (cost 0), q..q+p-1 the
-    # artificials (cost 1).
-    def column(j):
-        if j < q:
-            return [a[i][j] for i in range(p)]
-        return [Fraction(1) if i == j - q else Fraction(0) for i in range(p)]
-
-    def cost(j):
-        return Fraction(0) if j < q else Fraction(1)
+    p = len(b_vec)
+    q = len(a_mat[0]) if a_mat else 0
+    col_scale = [lcm(*(row[j].denominator for row in a_mat)) for j in range(q)]
+    b_scale = lcm(*(x.denominator for x in b_vec))
+    signs = [1 if x >= 0 else -1 for x in b_vec]
+    rows = []
+    for i, (row, x, s) in enumerate(zip(a_mat, b_vec, signs)):
+        t = [s * v.numerator * (scale // v.denominator) for v, scale in zip(row, col_scale)]
+        t += [0] * p
+        t[q + i] = 1
+        t.append(s * x.numerator * (b_scale // x.denominator))
+        rows.append(t)
+    # Artificials cost 1, the original variables 0; the objective row holds
+    # d times the reduced costs, and -d times the phase-1 objective last.
+    obj = [-sum(col) for col in zip(*rows)] if rows else [0] * (q + 1)
+    obj[q : q + p] = [0] * p
 
     basis = list(range(q, q + p))
+    d = 1
     while True:
-        b_cols = [column(j) for j in basis]
-        b_mat = [[b_cols[j][i] for j in range(p)] for i in range(p)]
-        x_b = solve_upper(b_mat, b) if p else []
-        bt = [[b_mat[j][i] for j in range(p)] for i in range(p)]
-        y = solve_upper(bt, [cost(j) for j in basis]) if p else []
-
-        entering = None
-        for j in range(q + p):
-            if j in basis:
-                continue
-            reduced = cost(j) - sum(y[i] * column(j)[i] for i in range(p))
-            if reduced < 0:
-                entering = j
-                break
-        if entering is None:
+        e = next((j for j in range(q + p) if obj[j] < 0), None)
+        if e is None:
             break
-        d = solve_upper(b_mat, column(entering))
-        ratios = [
-            (x_b[i] / d[i], basis[i], i) for i in range(p) if d[i] > 0
-        ]
-        if not ratios:
+        # Minimum ratio row[-1] / row[e] over row[e] > 0; Bland: ties
+        # evict the smallest basic index.
+        leave = None
+        for i, row in enumerate(rows):
+            if row[e] > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs, rhs = row[-1] * rows[leave][e], rows[leave][-1] * row[e]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
             raise RuntimeError("phase-1 objective unbounded; cannot happen")
-        best = min(r for r, _, _ in ratios)
-        # Bland: among the tied rows, evict the smallest basic variable.
-        leave = min((i for r, _, i in ratios if r == best), key=lambda i: basis[i])
-        basis[leave] = entering
+        prow = rows[leave]
+        pv = prow[e]
+        for row in (*rows, obj):
+            if row is not prow:
+                f = row[e]
+                row[:] = [(x * pv - f * y) // d for x, y in zip(row, prow)]
+        d = pv
+        basis[leave] = e
 
-    objective = sum(x_b[i] for i in range(p) if basis[i] >= q)
-    if objective == 0:
-        z = [Fraction(0)] * q
-        for i, j in enumerate(basis):
-            if j < q:
-                z[j] = x_b[i]
-        return "feasible", z
-    y_out = [signs[i] * y[i] for i in range(p)]
-    return "infeasible", y_out
+    if obj[-1] != 0:
+        # y = c_B B^-1, read off the artificials' reduced costs 1 - y_i.
+        return "infeasible", [Fraction(s * (d - obj[q + i]), d) for i, s in enumerate(signs)]
+    z = [Fraction(0)] * q
+    for row, j in zip(rows, basis):
+        if j < q:
+            z[j] = Fraction(row[-1] * col_scale[j], d * b_scale)
+    return "feasible", z

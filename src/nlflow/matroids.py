@@ -13,9 +13,9 @@ matrix and the contraction predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
+from math import lcm
 
 from .digraphs import Digraph, incidence_matrix
 from .errors import BudgetExceededError
@@ -72,6 +72,14 @@ def read_matrix(text: str) -> TUMatrix:
         p, q = (int(x) for x in lines[0].split())
     except Exception as exc:
         raise ValueError(f"bad header line {lines[0]!r}") from exc
+    if p < 0 or q < 0:
+        raise ValueError(f"negative dimension in header line {lines[0]!r}")
+    if p == 0 and q > 0:
+        # TUMatrix keeps only rows, so it has no 0 x q matrix.
+        raise ValueError(f"a matrix with 0 rows cannot have {q} columns")
+    if q == 0 and len(lines) == 1:
+        # The p empty rows of a p x 0 matrix are blank lines.
+        return TUMatrix(((),) * p)
     if len(lines) - 1 != p:
         raise ValueError(f"expected {p} rows, found {len(lines) - 1}")
     rows = []
@@ -128,7 +136,15 @@ def is_totally_unimodular(m: TUMatrix, max_dim: int = DEFAULT_TU_CHECK_BOUND) ->
 
 @lru_cache(maxsize=100_000)
 def _kernel_basis_cached(m: TUMatrix):
-    return tuple(tuple(v) for v in kernel_basis([list(r) for r in m.rows], m.q))
+    """A kernel basis of int vectors: each rational basis vector times the
+    lcm of its denominators, which spans the same and keeps the Farkas LP
+    on ints.
+    """
+    basis = []
+    for v in kernel_basis([list(r) for r in m.rows], m.q):
+        scale = lcm(*(x.denominator for x in v))
+        basis.append(tuple(x.numerator * (scale // x.denominator) for x in v))
+    return tuple(basis)
 
 
 # --- total cyclicity and the Farkas alternative ---------------------------
@@ -148,17 +164,14 @@ def positive_span_certificate(vectors, q: int):
     # Feasibility of K lam >= 1 with lam free: columns [K, -K, -I].
     a = []
     for i in range(q):
-        row = [Fraction(vectors[j][i]) for j in range(r)]
+        row = [v[i] for v in vectors]
         row += [-x for x in row]
-        row += [Fraction(-1) if i == t else Fraction(0) for t in range(q)]
+        row += [-int(i == t) for t in range(q)]
         a.append(row)
-    status, sol = farkas_nonneg_solve(a, [Fraction(1)] * q)
+    status, sol = farkas_nonneg_solve(a, [1] * q)
     if status == "feasible":
         lam = [sol[j] - sol[r + j] for j in range(r)]
-        x = [
-            sum(lam[j] * Fraction(vectors[j][i]) for j in range(r))
-            for i in range(q)
-        ]
+        x = [sum(lam[j] * vectors[j][i] for j in range(r)) for i in range(q)]
         return "positive", x
     return "obstruction", sol
 
@@ -177,11 +190,11 @@ def is_totally_cyclic_matroid(m: TUMatrix) -> bool:
 @dataclass(frozen=True)
 class ContractedFlowSpace:
     """Flow space of a matroid contraction: the kernel projected onto the
-    surviving coordinates, kept as an exact rational spanning set.
+    surviving coordinates, kept as an exact integer spanning set.
     """
 
     columns: tuple[int, ...]
-    vectors: tuple[tuple[Fraction, ...], ...]
+    vectors: tuple[tuple[int, ...], ...]
 
     def is_totally_cyclic(self) -> bool:
         kind, _ = positive_span_certificate(list(self.vectors), len(self.columns))

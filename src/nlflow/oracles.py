@@ -59,9 +59,34 @@ def _support_cyclic(d: Digraph, mask: int) -> bool:
 
 def cyclic_supports(counts, predicate) -> list[int]:
     """The support bitmasks (indices of counts) with a nonzero count whose
-    contraction the support predicate accepts.
+    contraction the support predicate accepts, in increasing order.
+
+    The accepted supports form an up-set, since contracting more of a
+    totally cyclic contraction keeps it totally cyclic: M/T = (M/S)/(T-S).
+    So a mask that contains an accepted mask is accepted, and one that is
+    contained in a rejected mask is rejected, without a predicate call.
+    The masks are walked by popcount level, alternately from the bottom
+    and from the top, so that both rules fire.
     """
-    return [mask for mask in np.flatnonzero(counts).tolist() if predicate(mask)]
+    levels = {}
+    for mask in np.flatnonzero(counts).tolist():
+        levels.setdefault(mask.bit_count(), []).append(mask)
+    sizes = sorted(levels)
+    # Bottom, top, second from the bottom, second from the top, ...
+    order = [size for pair in zip(sizes, reversed(sizes)) for size in pair][: len(sizes)]
+    good, bad, accepted = [], [], []
+    for size in order:
+        for mask in levels[size]:
+            if any(mask & g == g for g in good):
+                ok = True
+            elif any(mask & b == mask for b in bad):
+                ok = False
+            else:
+                ok = predicate(mask)
+                (good if ok else bad).append(mask)
+            if ok:
+                accepted.append(mask)
+    return sorted(accepted)
 
 
 def check_histogram_budget(kmax: int, ncols: int, budget: int) -> None:

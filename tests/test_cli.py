@@ -122,6 +122,24 @@ class TestMatroidCommands:
         )
         assert status == 0 and out == "2x-1\n"
 
+    def test_free_matroid(self, capsys, tmp_path):
+        # One all-zero row: the free matroid on 3 elements, 8 NL-Z2-flows.
+        p = tmp_path / "free3.tu"
+        p.write_text("1 3\n0 0 0\n")
+        status, out, _ = run(capsys, ["matroid", "count", "--matrix", str(p), "--group", "z2"])
+        assert status == 0 and out == "8\n"
+        status, out, _ = run(capsys, ["matroid", "poly-fit", "--matrix", str(p)])
+        assert status == 0 and out == "8x^3-12x^2+6x-1\n"
+
+    def test_columns_without_rows_refused(self, capsys, tmp_path):
+        # A 0 x 3 header cannot be stored; it used to count as 0 x 0.
+        p = tmp_path / "empty3.tu"
+        p.write_text("0 3\n")
+        for cmd in (["count", "--group", "z2"], ["poly-fit"], ["tc"]):
+            status, out, err = run(capsys, ["matroid", cmd[0], "--matrix", str(p), *cmd[1:]])
+            assert status == 1 and out == ""
+            assert err.startswith("error: domain:")
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):

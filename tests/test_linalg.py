@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_farkas import reference_farkas_nonneg_solve
 
+from nlflow import linalg
 from nlflow.linalg import farkas_nonneg_solve, kernel_basis, matrix_rank, rref, solve_upper
 
 
@@ -95,3 +97,63 @@ class TestFarkas:
             for j in range(q):
                 assert sum(sol[i] * a[i][j] for i in range(p)) <= 0
             assert sum(sol[i] * b[i] for i in range(p)) > 0
+
+
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+class TestFarkasAgainstReference:
+    """The integer tableau pivots as the reference revised simplex does, so
+    both return the same (status, vector), Fractions included.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_fractional_entries_and_negative_b(self, p, q, data):
+        a = [[data.draw(entries) for _ in range(q)] for _ in range(p)]
+        b = [data.draw(entries) for _ in range(p)]
+        got = farkas_nonneg_solve(a, b)
+        assert got == reference_farkas_nonneg_solve(a, b)
+        assert all(type(x) is Fraction for x in got[1])
+
+    def test_degenerate_ties(self):
+        # Ratio ties between rows whose basic variables are not in row
+        # order: evicting the first or the last tied row instead of the
+        # smallest basic index ends in another basis and certificate.
+        cases = [
+            ([[0, 2, -1], [2, 1, -1], [2, 2, -1]], [0, 1, 0], [1, 1, Fraction(-3, 2)]),
+            ([[1, 0, 1], [0, 1, 0], [2, 1, 0], [1, 1, 1]], [0, 1, 0, 0], [-1, 1, -2, 1]),
+        ]
+        for a, b, y in cases:
+            assert farkas_nonneg_solve(a, b) == ("infeasible", y)
+            assert reference_farkas_nonneg_solve(a, b) == ("infeasible", y)
+
+    def test_no_rows(self):
+        assert farkas_nonneg_solve([], []) == ("feasible", [])
+        assert farkas_nonneg_solve([], []) == reference_farkas_nonneg_solve([], [])
+
+    def test_no_columns(self):
+        for b in ([1, -2], [0, 0], [0, Fraction(-1, 3)]):
+            a = [[], []]
+            got = farkas_nonneg_solve(a, b)
+            assert got == reference_farkas_nonneg_solve(a, b)
+        assert farkas_nonneg_solve([[], []], [1, -2]) == ("infeasible", [1, -1])
+        assert farkas_nonneg_solve([[], []], [0, 0]) == ("feasible", [])
+
+    def test_fractional_solution_is_rescaled(self):
+        status, z = farkas_nonneg_solve([[Fraction(2, 3), 3]], [Fraction(1, 2)])
+        assert status == "feasible"
+        assert z == [Fraction(3, 4), 0]
+
+    def test_no_refactorization(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the tableau refactorized its basis")
+
+        monkeypatch.setattr(linalg, "rref", refuse)
+        monkeypatch.setattr(linalg, "solve_upper", refuse)
+        a = [[1, -1, 0, 1], [0, 1, -1, 1], [-1, 0, 1, 1]]
+        assert farkas_nonneg_solve(a, [1, 1, 1])[0] == "feasible"
+        assert farkas_nonneg_solve(a, [1, 1, -3])[0] == "infeasible"

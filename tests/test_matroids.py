@@ -13,6 +13,7 @@ from reference_counters import (
     count_nl_group_flows_naive,
     count_nl_integer_kflows_matroid_naive,
 )
+from reference_farkas import reference_farkas_nonneg_solve
 
 from nlflow import (
     BudgetExceededError,
@@ -31,9 +32,10 @@ from nlflow import (
     read_matrix,
     write_matrix,
 )
+from nlflow import matroids
 from nlflow.digraphs import contract, incidence_matrix
 from nlflow.groups import AbelianGroup
-from nlflow.linalg import rref
+from nlflow.linalg import farkas_nonneg_solve, rref
 from nlflow.matroids import _support_contraction_cyclic, fit_integer_flow_polynomial_matroid
 
 # [I5 | A] represents R10, which is neither graphic nor cographic.
@@ -85,10 +87,21 @@ class TestTUMatrix:
         assert text == "2 3\n1 -1 0\n0 1 -1\n"
         assert read_matrix(text) == m
 
+    def test_round_trip_without_columns(self):
+        for p in range(4):
+            m = TUMatrix(((),) * p)
+            assert read_matrix(write_matrix(m)) == m
+        assert write_matrix(TUMatrix(((), ()))) == "2 0\n\n\n"
+
     def test_bad_files(self):
-        for bad in ("", "1 2\n", "1 2\n1 0 0\n"):
+        for bad in ("", "1 2\n", "1 2\n1 0 0\n", "2 0\n1\n", "0 -1\n"):
             with pytest.raises(ValueError):
                 read_matrix(bad)
+
+    def test_no_rows_but_columns_refused(self):
+        # TUMatrix stores rows only, so 0 x 3 would become 0 x 0.
+        with pytest.raises(ValueError, match="0 rows"):
+            read_matrix("0 3\n")
 
 
 class TestTotallyUnimodular:
@@ -159,6 +172,40 @@ class TestFarkasCertificate:
 
                 rows = [list(r) for r in m.rows]
                 assert matrix_rank(rows) == matrix_rank(rows + [list(vec)])
+
+
+class TestFarkasAgainstReference:
+    """Every LP behind a certificate or a contraction predicate returns the
+    same (status, vector) from the integer tableau as from the reference
+    revised simplex.
+    """
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        solved = []
+
+        def both(a, b):
+            got = farkas_nonneg_solve(a, b)
+            assert got == reference_farkas_nonneg_solve(a, b), (a, b)
+            solved.append(got[0])
+            return got
+
+        monkeypatch.setattr(matroids, "farkas_nonneg_solve", both)
+        return solved
+
+    def test_catalog_certificates(self, checked, catalog_full):
+        with_columns = 0
+        for d in catalog_full:
+            for m in (inc(d), cographic(d)):
+                farkas_certificate(m)
+                with_columns += m.q > 0  # no columns: positive, no LP
+        assert len(checked) == with_columns
+        assert {"feasible", "infeasible"} <= set(checked)
+
+    def test_r10_contractions(self, checked):
+        for mask in range(1 << R10.q):
+            contract_matroid(R10, {j for j in range(R10.q) if mask >> j & 1}).is_totally_cyclic()
+        assert len(checked) == (1 << R10.q) - 1  # contracting everything leaves no LP
 
 
 class TestContraction:

@@ -5,6 +5,7 @@ polynomiality fits.
 
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_counters import (
@@ -29,7 +30,11 @@ from nlflow import (
 from nlflow.cuts import is_dijoin
 from nlflow.digraphs import incidence_matrix, rank
 from nlflow.groups import AbelianGroup
-from nlflow.matroids import TUMatrix, fit_integer_flow_polynomial_matroid
+from nlflow.matroids import (
+    TUMatrix,
+    _support_contraction_cyclic,
+    fit_integer_flow_polynomial_matroid,
+)
 from nlflow import oracles
 from nlflow.oracles import _support_cyclic, kernel_height_histogram, kernel_nullity
 
@@ -233,6 +238,65 @@ class TestKernelHeightHistogram:
         oracles.check_histogram_budget(1, 62, 1 << 62)
         with pytest.raises(BudgetExceededError):
             oracles.check_histogram_budget(1, 63, 10**30)
+
+
+class TestMonotoneSupportSkip:
+    # cyclic_supports decides a mask from an accepted subset or a rejected
+    # superset; it must agree with asking the predicate about every mask,
+    # and ask it no more often.
+    @staticmethod
+    def compare(counts, predicate):
+        calls = []
+
+        def counting(mask):
+            calls.append(mask)
+            return predicate(mask)
+
+        got = oracles.cyclic_supports(counts, counting)
+        masks = np.flatnonzero(counts).tolist()
+        assert got == [mask for mask in masks if predicate(mask)]
+        assert len(set(calls)) == len(calls) <= len(masks)
+        return len(calls), len(masks)
+
+    def test_catalog_equals_plain_filter(self, catalog_small):
+        asked = plain = 0
+        for d in catalog_small:
+            supports = kernel_height_histogram(incidence_matrix(d), d.m, 3).sum(axis=1)
+            predicates = (
+                partial(_support_cyclic, d),
+                partial(_support_contraction_cyclic, TUMatrix.from_digraph(d)),
+            )
+            for counts in (supports, np.ones(1 << d.m, dtype=np.int64)):
+                for predicate in predicates:
+                    a, p = self.compare(counts, predicate)
+                    asked += a
+                    plain += p
+        assert asked < plain
+
+    def test_superset_of_accepted_mask_needs_no_call(self):
+        calls = []
+
+        def has_bit_2(mask):
+            calls.append(mask)
+            return bool(mask & 4)
+
+        counts = np.zeros(8, dtype=np.int64)
+        counts[[1, 4, 7]] = 1
+        assert oracles.cyclic_supports(counts, has_bit_2) == [4, 7]
+        assert calls == [1, 4]
+
+    def test_subset_of_rejected_mask_needs_no_call(self):
+        # Levels are walked bottom, top, then inward: 1, then 7, then 3.
+        calls = []
+
+        def reject(mask):
+            calls.append(mask)
+            return False
+
+        counts = np.zeros(8, dtype=np.int64)
+        counts[[1, 3, 7]] = 1
+        assert oracles.cyclic_supports(counts, reject) == []
+        assert calls == [1, 7]
 
 
 class TestAcyclicColorings:
