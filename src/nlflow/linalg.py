@@ -1,6 +1,6 @@
 """Exact linear algebra: row reduction, kernel bases and a square solve
-on fractions.Fraction, and a phase-1 simplex that decides Farkas
-alternatives on one integer tableau, pivoted fraction-free.
+on fractions.Fraction, a Bareiss determinant, and a phase-1 simplex
+deciding Farkas alternatives on one integer tableau, pivoted fraction-free.
 
 No floating point anywhere.  Matrices are lists of row lists.
 """
@@ -59,6 +59,28 @@ def kernel_basis(mat, ncols=None):
             vec[pc] = -rows[r][fc]
         basis.append(vec)
     return basis
+
+
+def int_det(rows) -> int:
+    """Fraction-free Bareiss determinant of a small integer matrix, or of
+    the rows it pivots on when there are more rows than columns.
+    """
+    a = [list(r) for r in rows]
+    n = len(a[0]) if a else 0
+    sign = 1
+    prev = 1
+    for c in range(n):
+        if a[c][c] == 0:
+            swap = next((i for i in range(c + 1, len(a)) if a[i][c] != 0), None)
+            if swap is None:
+                return 0
+            a[c], a[swap] = a[swap], a[c]
+            sign = -sign
+        for i in range(c + 1, len(a)):
+            for j in range(c + 1, n):
+                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
+        prev = a[c][c]
+    return sign * prev
 
 
 def solve_upper(b_mat, rhs):

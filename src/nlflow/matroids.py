@@ -20,7 +20,7 @@ from math import lcm
 from .digraphs import Digraph, incidence_matrix
 from .errors import BudgetExceededError
 from .groups import AbelianGroup
-from .linalg import farkas_nonneg_solve, kernel_basis
+from .linalg import farkas_nonneg_solve, int_det, kernel_basis
 from .oracles import (
     DEFAULT_BUDGET,
     fit_nl_integer_polynomial,
@@ -97,26 +97,6 @@ def write_matrix(m: TUMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int_det(rows) -> int:
-    """Fraction-free Bareiss determinant of a small integer matrix."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if a[c][c] == 0:
-            swap = next((i for i in range(c + 1, n) if a[i][c] != 0), None)
-            if swap is None:
-                return 0
-            a[c], a[swap] = a[swap], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
-        prev = a[c][c]
-    return sign * a[n - 1][n - 1]
-
-
 def is_totally_unimodular(m: TUMatrix, max_dim: int = DEFAULT_TU_CHECK_BOUND) -> bool:
     """Brute-force certificate: every square submatrix determinant is in
     {0, +-1}.  Refuses matrices with min(p, q) beyond max_dim.
@@ -129,7 +109,7 @@ def is_totally_unimodular(m: TUMatrix, max_dim: int = DEFAULT_TU_CHECK_BOUND) ->
         for rsel in combinations(range(m.p), size):
             for csel in combinations(range(m.q), size):
                 sub = [[m.rows[i][j] for j in csel] for i in rsel]
-                if _int_det(sub) not in (-1, 0, 1):
+                if int_det(sub) not in (-1, 0, 1):
                     return False
     return True
 
@@ -227,10 +207,8 @@ def count_nl_group_flows_matroid(m: TUMatrix, g: AbelianGroup, budget: int = DEF
 
 def count_nl_integer_kflows_matroid(m: TUMatrix, k: int, budget: int = DEFAULT_BUDGET) -> int:
     """Integer kernel elements with entries in {0, +-1, ..., +-(k-1)} and
-    totally cyclic support contraction; exact integer arithmetic.
-
-    Enumerates the (2k-1)^nullity cotree box, so the budget bounds that
-    box (and the k * 2^q support histogram), not (2k-1)^q.
+    totally cyclic support contraction; exact integer arithmetic.  The
+    budget bounds the (2k-1)^nullity cotree box, not (2k-1)^q.
     """
     return nl_integer_kflow_counts(
         m.rows, m.q, [k], partial(_support_contraction_cyclic, m), budget

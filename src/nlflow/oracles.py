@@ -6,21 +6,21 @@ A digraph's NL-flows are those of its incidence matrix, so every count
 is taken over an integer matrix and a support predicate: the digraph
 path passes the incidence matrix and an SCC test of the contraction, the
 matroid path (nlflow.matroids) a TU matrix and a Farkas test.  There is
-one group counter, one integer counter and one polynomial fit:
+one kernel walker, over the free (cotree) coordinates of the kernel,
+under one group counter and one integer counter, and one polynomial fit:
 
-- nl_group_flow_count enumerates every assignment in G^ncols, chunked.
-- nl_integer_kflow_counts reads one histogram of the integer kernel: the
-  free (cotree) coordinates range over {-(K-1), ..., K-1}^nullity and
-  determine the basic ones exactly.  One pass over half of that box (x
-  and -x share support and height) gives a histogram by support and max
-  |x_j|, and the count for every k <= K is a cumulative sum of it.
+- nl_group_flow_count walks G^nullity, exact when a pivot block has
+  determinant +-1, as in every TU matrix; other matrices walk G^ncols.
+- nl_integer_kflow_counts walks half of {-(K-1), ..., K-1}^nullity (x
+  and -x share support and height) into a histogram by support and max
+  |x_j|; the count for every k <= K is a cumulative sum of it.
 - fit_nl_integer_polynomial interpolates those counts to a polynomial of
   degree at most the kernel nullity, with held-out witnesses.
 
-The budget bounds, before anything is allocated, both the candidates
-enumerated (|G|^m, or (2K-1)^nullity) and the cells of the support
-histogram (2^m, or K * 2^m); support masks are int64, so more than 62
-arcs or columns are refused whatever the budget.
+The budget bounds, before anything is allocated, both the points walked
+(|G|^nullity or |G|^ncols, or (2K-1)^nullity) and the cells of the
+support histogram (2^m, or K * 2^m); support masks are int64, so more
+than 62 arcs or columns are refused whatever the budget.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .digraphs import (
 )
 from .errors import BudgetExceededError, WitnessMismatchError
 from .groups import AbelianGroup, abelian_groups_of_order, cyclic
-from .linalg import rref
+from .linalg import int_det, rref
 from .polynomials import interpolate_rational
 
 DEFAULT_BUDGET = 10**8
@@ -106,38 +106,38 @@ def check_histogram_budget(kmax: int, ncols: int, budget: int) -> None:
 
 def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, predicate, budget: int = DEFAULT_BUDGET) -> int:
     """Number of x in G^ncols with rows @ x = 0 in G whose support mask
-    satisfies the predicate.  Enumerates all |G|^ncols assignments,
-    chunked; with no columns that is the one empty assignment, of support
-    mask 0.
+    satisfies the predicate.  Each free coordinate takes all |G| values;
+    a basic one, -expr @ x_free in each cyclic factor f, is in the support
+    when nonzero mod f.  Without the certificate of _cotree_expression
+    every column is free and every row is checked mod each factor.
     """
-    k = g.order
-    if k**ncols > budget:
-        raise BudgetExceededError(f"|G|^m = {k}^{ncols} exceeds budget {budget}")
+    pivots, free, expr, _, unimodular = _cotree_expression(tuple(map(tuple, rows)), ncols)
+    if not unimodular:
+        pivots, free, expr = [], range(ncols), rows
+    k, walked = g.order, "nullity" if unimodular else "m"
+    if k ** len(free) > budget:
+        raise BudgetExceededError(f"|G|^{walked} = {k}^{len(free)} exceeds budget {budget}")
     check_histogram_budget(1, ncols, budget)
 
-    mat_t = np.array(rows, dtype=np.int64).reshape(len(rows), ncols).T
-    colpow = np.array([k ** (ncols - 1 - j) for j in range(ncols)], dtype=np.int64)
-    strides = []
-    s = 1
-    for f in reversed(g.factors):
-        strides.append((f, s))
-        s *= f
-    strides.reverse()
-    bits = 1 << np.arange(ncols, dtype=np.int64)
+    expr = np.array(expr, dtype=np.int64).reshape(len(expr), len(free))
+    factors = np.array(g.factors, dtype=np.int64)
+    values = np.arange(k, dtype=np.int64)
+    # Residues of each element of G mod each factor, the first leading;
+    # table holds the rows of expr once per factor.
+    digits = (values // (k // np.cumprod(factors))[:, None]) % factors[:, None]
+    mods = np.repeat(factors, len(expr))[:, None]
+    bits = np.tile(np.array([1 << c for c in pivots], dtype=np.int64), len(factors))[:, None]
+    table = (digits[:, None, None, :] * expr[:, :, None]).reshape(len(mods), len(free), k)
 
-    support_counts = np.zeros(1 << ncols, dtype=np.int64)
-    total = k**ncols
-    chunk = max(1, _CHUNK // max(ncols, 1))  # keep each chunk's temporaries small
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        assign = (idx[:, None] // colpow[None, :]) % k
-        ok = np.ones(len(idx), dtype=bool)
-        for f, stride in strides:
-            digits = (assign // stride) % f
-            ok &= ((digits @ mat_t) % f == 0).all(axis=1)
-        supp = (assign[ok] != 0) @ bits
-        support_counts += np.bincount(supp, minlength=1 << ncols)
-    return int(support_counts[cyclic_supports(support_counts, predicate)].sum())
+    def histogram(box):
+        scaled, mask, _ = box
+        nonzero = scaled % mods != 0
+        if not unimodular:
+            return np.bincount(mask[~nonzero.any(axis=0)], minlength=1 << ncols)
+        return np.bincount(mask | np.bitwise_or.reduce(nonzero * bits, axis=0), minlength=1 << ncols)
+
+    counts = _box_sum(table, free, values, 0 * values, k ** len(free), histogram)
+    return int(counts[cyclic_supports(counts, predicate)].sum())
 
 
 def count_nl_group_flows(d: Digraph, g: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
@@ -151,18 +151,22 @@ def count_nl_group_flows(d: Digraph, g: AbelianGroup, budget: int = DEFAULT_BUDG
 
 @lru_cache(maxsize=100_000)
 def _cotree_expression(rows: tuple[tuple[int, ...], ...], ncols: int):
-    """Basic (pivot) and free (cotree) columns of an integer matrix, and
-    the integer matrix expr with denom * x_basic = -expr @ x_free on its
-    kernel.
+    """Basic (pivot) and free (cotree) columns of an integer matrix, the
+    integer matrix expr with denom * x_basic = -expr @ x_free on its
+    kernel, and whether it also holds over every Z_f.
 
     Total unimodularity makes denom 1; other integer matrices keep exact
-    counts through the divisibility test in kernel_height_histogram.
+    counts through the divisibility test in kernel_height_histogram.  It
+    holds over Z_f when r rows of the r pivot columns (those int_det
+    pivots on) have determinant +-1, whose inverse is integral: every row
+    is its pivot entries times the reduced rows.
     """
     reduced, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     denom = lcm(*(reduced[r][c].denominator for r in range(len(pivots)) for c in free))
     expr = [[int(reduced[r][c] * denom) for c in free] for r in range(len(pivots))]
-    return pivots, free, expr, denom
+    unimodular = abs(int_det([[row[c] for c in pivots] for row in rows])) == 1
+    return pivots, free, expr, denom, unimodular
 
 
 def kernel_nullity(rows, ncols: int) -> int:
@@ -175,8 +179,8 @@ def kernel_nullity(rows, ncols: int) -> int:
 def _product(high, low):
     """The box of all pairs (x, y), x from high (the leading coordinates)
     and y from low, in mixed-radix order.  A box is a triple (scaled,
-    mask, height) of per-point columns: the basic coordinates times
-    -denom (one row per pivot), the free support bits, and max |x_free|.
+    mask, height) of per-point columns: the free coordinates' sums in each
+    basic coordinate or checked row, the free support bits, and max |x_free|.
     """
     (s_hi, m_hi, h_hi), (s_lo, m_lo, h_lo) = high, low
     mask = np.add.outer(m_hi, m_lo).ravel()
@@ -188,48 +192,57 @@ def _points(box, lo: int, hi: int):
     return tuple(column[..., lo:hi] for column in box)
 
 
+def _box_sum(table, free, values, heights, end: int, histogram):
+    """Sum histogram over the first `end` points of the cotree box, in
+    mixed-radix order, the first free coordinate leading.  Coordinate j
+    (column free[j]) takes each of the values; values[i] adds table[:, j, i]
+    to the scaled rows, is in the support when nonzero, and has height
+    heights[i].  The trailing coordinates form one block (at most _CHUNK
+    points, or one coordinate); the leading prefixes are taken in batches,
+    each broadcast with the block, and the prefix that `end` cuts takes
+    the block's first points only.
+    """
+    axes = [(table[:, j], (values != 0) * (1 << c), heights) for j, c in enumerate(free)]
+    n, radix = len(axes), len(values)
+    n_low = min(n, 1)
+    while n_low < n and radix ** (n_low + 1) <= _CHUNK:
+        n_low += 1
+    zero = np.zeros(1, dtype=np.int64)
+    unit = (np.zeros((len(table), 1), dtype=np.int64), zero, zero)
+    high = reduce(_product, axes[: n - n_low], unit)
+    low = reduce(_product, axes[n - n_low :], unit)
+    size = radix**n_low
+    full, tail = divmod(end, size)
+    step = max(1, _CHUNK // size)
+    hist = histogram(_product(_points(high, full, full + 1), _points(low, 0, tail)))
+    for start in range(0, full, step):
+        hist += histogram(_product(_points(high, start, min(start + step, full)), low))
+    return hist
+
+
 def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_BUDGET):
     """hist[mask, h]: the number of integer x with rows @ x = 0 whose
     support bitmask is mask and whose max_j |x_j| is h, for h < kmax.
 
-    One pass over the cotree box {-(kmax-1), ..., kmax-1}^nullity: the
-    free coordinates determine the basic ones exactly.  In mixed-radix
-    order the box is symmetric about its centre, the zero flow: the
+    One pass over the cotree box {-(kmax-1), ..., kmax-1}^nullity, which
+    is symmetric about its centre, the zero flow: in mixed-radix order the
     points i and total-1-i are x and -x.  So only the points below the
-    centre are enumerated and the histogram is doubled.  The free
-    coordinates split into leading ones, taken in batches, and trailing
-    ones, whose block is built once (at most _CHUNK points, or the
-    2*kmax-1 values of one coordinate when that is more); each batch is
-    combined with that block by broadcasting.  The budget bounds the
-    box and the kmax * 2^ncols histogram cells before anything is
-    allocated.
+    centre are walked and the histogram is doubled.  The budget bounds
+    the box and the kmax * 2^ncols cells before anything is allocated.
     """
     if kmax < 1:
         raise ValueError("k must be >= 1")
-    pivots, free, expr, denom = _cotree_expression(tuple(map(tuple, rows)), ncols)
+    pivots, free, expr, denom, _ = _cotree_expression(tuple(map(tuple, rows)), ncols)
     nullity = len(free)
     base = 2 * kmax - 1
     if base**nullity > budget:
-        raise BudgetExceededError(
-            f"(2k-1)^nullity = {base}^{nullity} exceeds budget {budget}"
-        )
+        raise BudgetExceededError(f"(2k-1)^nullity = {base}^{nullity} exceeds budget {budget}")
     check_histogram_budget(kmax, ncols, budget)
     cells = kmax << ncols
 
     expr = np.array(expr, dtype=np.int64).reshape(len(pivots), nullity)
     bits_piv = np.array([1 << c for c in pivots], dtype=np.int64)[:, None]
     values = np.arange(1 - kmax, kmax, dtype=np.int64)
-    zero = np.zeros(1, dtype=np.int64)
-    unit = (np.zeros((len(pivots), 1), dtype=np.int64), zero, zero)
-    axes = [
-        (expr[:, j, None] * values, (values != 0) * (1 << c), np.abs(values))
-        for j, c in enumerate(free)
-    ]
-    n_low = min(nullity, 1)
-    while n_low < nullity and base ** (n_low + 1) <= _CHUNK:
-        n_low += 1
-    high = reduce(_product, axes[: nullity - n_low], unit)
-    low = reduce(_product, axes[nullity - n_low :], unit)
 
     def histogram(box):
         scaled, mask, height = box
@@ -241,14 +254,7 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
         mask = mask + ((scaled != 0) * bits_piv).sum(axis=0)
         return np.bincount((mask * kmax + height)[ok], minlength=cells)
 
-    # The leading prefixes below the centre one (all zero) take the whole
-    # trailing block; the centre prefix takes the block's lower half.
-    below = (base ** (nullity - n_low) - 1) // 2
-    centre = _points(high, below, below + 1)
-    hist = histogram(_product(centre, _points(low, 0, base**n_low // 2)))
-    step = max(1, _CHUNK // base**n_low)
-    for start in range(0, below, step):
-        hist += histogram(_product(_points(high, start, min(start + step, below)), low))
+    hist = _box_sum(expr[:, :, None] * values, free, values, np.abs(values), base**nullity // 2, histogram)
     hist *= 2
     hist[0] += 1
     return hist.reshape(1 << ncols, kmax)
@@ -299,9 +305,10 @@ def count_acyclic_colorings(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) ->
 
 def check_equivalence_theorem(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Existence must agree across Z_k, every abelian group of order k,
-    and integer flows with entries bounded by k-1.
+    and integer flows with entries bounded by k-1.  Z_k is one of those
+    groups whenever k is a prime power, and is counted once.
     """
-    groups = [cyclic(k), *abelian_groups_of_order(k)]
+    groups = dict.fromkeys([cyclic(k), *abelian_groups_of_order(k)])
     flags = [count_nl_group_flows(d, g, budget) > 0 for g in groups]
     flags.append(count_nl_integer_kflows(d, k, budget) > 0)
     return len(set(flags)) == 1

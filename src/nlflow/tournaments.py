@@ -31,21 +31,12 @@ def compositions(n: int, p: int):
 
 def complete_acyclic_nl_poly(n: int) -> IntPolynomial:
     """NL-flow polynomial of the complete acyclic digraph on n vertices:
-
-        sum_{p=1}^{n} (-1)^(p-1) sum_{compositions (k_1..k_p) of n}
-            x^(sum_i C(k_i - 1, 2))
-
-    n = 1 gives 1 (the empty flow).
+    the condensation formula with n singleton components.  n = 1 gives 1
+    (the empty flow).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeffs: dict[int, int] = {}
-    for p in range(1, n + 1):
-        sign = -1 if p % 2 == 0 else 1
-        for parts in compositions(n, p):
-            e = sum(comb(k - 1, 2) for k in parts)
-            coeffs[e] = coeffs.get(e, 0) + sign
-    return IntPolynomial(coeffs)
+    return complete_digraph_nl_poly((1,) * n)
 
 
 def complete_digraph_nl_poly(sizes) -> IntPolynomial:

@@ -2,12 +2,14 @@
 
 The integer ones walk the whole (2k-1)^q box of a matrix, testing every
 point for membership in the kernel, with no cotree parametrization and no
-x -> -x symmetry, so the one-pass kernel enumerator in nlflow.oracles is
-checked against code that shares none of its logic.  The group ones walk
-G^q tuple by tuple in pure Python, with no numpy and no support
-histogram: count_nl_group_flows_naive checks the shared chunked group
-counter, count_group_kernel the closed kernel count |G|^(q-p), and
-is_group_flow tests conservation arc by arc on a digraph.  Test-side only.
+x -> -x symmetry, so the cotree walker in nlflow.oracles is checked
+against code that shares none of its logic.  The group ones walk all of
+G^q, testing every assignment against every row: dense_group_flow_count
+in chunked numpy, fast enough for R10 at |G| = 4, and
+count_nl_group_flows_naive tuple by tuple in pure Python, with no numpy
+and no support histogram.  count_group_kernel checks the closed kernel
+count |G|^(q-p), and is_group_flow tests conservation arc by arc on a
+digraph.  Test-side only.
 """
 
 from itertools import product
@@ -18,7 +20,7 @@ from nlflow.digraphs import Digraph, incidence_matrix
 from nlflow.groups import AbelianGroup
 from nlflow.linalg import matrix_rank
 from nlflow.matroids import TUMatrix, _support_contraction_cyclic
-from nlflow.oracles import _support_cyclic
+from nlflow.oracles import _support_cyclic, cyclic_supports
 
 CHUNK = 1 << 18
 
@@ -55,6 +57,38 @@ def count_nl_integer_kflows_matroid_naive(m: TUMatrix, k: int) -> int:
     """Integer NL-k-flows of the matroid of m over the full (2k-1)^q box."""
     hist = full_box_histogram(m.rows, m.q, k)
     return _sum_cyclic(hist, lambda mask: _support_contraction_cyclic(m, mask))
+
+
+def dense_group_flow_count(rows, ncols: int, g: AbelianGroup, predicate) -> int:
+    """Number of x in G^ncols with rows @ x = 0 in G whose support mask
+    satisfies the predicate.  Enumerates all |G|^ncols assignments,
+    chunked; with no columns that is the one empty assignment, of support
+    mask 0.
+    """
+    k = g.order
+    mat_t = np.array(rows, dtype=np.int64).reshape(len(rows), ncols).T
+    colpow = np.array([k ** (ncols - 1 - j) for j in range(ncols)], dtype=np.int64)
+    strides = []
+    s = 1
+    for f in reversed(g.factors):
+        strides.append((f, s))
+        s *= f
+    strides.reverse()
+    bits = 1 << np.arange(ncols, dtype=np.int64)
+
+    support_counts = np.zeros(1 << ncols, dtype=np.int64)
+    total = k**ncols
+    chunk = max(1, CHUNK // max(ncols, 1))  # keep each chunk's temporaries small
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        assign = (idx[:, None] // colpow[None, :]) % k
+        ok = np.ones(len(idx), dtype=bool)
+        for f, stride in strides:
+            digits = (assign // stride) % f
+            ok &= ((digits @ mat_t) % f == 0).all(axis=1)
+        supp = (assign[ok] != 0) @ bits
+        support_counts += np.bincount(supp, minlength=1 << ncols)
+    return int(support_counts[cyclic_supports(support_counts, predicate)].sum())
 
 
 def full_row_rank(m: TUMatrix) -> bool:

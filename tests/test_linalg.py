@@ -3,13 +3,22 @@ feasibility solver.
 """
 
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_farkas import reference_farkas_nonneg_solve
 
 from nlflow import linalg
-from nlflow.linalg import farkas_nonneg_solve, kernel_basis, matrix_rank, rref, solve_upper
+from nlflow.linalg import (
+    farkas_nonneg_solve,
+    int_det,
+    kernel_basis,
+    matrix_rank,
+    rref,
+    solve_upper,
+)
 
 
 class TestRref:
@@ -50,6 +59,32 @@ class TestKernel:
         for v in kernel_basis(mat, 3):
             for row in mat:
                 assert sum(Fraction(a) * x for a, x in zip(row, v)) == 0
+
+
+class TestIntDet:
+    def test_small(self):
+        assert int_det([]) == 1
+        assert int_det([[5]]) == 5
+        assert int_det([[1, 1], [1, -1]]) == -2
+        assert int_det([[0, 1], [1, 0]]) == -1
+        assert int_det([[1, 2], [2, 4]]) == 0
+
+    def test_more_rows_than_columns(self):
+        # Each column pivots on the first remaining row nonzero in it.
+        assert int_det([[1, 1], [1, -1], [1, 0]]) == -2
+        assert abs(int_det([[0, 0], [1, 0], [0, 1]])) == 1
+        assert int_det([[1, 1], [2, 2], [1, 1]]) == 0
+        assert int_det([(), ()]) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_equals_leibniz(self, n, data):
+        a = [[data.draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+        leibniz = 0
+        for perm in permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            leibniz += (-1) ** inversions * prod(a[i][perm[i]] for i in range(n))
+        assert int_det(a) == leibniz
 
 
 class TestSolveUpper:

@@ -6,11 +6,14 @@ the graph oracles.
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from reference_counters import (
     count_group_kernel,
     count_nl_group_flows_naive,
+    dense_group_flow_count,
     count_nl_integer_kflows_matroid_naive,
 )
 from reference_farkas import reference_farkas_nonneg_solve
@@ -32,7 +35,7 @@ from nlflow import (
     read_matrix,
     write_matrix,
 )
-from nlflow import matroids
+from nlflow import matroids, oracles
 from nlflow.digraphs import contract, incidence_matrix
 from nlflow.groups import AbelianGroup
 from nlflow.linalg import farkas_nonneg_solve, rref
@@ -264,7 +267,7 @@ class TestMatroidCounts:
 
 
 class TestGroupCountsAgainstNaive:
-    # The shared chunked counter against a tuple-by-tuple walk of G^q.
+    # The cotree walker against a tuple-by-tuple walk of G^q.
     GROUPS = [cyclic(1), cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2))]
 
     @staticmethod
@@ -284,6 +287,29 @@ class TestGroupCountsAgainstNaive:
         for g in (cyclic(2), cyclic(3)):
             self.check(R10, g)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_r10_rows_shuffled_and_signed(self, seed):
+        # Another row order and signs give another row reduction of the
+        # same matroid; the dense |G|^q reference walks G^10 at |G| = 4.
+        rng = Random(seed)
+        rows = list(R10.rows)
+        rng.shuffle(rows)
+        m = TUMatrix(tuple(tuple(rng.choice((1, -1)) * x for x in row) for row in rows))
+        assert oracles._cotree_expression(m.rows, m.q)[4]
+        for g in (cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2))):
+            dense = dense_group_flow_count(
+                m.rows, m.q, g, partial(_support_contraction_cyclic, m)
+            )
+            assert count_nl_group_flows_matroid(m, g) == dense, (seed, g.spec())
+
+    def test_budget_bounds_the_cotree_walk(self):
+        # R10 has nullity 5: Z5 walks 5^5 = 3125 points, not 5^10, over
+        # 2^10 histogram cells.
+        count = count_nl_group_flows_matroid(R10, cyclic(5), budget=3125)
+        assert count == count_nl_group_flows_matroid(R10, cyclic(5))
+        with pytest.raises(BudgetExceededError, match="nullity"):
+            count_nl_group_flows_matroid(R10, cyclic(5), budget=3124)
+
     def test_no_columns(self):
         # One empty assignment, of support mask 0, accepted by the Farkas
         # predicate: exactly one NL-G-flow.
@@ -291,6 +317,57 @@ class TestGroupCountsAgainstNaive:
             for g in self.GROUPS + [AbelianGroup((2, 3))]:
                 self.check(m, g)
                 assert count_nl_group_flows_matroid(m, g) == 1
+
+
+class TestNonUnimodularFallback:
+    # A {0, +-1} matrix without the determinant certificate is walked over
+    # G^q with every row checked mod each factor.
+    GROUPS = [cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2)), AbelianGroup((2, 3))]
+
+    @staticmethod
+    def naive(m, g):
+        return count_nl_group_flows_naive(m, g, partial(_support_contraction_cyclic, m))
+
+    def test_certificate(self, catalog_small):
+        for d in catalog_small[::7]:
+            for m in (inc(d), cographic(d)):
+                assert oracles._cotree_expression(m.rows, m.q)[4], m
+        assert oracles._cotree_expression(R10.rows, R10.q)[4]
+        assert not oracles._cotree_expression(((1, 1), (1, -1)), 2)[4]
+
+    def test_two_by_two(self):
+        # Over Z2 the rows are equal, so (1, 1) is a flow; over the
+        # rationals the kernel is 0, and a cotree walk would find no flow.
+        m = TUMatrix(((1, 1), (1, -1)))
+        assert count_nl_group_flows_matroid(m, cyclic(2)) == 1 == self.naive(m, cyclic(2))
+        for g in self.GROUPS:
+            assert count_nl_group_flows_matroid(m, g) == self.naive(m, g), g.spec()
+
+    def test_dependent_rows(self):
+        # The third row is half the sum of the others over the rationals.
+        m = TUMatrix(((1, 1), (1, -1), (1, 0)))
+        for g in self.GROUPS:
+            assert count_nl_group_flows_matroid(m, g) == self.naive(m, g), g.spec()
+
+    def test_half_integral_row_reduction(self):
+        m = TUMatrix(((1, 1, 0), (1, -1, 1)))
+        for g in self.GROUPS:
+            assert count_nl_group_flows_matroid(m, g) == self.naive(m, g), g.spec()
+
+    def test_budget_bounds_the_full_walk(self):
+        m = TUMatrix(((1, 1), (1, -1)))
+        assert count_nl_group_flows_matroid(m, cyclic(3), budget=9) == 0
+        with pytest.raises(BudgetExceededError, match=r"\|G\|\^m"):
+            count_nl_group_flows_matroid(m, cyclic(3), budget=8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.data())
+    def test_random_matrices_equal_naive(self, p, q, data):
+        m = TUMatrix(
+            tuple(tuple(data.draw(st.integers(-1, 1)) for _ in range(q)) for _ in range(p))
+        )
+        g = data.draw(st.sampled_from(self.GROUPS))
+        assert count_nl_group_flows_matroid(m, g) == self.naive(m, g)
 
 
 class TestIntegerCountsAgainstFullBox:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from reference_counters import (
     count_nl_group_flows_naive,
     count_nl_integer_kflows_naive,
+    dense_group_flow_count,
     full_box_histogram,
     is_group_flow,
 )
@@ -73,8 +74,10 @@ class TestCountGroupFlows:
         assert count_nl_group_flows(k3_acyclic, cyclic(1)) == 0
 
     def test_budget_guard(self, cycle3):
+        # Nullity 1: the walk is 3 points, but the histogram has 2^3 cells.
         with pytest.raises(BudgetExceededError):
-            count_nl_group_flows(cycle3, cyclic(3), budget=10)
+            count_nl_group_flows(cycle3, cyclic(3), budget=7)
+        assert count_nl_group_flows(cycle3, cyclic(3), budget=8) == 3
 
     def test_supports_are_exactly_dijoins(self, catalog_small):
         # Prop: an assignment counts iff it is a flow whose support is a
@@ -96,7 +99,7 @@ class TestCountGroupFlows:
 
 
 class TestGroupCountsAgainstNaive:
-    # The shared chunked counter against a tuple-by-tuple walk of G^m.
+    # The cotree walker against a tuple-by-tuple walk of G^m.
     GROUPS = [cyclic(1), cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2))]
 
     @staticmethod
@@ -121,12 +124,25 @@ class TestGroupCountsAgainstNaive:
             for g in self.GROUPS + [AbelianGroup((2, 3))]:
                 assert count_nl_group_flows(d, g) == self.naive(d, g) == 1, (d, g.spec())
 
-    @pytest.mark.parametrize("chunk", [1, 20])
+    @pytest.mark.parametrize("chunk", [1, 4, 20])
     def test_chunks(self, monkeypatch, catalog_small, chunk):
+        # Small chunks cut both walks into batches of leading prefixes; the
+        # integer one also ends in a partial prefix at the centre.
         monkeypatch.setattr(oracles, "_CHUNK", chunk)
         for d in catalog_small[::50]:
             for g in (cyclic(3), AbelianGroup((2, 2))):
                 assert count_nl_group_flows(d, g) == self.naive(d, g), (d, g.spec())
+            for k in (2, 3):
+                assert count_nl_integer_kflows(d, k) == count_nl_integer_kflows_naive(d, k)
+
+    @pytest.mark.parametrize("g", GROUPS[1:] + [AbelianGroup((2, 3))], ids=lambda g: g.spec())
+    def test_catalog_full_equals_dense(self, catalog_full, g):
+        # The dense |G|^m reference, on every 12th digraph with n <= 4.
+        for d in catalog_full[::12]:
+            dense = dense_group_flow_count(
+                incidence_matrix(d), d.m, g, partial(_support_cyclic, d)
+            )
+            assert count_nl_group_flows(d, g) == dense, (d, g.spec())
 
 
 class TestCountIntegerFlows:
