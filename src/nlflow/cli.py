@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count-int", help="brute-force integer NL-k-flow count")
     p.add_argument("file")
     p.add_argument("-k", type=int, required=True)
-    p = sub.add_parser("colorings", help="brute-force acyclic coloring count")
+    p = sub.add_parser("colorings", help="acyclic coloring count by a subset DP")
     p.add_argument("file")
     p.add_argument("-k", type=int, required=True)
     p = sub.add_parser("dicuts", help="list all dicuts as sorted arc indices")

@@ -3,50 +3,94 @@ dicuts and the directed cycles are the families whose unions carry the
 Moebius sums of the NL polynomials (see nlflow.nl).
 
 A dicut is delta(U) for a vertex set U with no arcs entering U; no dicut
-can separate a strongly connected component, so enumeration runs over
-predecessor-closed sets of the condensation (2^d work for d components,
-not 2^n).
+can separate a strongly connected component, so U is an order ideal
+(a predecessor-closed set) of the condensation.  The ideals are walked
+directly, one weak component at a time, so the work is O(k) per ideal
+for k components: it follows the output, not the 2^k subsets.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import islice
 
-from .digraphs import ArcSet, Digraph, condensation_labels, contract, delete, is_acyclic, is_totally_cyclic
+from .digraphs import (
+    ArcSet,
+    Digraph,
+    condensation_labels,
+    contract,
+    delete,
+    is_acyclic,
+    is_totally_cyclic,
+    mask_arcs,
+    weak_components,
+)
 from .errors import LatticeSizeError
 
 DEFAULT_LATTICE_CAP = 10**6
 
 
-def enumerate_dicuts(d: Digraph) -> list[ArcSet]:
+def _ideal_cuts(comps, preds, flip):
+    """Yield the nonempty cuts, as arc bitmasks, of the order ideals of one
+    weak component of the condensation (comps, in topological order).
+
+    A component may join the ideal only once all its predecessors are in,
+    and then its in-arcs leave the cut and its out-arcs enter it: the cut
+    changes by flip[c].  Every branch ends in a leaf, and the leaves are
+    the ideals.  The empty and the full ideal have the empty cut; any
+    other one has a nonempty cut that determines it, so no cut repeats.
+    """
+    stack = [(0, 0, 0)]  # (position in comps, ideal as component bits, cut)
+    while stack:
+        i, ideal, cut = stack.pop()
+        if i == len(comps):
+            if cut:
+                yield cut
+            continue
+        c = comps[i]
+        stack.append((i + 1, ideal, cut))
+        if preds[c] & ideal == preds[c]:
+            stack.append((i + 1, ideal | 1 << c, cut ^ flip[c]))
+
+
+def enumerate_dicuts(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> list[ArcSet]:
     """All distinct nonempty dicuts delta(U), deduplicated across the
     vertex sets that induce them, in a deterministic order.
+
+    The weak components of d have disjoint arcs, so a dicut is a union of
+    one dicut (or none) per component, and their number, the product of
+    (cuts + 1) over the components minus one, is known before any union
+    is built; more than cap dicuts raise LatticeSizeError.
     """
     label, k = condensation_labels(d)
-    if k > 30:
-        raise LatticeSizeError(
-            f"condensation has {k} components; dicut enumeration capped at 30"
-        )
-    # Arcs of the condensation, as a predecessor relation between components.
-    preds = [set() for _ in range(k)]
-    for t, h in d.arcs:
+    weak = weak_components(d)
+    preds = [0] * k
+    flip = [0] * k  # the in-arcs and out-arcs of each component
+    for j, (t, h) in enumerate(d.arcs):
         if label[t] != label[h]:
-            preds[label[h]].add(label[t])
+            preds[label[h]] |= 1 << label[t]
+            flip[label[t]] ^= 1 << j
+            flip[label[h]] ^= 1 << j
+    weak_of = [0] * k
+    for v, c in enumerate(label):
+        weak_of[c] = weak[v]
+    members = {}  # weak component -> its condensation components, in order
+    for c in range(k):
+        members.setdefault(weak_of[c], []).append(c)
 
-    dicuts = set()
-    nodes = list(range(k))
-    for r in range(1, k):
-        for chosen in combinations(nodes, r):
-            u = set(chosen)
-            if any(not preds[c] <= u for c in u):
-                continue  # some arc enters u
-            cut = frozenset(
-                j for j, (t, h) in enumerate(d.arcs)
-                if label[t] in u and label[h] not in u
-            )
-            if cut:
-                dicuts.add(cut)
-    return sorted(dicuts, key=sorted)
+    per_component = []
+    total = 1  # dicuts, counting the empty one, of the components so far
+    for comps in members.values():
+        # Enough cuts to tell whether the product passes cap + 1.
+        cuts = list(islice(_ideal_cuts(comps, preds, flip), (cap + 1) // total))
+        total *= len(cuts) + 1
+        if total > cap + 1:
+            raise LatticeSizeError(f"more than {cap} dicuts")
+        per_component.append(cuts)
+
+    unions = [0]
+    for cuts in per_component:
+        unions = [u | c for u in unions for c in [0, *cuts]]
+    return sorted((frozenset(mask_arcs(u)) for u in unions[1:]), key=sorted)
 
 
 def enumerate_directed_cycles(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> list[ArcSet]:

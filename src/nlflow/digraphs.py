@@ -5,7 +5,8 @@ else is built on.
 Vertices are dense indices 0..n-1.  An arc is an ordered pair
 (tail, head); its identity is its position in the arc list, so parallel
 and antiparallel arcs stay distinct and loops are allowed.  Arc sets are
-plain frozensets of arc indices.
+plain frozensets of arc indices; inner loops carry them as int bitmasks
+(bit j for arc j), which arc_mask and mask_arcs convert.
 """
 
 from __future__ import annotations
@@ -93,9 +94,45 @@ def num_weak_components(d: Digraph, b: ArcSet | None = None) -> int:
     return max(labels) + 1 if labels else 0
 
 
-def rank(d: Digraph, b: ArcSet) -> int:
-    """Graphic-matroid rank of an arc set: n minus the component count of (V, b)."""
-    return d.n - num_weak_components(d, b)
+def arc_mask(s: ArcSet) -> int:
+    """The bitmask of an arc set: bit j is set when arc j is in s."""
+    mask = 0
+    for j in s:
+        mask |= 1 << j
+    return mask
+
+
+def mask_arcs(mask: int) -> list[int]:
+    """The arc indices of a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def rank(d: Digraph, b: ArcSet | int) -> int:
+    """Graphic-matroid rank of an arc set (an ArcSet or its bitmask): n
+    minus the component count of (V, b), counted as the merges of a
+    union-find over the arcs whose bits are set.
+    """
+    mask = b if isinstance(b, int) else arc_mask(b)
+    parent = list(range(d.n))
+    arcs = d.arcs
+    merged = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        t, h = arcs[low.bit_length() - 1]
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        while parent[h] != h:
+            parent[h] = h = parent[parent[h]]
+        if t != h:
+            parent[h] = t
+            merged += 1
+    return merged
 
 
 def strongly_connected_components(d: Digraph) -> list[list[int]]:

@@ -7,7 +7,9 @@ mu(empty, C) in the lattice of unions is the sum of (-1)^|S| over the
 subsets S of the family whose union is C; this holds for any family that
 generates the lattice, so the enumerated dicuts or dicycles are used as
 they come.  The signed sum is built one member at a time in a dict keyed
-by union, so no lattice order or Moebius recursion is ever formed.
+by union, so no lattice order or Moebius recursion is ever formed.  The
+members and unions are int bitmasks of arc indices (bit j for arc j, of
+any width), and rank reads the exponents straight from them.
 """
 
 from __future__ import annotations
@@ -17,17 +19,18 @@ from collections import defaultdict
 # The enumerators are called through their module, where the benchmark's
 # tracer (perfbench/tracer.py) times them.
 from . import cuts
-from .digraphs import ArcSet, Digraph, rank
+from .digraphs import Digraph, arc_mask, rank
 from .errors import LatticeSizeError
 from .polynomials import IntPolynomial
 
 
-def _signed_unions(family, cap: int) -> dict[ArcSet, int]:
-    """mu(empty, C) for every union C of members of family, the empty
-    union included; zero values are kept, so the keys are exactly the
-    union lattice, and more than cap unions raise LatticeSizeError.
+def _signed_unions(family, cap: int) -> dict[int, int]:
+    """mu(empty, C) for every union C of members of family (arc bitmasks),
+    the empty union 0 included; zero values are kept, so the keys are
+    exactly the union lattice, and more than cap unions raise
+    LatticeSizeError.
     """
-    mu = {frozenset(): 1}
+    mu = {0: 1}
     for a in family:
         for u, s in list(mu.items()):
             w = u | a
@@ -37,7 +40,7 @@ def _signed_unions(family, cap: int) -> dict[ArcSet, int]:
     return mu
 
 
-def _polynomial(mu: dict[ArcSet, int], exponent) -> IntPolynomial:
+def _polynomial(mu: dict[int, int], exponent) -> IntPolynomial:
     coeffs = defaultdict(int)
     for u, s in mu.items():
         if s:
@@ -52,13 +55,14 @@ def nl_flow_polynomial(d: Digraph, cap: int = cuts.DEFAULT_LATTICE_CAP) -> IntPo
     Evaluating at k = |G| counts the NL-G-flows of d for every finite
     abelian group G of that order.
     """
-    top = d.all_arcs
+    top = (1 << d.m) - 1
 
     def exponent(u):
-        b = top - u
-        return len(b) - rank(d, b)
+        b = top ^ u
+        return b.bit_count() - rank(d, b)
 
-    return _polynomial(_signed_unions(cuts.enumerate_dicuts(d), cap), exponent)
+    family = [arc_mask(c) for c in cuts.enumerate_dicuts(d, cap)]
+    return _polynomial(_signed_unions(family, cap), exponent)
 
 
 def nl_coflow_polynomial(d: Digraph, cap: int = cuts.DEFAULT_LATTICE_CAP) -> IntPolynomial:
@@ -72,6 +76,6 @@ def nl_coflow_polynomial(d: Digraph, cap: int = cuts.DEFAULT_LATTICE_CAP) -> Int
     For loopless d with c weak components, k^c * psi(k) counts the acyclic
     vertex k-colorings of d.
     """
-    rk_all = rank(d, d.all_arcs)
-    family = cuts.enumerate_directed_cycles(d, cap)
+    rk_all = rank(d, (1 << d.m) - 1)
+    family = [arc_mask(c) for c in cuts.enumerate_directed_cycles(d, cap)]
     return _polynomial(_signed_unions(family, cap), lambda u: rk_all - rank(d, u))

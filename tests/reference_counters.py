@@ -1,4 +1,4 @@
-"""Slow reference enumerators for the flow oracles.
+"""Slow reference enumerators for the flow and coloring oracles.
 
 The integer ones walk the whole (2k-1)^q box of a matrix, testing every
 point for membership in the kernel, with no cotree parametrization and no
@@ -9,14 +9,15 @@ in chunked numpy, fast enough for R10 at |G| = 4, and
 count_nl_group_flows_naive tuple by tuple in pure Python, with no numpy
 and no support histogram.  count_group_kernel checks the closed kernel
 count |G|^(q-p), and is_group_flow tests conservation arc by arc on a
-digraph.  Test-side only.
+digraph.  count_acyclic_colorings_naive tries all k^n colorings, which
+the subset DP in nlflow.oracles must match.  Test-side only.
 """
 
 from itertools import product
 
 import numpy as np
 
-from nlflow.digraphs import Digraph, incidence_matrix
+from nlflow.digraphs import Digraph, incidence_matrix, is_acyclic
 from nlflow.groups import AbelianGroup
 from nlflow.linalg import matrix_rank
 from nlflow.matroids import TUMatrix, _support_contraction_cyclic
@@ -159,3 +160,16 @@ def _is_group_kernel_element(m: TUMatrix, g: AbelianGroup, x) -> bool:
         if acc != g.zero:
             return False
     return True
+
+
+def count_acyclic_colorings_naive(d: Digraph, k: int) -> int:
+    """Number of maps V -> {1..k} where every color class induces an
+    acyclic subdigraph, by trying all k^n colorings.  Requires a loopless
+    digraph.
+    """
+    count = 0
+    for coloring in product(range(k), repeat=d.n):
+        mono = tuple(a for a in d.arcs if coloring[a[0]] == coloring[a[1]])
+        if is_acyclic(Digraph(d.n, mono)):
+            count += 1
+    return count

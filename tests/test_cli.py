@@ -204,6 +204,22 @@ class TestErrors:
         assert status == 1 and out == ""
         assert err.startswith("error: budget:")
 
+    @pytest.mark.parametrize("budget, status", [("26", 1), ("27", 0)])
+    def test_coloring_budget_is_min_k_3_to_the_n(self, capsys, cycle_path, budget, status):
+        # 3^3 = 27 at k = 4, where the k^n charge was 64.
+        got, out, err = run(capsys, ["--budget", budget, "colorings", cycle_path, "-k", "4"])
+        assert got == status
+        assert (out, err[:14]) == (("", "error: budget:") if status else ("60\n", ""))
+
+    def test_dicut_cap(self, capsys, tmp_path):
+        # 21 disjoint three-vertex paths: 3^21 - 1 dicuts.
+        p = tmp_path / "paths.dg"
+        p.write_text("63 42\n" + "".join(f"{3 * c} {3 * c + 1}\n{3 * c + 1} {3 * c + 2}\n" for c in range(21)))
+        for command in ("dicuts", "poly"):
+            status, out, err = run(capsys, [command, str(p)])
+            assert status == 1 and out == ""
+            assert err.startswith("error: lattice-size:")
+
     def test_lattice_cap(self, capsys, cycle_path, monkeypatch):
         monkeypatch.setattr(cli, "nl_coflow_polynomial", partial(nl_coflow_polynomial, cap=1))
         status, out, err = run(capsys, ["copoly", cycle_path])

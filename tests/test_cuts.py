@@ -3,6 +3,7 @@ union-closed lattices they generate (built by the test-side reference in
 reference_lattice).
 """
 
+import tracemalloc
 from itertools import chain, combinations
 
 import pytest
@@ -11,10 +12,12 @@ from reference_lattice import build_cut_lattice, build_cycle_lattice
 
 from nlflow import (
     Digraph,
+    IntPolynomial,
     enumerate_dicuts,
     enumerate_directed_cycles,
     is_dijoin,
     is_feedback_arc_set,
+    nl_flow_polynomial,
 )
 from nlflow.errors import LatticeSizeError
 from nlflow.tournaments import complete_acyclic_digraph
@@ -22,6 +25,29 @@ from nlflow.tournaments import complete_acyclic_digraph
 
 def all_subsets(m):
     return chain.from_iterable(combinations(range(m), r) for r in range(m + 1))
+
+
+def brute_force_dicuts(d):
+    """Every nonempty delta(U) over all 2^n vertex sets U with no arc
+    entering U, sorted as enumerate_dicuts sorts them.
+    """
+    cuts = set()
+    for u in range(1 << d.n):
+        if any(u >> h & 1 and not u >> t & 1 for t, h in d.arcs):
+            continue
+        cut = frozenset(j for j, (t, h) in enumerate(d.arcs) if u >> t & 1 and not u >> h & 1)
+        if cut:
+            cuts.add(cut)
+    return sorted(cuts, key=sorted)
+
+
+def doubled_path(n, doubled, offset=0):
+    """Arcs of the path offset -> ... -> offset+n-1, with the steps whose
+    index is in doubled taken twice."""
+    arcs = []
+    for i in range(n - 1):
+        arcs += [(offset + i, offset + i + 1)] * (2 if i in doubled else 1)
+    return arcs
 
 
 class TestDicuts:
@@ -48,13 +74,57 @@ class TestDicuts:
         for n in range(1, 7):
             assert len(enumerate_dicuts(complete_acyclic_digraph(n))) == n - 1
 
-    def test_every_dicut_is_a_dicut(self, catalog_small):
-        # delta(U) with no arcs entering U: deleting the cut must leave no
-        # path back across it; verify the defining property directly.
-        for d in catalog_small:
-            for cut in enumerate_dicuts(d):
-                assert cut
-                assert cut <= d.all_arcs
+    def test_every_dicut_is_a_dicut(self, catalog_full):
+        # The defining property, over all 2^n vertex sets: no condensation.
+        for d in catalog_full:
+            assert enumerate_dicuts(d) == brute_force_dicuts(d), d
+
+    @pytest.mark.parametrize(
+        "d, count",
+        [
+            (Digraph(18, tuple(doubled_path(18, (0, 4, 9, 16)))), 17),
+            (Digraph(16, tuple(doubled_path(5, (1,)) + doubled_path(11, (3, 7), offset=5))),
+             5 * 11 - 1),
+        ],
+    )
+    def test_workload_shapes_match_brute_force(self, d, count):
+        cuts = enumerate_dicuts(d)
+        assert len(cuts) == count
+        assert cuts == brute_force_dicuts(d)
+
+
+class TestDicutCap:
+    def test_arcless_digraph_beyond_30_components(self):
+        d = Digraph(31, ())
+        assert enumerate_dicuts(d) == []
+        assert nl_flow_polynomial(d) == IntPolynomial.one()
+
+    def test_path_beyond_30_components(self):
+        d = Digraph(31, tuple((i, i + 1) for i in range(30)))
+        assert enumerate_dicuts(d) == [frozenset({j}) for j in range(30)]
+
+    def test_cap_is_exact(self):
+        d = Digraph(6, ((0, 1), (1, 2), (3, 4), (4, 5)))  # 3 * 3 - 1 dicuts
+        assert len(enumerate_dicuts(d, cap=8)) == 8
+        with pytest.raises(LatticeSizeError):
+            enumerate_dicuts(d, cap=7)
+
+    def test_product_raises_before_allocating(self):
+        # 21 disjoint three-vertex paths have 3^21 - 1 dicuts.
+        d = Digraph(63, tuple(a for c in range(21) for a in ((3 * c, 3 * c + 1), (3 * c + 1, 3 * c + 2))))
+        tracemalloc.start()
+        try:
+            with pytest.raises(LatticeSizeError):
+                enumerate_dicuts(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+
+    def test_flow_polynomial_passes_its_cap(self):
+        d = Digraph(4, ((0, 1), (1, 2), (2, 3)))  # 3 dicuts, 8 unions
+        with pytest.raises(LatticeSizeError, match="dicuts"):
+            nl_flow_polynomial(d, cap=2)
 
 
 class TestCycles:
@@ -157,6 +227,21 @@ class TestLattices:
     def test_size_guard(self, cycle3):
         with pytest.raises(LatticeSizeError):
             build_cycle_lattice(cycle3, cap=1)
+
+
+@st.composite
+def digraphs_up_to_10(draw):
+    """Digraphs with n <= 10, loops and parallel arcs allowed; many are
+    disconnected."""
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    return Digraph(n, tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=14))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs_up_to_10())
+def test_random_dicuts_match_brute_force(d):
+    assert enumerate_dicuts(d) == brute_force_dicuts(d)
 
 
 @settings(max_examples=40)

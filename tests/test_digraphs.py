@@ -19,7 +19,7 @@ from nlflow import (
     weak_components,
     write_digraph,
 )
-from nlflow.digraphs import condensation_labels, num_weak_components
+from nlflow.digraphs import arc_mask, condensation_labels, mask_arcs, num_weak_components
 
 
 def small_digraphs(max_n=5, max_m=8):
@@ -96,6 +96,12 @@ class TestWeakComponentsAndRank:
     def test_rank_full(self, k3_acyclic, cycle3):
         assert rank(k3_acyclic, k3_acyclic.all_arcs) == 2
         assert rank(cycle3, cycle3.all_arcs) == 2
+
+    @given(small_digraphs(), st.data())
+    def test_rank_reads_masks(self, d, data):
+        b = frozenset(data.draw(st.sets(st.sampled_from(range(d.m)))) if d.m else set())
+        assert mask_arcs(arc_mask(b)) == sorted(b)
+        assert rank(d, arc_mask(b)) == rank(d, b) == d.n - num_weak_components(d, b)
 
     @given(small_digraphs(), st.data())
     def test_rank_monotone(self, d, data):

@@ -24,7 +24,7 @@ from nlflow import (
 )
 from nlflow import nl
 from nlflow.cuts import enumerate_dicuts, enumerate_directed_cycles
-from nlflow.digraphs import num_weak_components
+from nlflow.digraphs import arc_mask, num_weak_components
 from nlflow.errors import LatticeSizeError
 
 
@@ -38,6 +38,10 @@ def grid(a: int, b: int) -> Digraph:
             if i + 1 < a:
                 arcs.append((i * b + j, (i + 1) * b + j))
     return Digraph(a * b, tuple(arcs))
+
+
+def directed_cycle(n: int) -> Digraph:
+    return Digraph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_symmetric(n: int) -> Digraph:
@@ -153,11 +157,26 @@ class TestCrosscutEngine:
         family = [frozenset({0, 1}), frozenset({2, 3}), frozenset({0, 2})]
         unions = union_closure(family, cap=10**6)
         poset = FinitePoset(list(unions), lambda a, b: a <= b)
-        mu = nl._signed_unions(family, cap=len(unions))
-        assert mu == {c: poset.mobius(frozenset(), c) for c in unions}
-        assert mu[frozenset(range(4))] == 0
+        mu = nl._signed_unions([arc_mask(a) for a in family], cap=len(unions))
+        assert mu == {arc_mask(c): poset.mobius(frozenset(), c) for c in unions}
+        assert mu[0b1111] == 0
         with pytest.raises(LatticeSizeError):
-            nl._signed_unions(family, cap=len(unions) - 1)
+            nl._signed_unions([arc_mask(a) for a in family], cap=len(unions) - 1)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            directed_cycle(70),
+            # Strong, 70 arcs: three arcs of a 67-cycle doubled, 8 dicycles.
+            Digraph(67, tuple(directed_cycle(67).arcs) + ((10, 11), (40, 41), (66, 0))),
+            # A 66-cycle with a 4-arc path out of it: dicuts on arcs 66..69.
+            Digraph(70, tuple(directed_cycle(66).arcs) + tuple((i, i + 1) for i in range(65, 69))),
+        ],
+    )
+    def test_masks_wider_than_64_bits(self, d):
+        assert d.m == 70
+        assert nl_flow_polynomial(d) == reference_flow_polynomial(d)
+        assert nl_coflow_polynomial(d) == reference_coflow_polynomial(d)
 
 
 @st.composite

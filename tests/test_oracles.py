@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_counters import (
+    count_acyclic_colorings_naive,
     count_nl_group_flows_naive,
     count_nl_integer_kflows_naive,
     dense_group_flow_count,
@@ -333,6 +334,38 @@ class TestAcyclicColorings:
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
             count_acyclic_colorings(Digraph(1, ((0, 0),)), 2)
+
+    def test_catalog_matches_naive(self, catalog_full):
+        for d in catalog_full:
+            if any(t == h for t, h in d.arcs):
+                continue
+            for k in range(5):
+                assert count_acyclic_colorings(d, k) == count_acyclic_colorings_naive(d, k), (d, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 7), st.data())
+    def test_random_digraphs_match_naive(self, n, data):
+        pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+        arcs = data.draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else []
+        d = Digraph(n, tuple(arcs))
+        for k in range(5):
+            assert count_acyclic_colorings(d, k) == count_acyclic_colorings_naive(d, k)
+
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("n", [0, 1, 4, 6])
+    def test_budget_charges_min_k_3_to_the_n(self, n, k):
+        d = Digraph(n, tuple((i, (i + 1) % n) for i in range(n)) if n > 1 else ())
+        charge = min(k, 3) ** n
+        assert charge <= k**n  # every (d, k) the k^n charge admitted still is
+        assert count_acyclic_colorings(d, k, budget=charge) == count_acyclic_colorings_naive(d, k)
+        with pytest.raises(BudgetExceededError):
+            count_acyclic_colorings(d, k, budget=charge - 1)
+
+    def test_k1_needs_no_subset_table(self):
+        path = Digraph(60, tuple((i, i + 1) for i in range(59)))
+        assert count_acyclic_colorings(path, 1, budget=1) == 1
+        cycle = Digraph(60, path.arcs + ((59, 0),))
+        assert count_acyclic_colorings(cycle, 1, budget=1) == 0
 
 
 class TestEquivalence:
