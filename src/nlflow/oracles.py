@@ -14,6 +14,16 @@ under one group counter and one integer counter, and one polynomial fit:
 - nl_integer_kflow_counts walks half of {-(K-1), ..., K-1}^nullity (x
   and -x share support and height) into a histogram by support and max
   |x_j|; the count for every k <= K is a cumulative sum of it.
+
+The walker folds.  A point's histogram cell depends only on its state:
+the partial sums of the basic coordinates (or checked rows), the support
+bits and the height.  So the trailing coordinates are multiplied in one
+at a time, and where the states they can reach are fewer than their
+points, points of equal state become one row with an exact int64
+multiplicity: the 17^4 points of a nullity-5 digraph's low block at k = 9
+fold to about a thousand rows.  Boxes of at most _FOLD_ROWS points, and
+boxes that could hold more states than points (R10), are walked point by
+point.  Every batch is added into one int64 histogram per call.
 - fit_nl_integer_polynomial interpolates those counts to a polynomial of
   degree at most the kernel nullity, with held-out witnesses.
 
@@ -30,7 +40,7 @@ than 62 arcs or columns are refused whatever the budget.
 from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -48,6 +58,7 @@ from .polynomials import interpolate_rational
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 18
+_FOLD_ROWS = 1 << 10
 MAX_MASK_BITS = 62
 
 
@@ -133,14 +144,18 @@ def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, predicate, budget: in
     bits = np.tile(np.array([1 << c for c in pivots], dtype=np.int64), len(factors))[:, None]
     table = (digits[:, None, None, :] * expr[:, :, None]).reshape(len(mods), len(free), k)
 
-    def histogram(box):
-        scaled, mask, _ = box
-        nonzero = scaled % mods != 0
-        if not unimodular:
-            return np.bincount(mask[~nonzero.any(axis=0)], minlength=1 << ncols)
-        return np.bincount(mask | np.bitwise_or.reduce(nonzero * bits, axis=0), minlength=1 << ncols)
+    counts = np.zeros(1 << ncols, dtype=np.int64)
 
-    counts = _box_sum(table, free, values, 0 * values, k ** len(free), histogram)
+    def add(box):
+        scaled, mask, _, weight = box
+        nonzero = scaled % mods != 0
+        if unimodular:
+            mask = mask | np.bitwise_or.reduce(nonzero * bits, axis=0)
+            _accumulate(counts, mask, weight, slice(None))
+        else:
+            _accumulate(counts, mask, weight, ~nonzero.any(axis=0))
+
+    _box_sum(table, free, values, 0 * values, k ** len(free), add)
     return int(counts[cyclic_supports(counts, predicate)].sum())
 
 
@@ -180,48 +195,143 @@ def kernel_nullity(rows, ncols: int) -> int:
     return len(_cotree_expression(tuple(map(tuple, rows)), ncols)[1])
 
 
+def _accumulate(hist, index, weight, keep) -> None:
+    """hist[index[keep]] += weight[keep], or += 1 with no weight column, in
+    place.  An unweighted batch into a histogram of at most _CHUNK cells
+    is counted by bincount; any other by np.add.at, which allocates
+    nothing of the histogram's size.
+    """
+    index = index[keep]
+    if weight is None and len(hist) <= _CHUNK:
+        hist += np.bincount(index, minlength=len(hist))
+    else:
+        np.add.at(hist, index, 1 if weight is None else weight[keep])
+
+
 def _product(high, low):
     """The box of all pairs (x, y), x from high (the leading coordinates)
-    and y from low, in mixed-radix order.  A box is a triple (scaled,
-    mask, height) of per-point columns: the free coordinates' sums in each
-    basic coordinate or checked row, the free support bits, and max |x_free|.
+    and y from low, in mixed-radix order.  A box is a tuple (scaled, mask,
+    height, weight) of per-point columns: the free coordinates' sums in
+    each basic coordinate or checked row, the free support bits, max
+    |x_free|, and the number of points each row stands for (None: one
+    each).  Only the low box may carry weights.
     """
-    (s_hi, m_hi, h_hi), (s_lo, m_lo, h_lo) = high, low
+    (s_hi, m_hi, h_hi, _), (s_lo, m_lo, h_lo, w_lo) = high, low
     mask = np.add.outer(m_hi, m_lo).ravel()
     scaled = (s_hi[:, :, None] + s_lo[:, None, :]).reshape(len(s_hi), len(mask))
-    return scaled, mask, np.maximum.outer(h_hi, h_lo).ravel()
+    weight = None if w_lo is None else np.tile(w_lo, len(m_hi))
+    return scaled, mask, np.maximum.outer(h_hi, h_lo).ravel(), weight
 
 
 def _points(box, lo: int, hi: int):
-    return tuple(column[..., lo:hi] for column in box)
+    scaled, mask, height, weight = box
+    return scaled[:, lo:hi], mask[lo:hi], height[lo:hi], None if weight is None else weight[lo:hi]
 
 
-def _box_sum(table, free, values, heights, end: int, histogram):
-    """Sum histogram over the first `end` points of the cotree box, in
-    mixed-radix order, the first free coordinate leading.  Coordinate j
-    (column free[j]) takes each of the values; values[i] adds table[:, j, i]
-    to the scaled rows, is in the support when nonzero, and has height
-    heights[i].  The trailing coordinates form one block (at most _CHUNK
-    points, or one coordinate); the leading prefixes are taken in batches,
-    each broadcast with the block, and the prefix that `end` cuts takes
-    the block's first points only.
+def _merge(box, lows, spans, bits, levels: int):
+    """The rows of a box with equal state merged into one, weighted by
+    their total.  The state of a row is its scaled rows (row r lies in
+    lows[r] + [0, spans[r])), the support bit of each free column in
+    bits, and the height, below levels; its mixed-radix key is below the
+    product of those radices, so one dense np.add.at sums the weights.
     """
-    axes = [(table[:, j], (values != 0) * (1 << c), heights) for j, c in enumerate(free)]
-    n, radix = len(axes), len(values)
+    scaled, mask, height, weight = box
+    key = np.zeros(len(mask), dtype=np.int64)
+    for row, low, span in zip(scaled, lows, spans):
+        key *= span
+        key += row - low
+    for bit in bits:
+        key <<= 1
+        key |= mask & bit != 0
+    key *= levels
+    key += height
+    total = np.zeros(prod(spans) * levels << len(bits), dtype=np.int64)
+    np.add.at(total, key, 1 if weight is None else weight)
+    states = np.flatnonzero(total)
+    first = np.empty(len(total), dtype=np.intp)
+    first[key] = np.arange(len(key))
+    pick = first[states]
+    return scaled[:, pick], mask[pick], height[pick], total[states]
+
+
+def _fold(axes, count: int, unit):
+    """The box of the axes, the first leading, and its first `count`
+    points, as two boxes in which rows of equal state may be merged.
+
+    From the last axis to the first, each axis is multiplied onto the box
+    so far.  A product of more than _FOLD_ROWS rows is merged when its
+    state-space bound is smaller: the values each scaled row can take
+    (one plus the sum of its ranges over the axes), times 2 per support
+    bit, times the heights.  A merged box no longer lists its points in
+    order, so from then on the prefix is built apart: the first `digit`
+    values of an axis times the box, then its next value times the prefix
+    so far.  With no merge both are exactly the unweighted product and its
+    first `count` points.
+    """
+    n = len(axes)
+    radix = len(axes[0][1]) if axes else 1
+    box, head = unit, None
+    for i in reversed(range(n)):
+        axis = axes[i]
+        if head is not None:
+            digit = count // radix ** (n - 1 - i) % radix
+            below = _product(_points(axis, 0, digit), box)
+            at = _product(_points(axis, digit, digit + 1), head)
+            head = tuple(np.concatenate(pair, axis=-1) for pair in zip(below, at))
+        box = _product(axis, box)
+        rows = len(box[1])
+        if rows <= _FOLD_ROWS:
+            continue
+        lows = sum(a[0].min(axis=1) for a in axes[i:]).tolist()
+        spans = (1 + sum(np.ptp(a[0], axis=1) for a in axes[i:])).tolist()
+        levels = 1 + max(int(a[2].max()) for a in axes[i:])
+        if (prod(spans) * levels << (n - i)) >= rows:
+            continue
+        bits = [int(a[1].max()) for a in axes[i:]]  # each axis's support bit
+        if head is None:
+            head = _points(box, 0, count % radix ** (n - i))
+        box, head = (_merge(b, lows, spans, bits, levels) for b in (box, head))
+    return box, _points(box, 0, count) if head is None else head
+
+
+def _box_sum(table, free, values, heights, end: int, add) -> None:
+    """Pass the first `end` points of the cotree box, in mixed-radix
+    order with the first free coordinate leading, to add(box) batch by
+    batch.  Coordinate j (column free[j]) takes each of the values;
+    values[i] adds table[:, j, i] to the scaled rows, is in the support
+    when nonzero, and has height heights[i].
+
+    The trailing coordinates form one low block of at most _CHUNK
+    points, folded (see _fold) so that points of equal state are one
+    weighted row; a single coordinate of more values is walked in slices
+    of _CHUNK, whose first points make up the cut prefix.  The leading
+    prefixes are taken in batches, each broadcast with the block, and the
+    prefix that `end` cuts takes the block's first points only.
+    """
+    n, radix = len(free), len(values)
+    nonzero = values != 0
+
+    def axis(j, lo=0, hi=radix):
+        return table[:, j, lo:hi], nonzero[lo:hi] * (1 << free[j]), heights[lo:hi], None
+
     n_low = min(n, 1)
     while n_low < n and radix ** (n_low + 1) <= _CHUNK:
         n_low += 1
     zero = np.zeros(1, dtype=np.int64)
-    unit = (np.zeros((len(table), 1), dtype=np.int64), zero, zero)
-    high = reduce(_product, axes[: n - n_low], unit)
-    low = reduce(_product, axes[n - n_low :], unit)
+    unit = (np.zeros((len(table), 1), dtype=np.int64), zero, zero, None)
+    high = reduce(_product, [axis(j) for j in range(n - n_low)], unit)
     size = radix**n_low
     full, tail = divmod(end, size)
-    step = max(1, _CHUNK // size)
-    hist = histogram(_product(_points(high, full, full + 1), _points(low, 0, tail)))
-    for start in range(0, full, step):
-        hist += histogram(_product(_points(high, start, min(start + step, full)), low))
-    return hist
+    if size > _CHUNK:
+        slices = ((lo, axis(n - 1, lo, lo + _CHUNK)) for lo in range(0, size, _CHUNK))
+        blocks = ((low, _points(low, 0, max(0, tail - lo))) for lo, low in slices)
+    else:
+        blocks = [_fold([axis(j) for j in range(n - n_low, n)], tail, unit)]
+    for low, head in blocks:
+        add(_product(_points(high, full, full + 1), head))
+        step = max(1, _CHUNK // len(low[1]))
+        for start in range(0, full, step):
+            add(_product(_points(high, start, min(start + step, full)), low))
 
 
 def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_BUDGET):
@@ -231,8 +341,11 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
     One pass over the cotree box {-(kmax-1), ..., kmax-1}^nullity, which
     is symmetric about its centre, the zero flow: in mixed-radix order the
     points i and total-1-i are x and -x.  So only the points below the
-    centre are walked and the histogram is doubled.  The budget bounds
-    the box and the kmax * 2^ncols cells before anything is allocated.
+    centre are walked and the histogram is doubled.  Points of the low
+    block with equal partial sums, support and height are counted once
+    with their multiplicity (see _fold), and every batch is added into one
+    int64 histogram.  The budget bounds the box and the kmax * 2^ncols
+    cells before anything is allocated.
     """
     if kmax < 1:
         raise ValueError("k must be >= 1")
@@ -242,23 +355,23 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
     if base**nullity > budget:
         raise BudgetExceededError(f"(2k-1)^nullity = {base}^{nullity} exceeds budget {budget}")
     check_histogram_budget(kmax, ncols, budget)
-    cells = kmax << ncols
 
     expr = np.array(expr, dtype=np.int64).reshape(len(pivots), nullity)
     bits_piv = np.array([1 << c for c in pivots], dtype=np.int64)[:, None]
     values = np.arange(1 - kmax, kmax, dtype=np.int64)
+    hist = np.zeros(kmax << ncols, dtype=np.int64)
 
-    def histogram(box):
-        scaled, mask, height = box
+    def add(box):
+        scaled, mask, height, weight = box
         size = np.abs(scaled)
         ok = (size <= denom * (kmax - 1)).all(axis=0)
         if denom > 1:
             ok &= (scaled % denom == 0).all(axis=0)
         height = np.maximum(height, size.max(axis=0, initial=0) // denom)
         mask = mask + ((scaled != 0) * bits_piv).sum(axis=0)
-        return np.bincount((mask * kmax + height)[ok], minlength=cells)
+        _accumulate(hist, mask * kmax + height, weight, ok)
 
-    hist = _box_sum(expr[:, :, None] * values, free, values, np.abs(values), base**nullity // 2, histogram)
+    _box_sum(expr[:, :, None] * values, free, values, np.abs(values), base**nullity // 2, add)
     hist *= 2
     hist[0] += 1
     return hist.reshape(1 << ncols, kmax)
@@ -272,7 +385,8 @@ def nl_integer_kflow_counts(rows, ncols: int, ks, predicate, budget: int = DEFAU
     ks = list(ks)
     if min(ks) < 1:
         raise ValueError("k must be >= 1")
-    at_most = kernel_height_histogram(rows, ncols, max(ks), budget).cumsum(axis=1)
+    at_most = kernel_height_histogram(rows, ncols, max(ks), budget)
+    at_most.cumsum(axis=1, out=at_most)
     totals = at_most[cyclic_supports(at_most[:, -1], predicate)].sum(axis=0)
     return [int(totals[k - 1]) for k in ks]
 

@@ -1,5 +1,6 @@
 """Sparse univariate polynomials with arbitrary-precision integer
-coefficients, plus exact Lagrange interpolation over the rationals.
+coefficients, plus exact interpolation over the rationals (Newton's
+divided differences).
 """
 
 from __future__ import annotations
@@ -202,28 +203,28 @@ class RationalPolynomial:
         return {"coeffs": {str(e): str(c) for e, c in sorted(self._coeffs.items())}}
 
 
-def _lagrange_coeffs(base):
-    need = len(base)
-    coeffs = [Fraction(0)] * need
-    for i, (xi, yi) in enumerate(base):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(base):
-            if j == i:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for e, c in enumerate(basis):
-                nxt[e + 1] += c
-                nxt[e] -= c * xj
-            basis = nxt
-        for e, c in enumerate(basis):
-            coeffs[e] += yi * c / denom
+def _newton_coeffs(points):
+    """Coefficients, lowest degree first, of the polynomial of degree
+    below len(points) through the points, by Newton's divided differences
+    turned into monomial form by Horner's rule.  Exact: a difference that
+    divides stays an int, any other becomes a Fraction.
+    """
+    xs = [x for x, _ in points]
+    diffs = [y for _, y in points]
+    for j in range(1, len(points)):
+        for i in range(len(points) - 1, j - 1, -1):
+            num, den = diffs[i] - diffs[i - 1], xs[i] - xs[i - j]
+            diffs[i] = num // den if type(num) is int and num % den == 0 else Fraction(num, den)
+    coeffs = [diffs[-1]]
+    for x, c in zip(xs[-2::-1], diffs[-2::-1]):
+        # coeffs * (t - x) + c
+        shifted = [a - x * b for a, b in zip(coeffs, coeffs[1:])]
+        coeffs = [c - x * coeffs[0], *shifted, coeffs[-1]]
     return coeffs
 
 
 def _interpolate(points, degree_bound: int, build):
-    """build(coefficients) on the Lagrange interpolant of the first
+    """build(coefficients) on the interpolant of the first
     degree_bound+1 points, checked against the remaining (held-out) points.
     """
     points = [(int(k), int(v)) for k, v in points]
@@ -234,7 +235,7 @@ def _interpolate(points, degree_bound: int, build):
         raise ValueError(f"need at least {need} points, got {len(points)}")
     if len({k for k, _ in points}) != len(points):
         raise ValueError("interpolation points must have distinct abscissae")
-    poly = build(_lagrange_coeffs(points[:need]))
+    poly = build(_newton_coeffs(points[:need]))
     for k, v in points[need:]:
         got = poly(k)
         if got != v:

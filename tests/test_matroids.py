@@ -389,6 +389,24 @@ class TestIntegerCountsAgainstFullBox:
                 R10, k
             ) == count_nl_integer_kflows_matroid_naive(R10, k), k
 
+    def test_r10_walks_every_point(self, monkeypatch):
+        # R10's five basic rows bound its states above its box at k = 3..5
+        # and at every group of order at most 4, so no merge fires and the
+        # walk is the plain one, checked against the full box above.
+        merges = []
+        merge = oracles._merge
+
+        def spy(*args):
+            merges.append(args)
+            return merge(*args)
+
+        monkeypatch.setattr(oracles, "_merge", spy)
+        for k in (3, 4, 5):
+            count_nl_integer_kflows_matroid(R10, k)
+        for g in (cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2))):
+            count_nl_group_flows_matroid(R10, g)
+        assert merges == []
+
     def test_budget_bounds_the_cotree_box(self):
         # R10 has nullity 5: the k = 3 box is 5^5 = 3125 points, not 5^10.
         assert count_nl_integer_kflows_matroid(R10, 3, budget=10**4) == (

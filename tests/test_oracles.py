@@ -1,8 +1,10 @@
 """Brute-force oracles: group flows, integer flows (one-pass half-box
-enumerator vs the full-box reference), acyclic colorings, equivalence, and
+enumerator vs the full-box reference), the folded walk (rows of equal
+state merged) vs the plain one, acyclic colorings, equivalence, and
 polynomiality fits.
 """
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -39,6 +41,24 @@ from nlflow.matroids import (
 )
 from nlflow import oracles
 from nlflow.oracles import _support_cyclic, kernel_height_histogram, kernel_nullity
+
+
+@pytest.fixture
+def merges(monkeypatch):
+    """(rows in, states out) of every merge the walker makes, each checked
+    to keep int64 weights.
+    """
+    seen = []
+    merge = oracles._merge
+
+    def spy(box, *args):
+        out = merge(box, *args)
+        assert out[3].dtype == np.int64
+        seen.append((len(box[1]), len(out[1])))
+        return out
+
+    monkeypatch.setattr(oracles, "_merge", spy)
+    return seen
 
 
 class TestIsGroupFlow:
@@ -250,11 +270,108 @@ class TestKernelHeightHistogram:
             count_nl_group_flows(path, cyclic(1))
         assert count_nl_integer_kflows(Digraph(5, path.arcs[:4]), 2) == 0
 
+    def test_wide_coordinate_is_walked_in_slices(self, cycle3):
+        # 2k-1 = 999999 values of one free coordinate, about 4 * _CHUNK:
+        # the walk takes them in slices of _CHUNK and adds each into the
+        # one k * 2^3 cell histogram (32 MB), which is summed in place.
+        # Besides it, only the per-value columns (values, heights and two
+        # table rows: 32 MB) and one slice's temporaries are allocated,
+        # 88 MB in all; a histogram per batch, a copy for the cumulative
+        # sum or the block of all values (140 MB before) passes 3.5 times it.
+        k = 500_000
+        assert 2 * k - 1 > 3 * oracles._CHUNK
+        tracemalloc.start()
+        try:
+            assert count_nl_integer_kflows(cycle3, k) == 2 * k - 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * (k << cycle3.m), peak
+
     def test_masks_wider_than_62_bits_are_refused(self):
         # int64 support masks: no budget admits a histogram over 63 columns.
         oracles.check_histogram_budget(1, 62, 1 << 62)
         with pytest.raises(BudgetExceededError):
             oracles.check_histogram_budget(1, 63, 10**30)
+
+
+class TestFoldedWalk:
+    # Rows of the low block with equal partial sums, support and height
+    # are merged into one weighted row (oracles._fold).  The histograms
+    # and counts must equal those of the walk over every point.
+    PLAIN = 1 << 62  # a _FOLD_ROWS no box reaches: no merge at all
+
+    def test_catalog_at_k_up_to_nullity_plus_4(self, monkeypatch, catalog_full, merges):
+        # The sizes the fits use, k = nullity + 4 (k = 3 at nullity 6,
+        # where the plain walk of k = 10 would take 19^6 points), against
+        # the plain walk; digraphs with m <= 4 also against the full box.
+        folded = []
+        for d in catalog_full:
+            inc = incidence_matrix(d)
+            nullity = kernel_nullity(inc, d.m)
+            k = nullity + 4 if nullity < 6 else 3
+            hist = kernel_height_histogram(inc, d.m, k)
+            assert hist.dtype == np.int64
+            if d.m <= 4:
+                assert (hist == full_box_histogram(inc, d.m, k)).all(), (d, k)
+            folded.append((inc, d, k, hist))
+        assert len(merges) > 2000 and all(states < rows for rows, states in merges)
+        monkeypatch.setattr(oracles, "_FOLD_ROWS", self.PLAIN)
+        for inc, d, k, hist in folded:
+            assert (kernel_height_histogram(inc, d.m, k) == hist).all(), (d, k)
+
+    def test_forced_merges_equal_full_box_and_dense(self, monkeypatch, catalog_full, merges):
+        # With no row threshold a merge fires wherever the state-space
+        # bound is below the rows, on small boxes too.
+        monkeypatch.setattr(oracles, "_FOLD_ROWS", 0)
+        for d in catalog_full[::3]:
+            inc = incidence_matrix(d)
+            for k in (1, 2, 3):
+                assert (kernel_height_histogram(inc, d.m, k) == full_box_histogram(inc, d.m, k)).all(), (d, k)
+            for g in (cyclic(3), cyclic(4), AbelianGroup((2, 2))):
+                dense = dense_group_flow_count(inc, d.m, g, partial(_support_cyclic, d))
+                assert count_nl_group_flows(d, g) == dense, (d, g.spec())
+        assert len(merges) > 1000
+
+    def test_divisibility_filter_after_a_merge(self, monkeypatch, merges):
+        # 2 x_0 = -(x_1 + x_2 + x_3 + x_4): denom 2, and merged rows are
+        # still tested for divisibility when their histogram cell is taken.
+        # From k = 5 the 4-coordinate box outgrows its state-space bound.
+        rows = ((2, 1, 1, 1, 1),)
+        assert oracles._cotree_expression(rows, 5)[3] == 2
+        monkeypatch.setattr(oracles, "_FOLD_ROWS", 0)
+        for k in (1, 2, 3, 4, 5, 6):
+            assert (kernel_height_histogram(rows, 5, k) == full_box_histogram(rows, 5, k)).all(), k
+        assert merges
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 6), st.data())
+    def test_forced_merges_on_random_matrices(self, p, q, data):
+        # Entries in -2..2 give non-TU matrices, with denominators above 1
+        # and pivot blocks without the determinant certificate.
+        rows = tuple(tuple(data.draw(st.integers(-2, 2)) for _ in range(q)) for _ in range(p))
+        k = data.draw(st.integers(1, 3))
+        g = data.draw(st.sampled_from([cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2))]))
+        everything = lambda mask: True  # noqa: E731
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracles, "_FOLD_ROWS", 0)
+            hist = kernel_height_histogram(rows, q, k)
+            count = oracles.nl_group_flow_count(rows, q, g, everything)
+        assert hist.dtype == np.int64
+        assert (hist == full_box_histogram(rows, q, k)).all()
+        assert count == dense_group_flow_count(rows, q, g, everything)
+
+    def test_rank_one_multi_arc_digraph_merges_a_group_walk(self, merges):
+        # Nullity 6: Z4 walks 4^6 = 4096 rows, while one basic row of 19
+        # possible partial sums times 2^6 supports bounds 1216 states.
+        d = Digraph(2, ((0, 1),) * 4 + ((1, 0),) * 3)
+        inc = incidence_matrix(d)
+        for g in (cyclic(4), AbelianGroup((2, 2))):
+            dense = dense_group_flow_count(inc, d.m, g, partial(_support_cyclic, d))
+            assert count_nl_group_flows(d, g) == dense, g.spec()
+        assert merges
+        for k in (2, 3):
+            assert count_nl_integer_kflows(d, k) == count_nl_integer_kflows_naive(d, k), k
 
 
 class TestMonotoneSupportSkip:

@@ -1,11 +1,13 @@
 """Exact polynomial arithmetic, canonical rendering, JSON round-trip, and
-Lagrange interpolation with held-out witnesses.
+interpolation (Newton's divided differences, against the Lagrange
+reference) with held-out witnesses.
 """
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from reference_interpolation import lagrange_coeffs
 
 from nlflow import (
     IntPolynomial,
@@ -15,6 +17,7 @@ from nlflow import (
     interpolate_exact,
     interpolate_rational,
 )
+from nlflow.polynomials import _newton_coeffs
 
 polys = st.dictionaries(st.integers(0, 8), st.integers(-50, 50), max_size=6).map(
     IntPolynomial
@@ -108,6 +111,22 @@ class TestInterpolateExact:
         with pytest.raises(WitnessMismatchError):
             interpolate_exact([(1, 1), (2, 2), (3, 99)], 1)
 
+    def test_error_messages(self):
+        with pytest.raises(
+            NonIntegerPolynomialError,
+            match=r"^not an integer polynomial: coefficient of x\^1 is 1/2$",
+        ):
+            interpolate_exact([(1, 1), (2, 3), (3, 6)], 2)
+        with pytest.raises(
+            NonIntegerPolynomialError,
+            match=r"^not an integer polynomial: coefficient of x\^1 is -1201/360$",
+        ):
+            interpolate_exact([(0, 0), (3, 1), (5, 7), (9, 2)], 3)
+        with pytest.raises(
+            WitnessMismatchError, match=r"^held-out point k=3: interpolant gives 3, expected 99$"
+        ):
+            interpolate_exact([(1, 1), (2, 2), (3, 99)], 1)
+
     def test_insufficient_points(self):
         with pytest.raises(ValueError):
             interpolate_exact([(1, 1)], 1)
@@ -122,6 +141,21 @@ class TestInterpolateExact:
         bound = len(coeffs) - 1
         points = [(k, p(k)) for k in range(bound + 3)]
         assert interpolate_exact(points, bound) == p
+
+
+class TestNewtonAgainstLagrange:
+    # Divided differences against the O(n^3) Lagrange reference, on
+    # distinct abscissae in any order, with or without integer results.
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=8, unique=True), st.data())
+    def test_coefficients_equal(self, xs, data):
+        points = [(x, data.draw(st.integers(-(10**6), 10**6))) for x in xs]
+        assert _newton_coeffs(points) == lagrange_coeffs(points)
+
+    @given(polys, st.integers(-5, 5))
+    def test_integer_polynomials_on_consecutive_k(self, p, start):
+        points = [(k, p(k)) for k in range(start, start + 9)]
+        assert _newton_coeffs(points) == lagrange_coeffs(points)
+        assert IntPolynomial(dict(enumerate(_newton_coeffs(points)))) == p
 
 
 class TestInterpolateRational:
