@@ -97,7 +97,9 @@ def enumerate_directed_cycles(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> lis
     """Arc sets of all elementary directed cycles, including 2-cycles from
     antiparallel pairs and 1-cycles from loops.
 
-    DFS rooted at the smallest vertex of each cycle; parallel arcs give
+    DFS rooted at the smallest vertex of each cycle, on an explicit stack
+    of the remaining out-arcs of each vertex on the path, so a long path
+    cannot exhaust the interpreter's recursion limit; parallel arcs give
     distinct cycles because arcs are tracked by index.
     """
     out = [[] for _ in range(d.n)]
@@ -105,20 +107,25 @@ def enumerate_directed_cycles(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> lis
         out[t].append((j, h))
 
     cycles = set()
-
-    def grow(root, v, path_arcs, on_path):
-        for j, w in out[v]:
-            if w == root and (v != root or d.arcs[j][0] == d.arcs[j][1]):
-                cycles.add(frozenset(path_arcs + [j]))
-                if len(cycles) > cap:
-                    raise LatticeSizeError(f"more than {cap} directed cycles")
-            elif w > root and w not in on_path:
-                on_path.add(w)
-                grow(root, w, path_arcs + [j], on_path)
-                on_path.remove(w)
-
     for root in range(d.n):
-        grow(root, root, [], {root})
+        path = []  # the arcs from root to the top of the stack
+        on_path = {root}
+        stack = [iter(out[root])]
+        while stack:
+            for j, w in stack[-1]:
+                if w == root:
+                    cycles.add(frozenset((*path, j)))
+                    if len(cycles) > cap:
+                        raise LatticeSizeError(f"more than {cap} directed cycles")
+                elif w > root and w not in on_path:
+                    on_path.add(w)
+                    path.append(j)
+                    stack.append(iter(out[w]))
+                    break
+            else:
+                stack.pop()
+                if path:
+                    on_path.remove(d.arcs[path.pop()][1])
     return sorted(cycles, key=sorted)
 
 

@@ -1,6 +1,8 @@
-"""Exact linear algebra: row reduction, kernel bases and a square solve
-on fractions.Fraction, a Bareiss determinant, and a phase-1 simplex
-deciding Farkas alternatives on one integer tableau, pivoted fraction-free.
+"""Exact linear algebra: row reduction and a square solve on
+fractions.Fraction, a Bareiss determinant, and a phase-1 simplex deciding
+Farkas alternatives on one integer tableau, pivoted fraction-free.
+Kernels are not computed here: nlflow.oracles builds a matrix's cotree
+expression from rref, and nlflow.matroids reads its kernel basis off that.
 
 No floating point anywhere.  Matrices are lists of row lists.
 """
@@ -39,26 +41,6 @@ def rref(mat):
         if r == len(rows):
             break
     return rows[:r], pivots
-
-
-def matrix_rank(mat) -> int:
-    return len(rref(mat)[1])
-
-
-def kernel_basis(mat, ncols=None):
-    """Basis of {x : mat x = 0} as Fraction vectors, one per free column."""
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
-    rows, pivots = rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis
 
 
 def int_det(rows) -> int:

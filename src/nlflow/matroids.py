@@ -7,7 +7,9 @@ The oriented matroid is represented linear-algebraically: flows are the
 rational kernel of the matrix, coflows its row space.  All feasibility
 decisions are exact; no floating point.  The group and integer counts and
 the polynomial fit are the shared ones of nlflow.oracles, called with the
-matrix and the contraction predicate.
+matrix and the contraction predicate.  The integer kernel basis behind the
+Farkas certificates and contractions is read off the same cached cotree
+expression those counters walk, so each matrix is row-reduced once.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
-from math import lcm
 
 from .digraphs import Digraph, incidence_matrix
 from .errors import BudgetExceededError
 from .groups import AbelianGroup
-from .linalg import farkas_nonneg_solve, int_det, kernel_basis
+from .linalg import farkas_nonneg_solve, int_det
 from .oracles import (
     DEFAULT_BUDGET,
+    _cotree_expression,
     fit_nl_integer_polynomial,
     nl_group_flow_count,
     nl_integer_kflow_counts,
@@ -114,17 +116,20 @@ def is_totally_unimodular(m: TUMatrix, max_dim: int = DEFAULT_TU_CHECK_BOUND) ->
     return True
 
 
-@lru_cache(maxsize=100_000)
-def _kernel_basis_cached(m: TUMatrix):
-    """A kernel basis of int vectors: each rational basis vector times the
-    lcm of its denominators, which spans the same and keeps the Farkas LP
-    on ints.
+def _kernel_basis(m: TUMatrix):
+    """An integer kernel basis, one vector per free (cotree) column, read
+    off the cached expression the counters walk: vector j is denom at
+    column free[j] and -expr[r][j] at pivots[r].
     """
+    pivots, free, expr, denom, _ = _cotree_expression(m.rows, m.q)
     basis = []
-    for v in kernel_basis([list(r) for r in m.rows], m.q):
-        scale = lcm(*(x.denominator for x in v))
-        basis.append(tuple(x.numerator * (scale // x.denominator) for x in v))
-    return tuple(basis)
+    for j, fc in enumerate(free):
+        v = [0] * m.q
+        v[fc] = denom
+        for r, pc in enumerate(pivots):
+            v[pc] = -expr[r][j]
+        basis.append(v)
+    return basis
 
 
 # --- total cyclicity and the Farkas alternative ---------------------------
@@ -160,7 +165,7 @@ def farkas_certificate(m: TUMatrix):
     """Alternative for total cyclicity of the matroid of m: a strictly
     positive kernel vector, or a nonnegative nonzero row-space vector.
     """
-    return positive_span_certificate(_kernel_basis_cached(m), m.q)
+    return positive_span_certificate(_kernel_basis(m), m.q)
 
 
 def is_totally_cyclic_matroid(m: TUMatrix) -> bool:
@@ -187,7 +192,7 @@ def contract_matroid(m: TUMatrix, s) -> ContractedFlowSpace:
         raise ValueError("contraction set outside column range")
     keep = tuple(c for c in range(m.q) if c not in s)
     vectors = tuple(
-        tuple(v[c] for c in keep) for v in _kernel_basis_cached(m)
+        tuple(v[c] for c in keep) for v in _kernel_basis(m)
     )
     return ContractedFlowSpace(columns=keep, vectors=vectors)
 

