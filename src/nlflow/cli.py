@@ -196,7 +196,7 @@ def _run(args, out) -> tuple[int, dict]:
         print(f"checked {checked} counts, {len(mismatches)} mismatches", file=out)
         verdict = {"checked": checked, "mismatches": len(mismatches)}
         return (2 if mismatches else 0), {
-            "input": _digest(str(args.max_n), str(args.max_k)),
+            "input": _digest(f"max_n={args.max_n},max_k={args.max_k},max_m={args.max_m}"),
             "outputs": verdict,
             "verdicts": verdict,
         }

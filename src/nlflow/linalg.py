@@ -18,7 +18,11 @@ def _frac_rows(mat):
 
 
 def rref(mat):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    Each pivot updates only the columns where the pivot row is nonzero, so
+    the work follows the fill-in rather than rows * columns per pivot.
+    """
     rows = _frac_rows(mat)
     if not rows:
         return [], []
@@ -30,12 +34,17 @@ def rref(mat):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        pv = prow[c]
+        # Rows from r on are zero left of column c.
+        nonzero = [j for j in range(c, ncols) if prow[j] != 0]
+        for j in nonzero:
+            prow[j] /= pv
+        for row in rows:
+            f = row[c]
+            if f != 0 and row is not prow:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(rows):

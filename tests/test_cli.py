@@ -297,6 +297,15 @@ class TestReport:
         assert report["outputs"]["text"] == "x-1"
         assert report["timing_ms"] >= 0
 
+    def test_verify_digest_names_the_catalog(self, capsys):
+        reports = []
+        for max_m in ("3", "4"):
+            argv = ["--report", "verify", "--max-n", "2", "--max-k", "2", "--max-m", max_m]
+            status, _, err = run(capsys, argv)
+            assert status == 0
+            reports.append(json.loads(err))
+        assert reports[0]["input_digest"] != reports[1]["input_digest"]
+
     def test_result_stream_deterministic(self, capsys, k3_path):
         runs = [run(capsys, ["--report", "poly", k3_path]) for _ in range(2)]
         assert runs[0][1] == runs[1][1]

@@ -9,7 +9,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_farkas import reference_farkas_nonneg_solve
-from reference_linalg import kernel_basis, matrix_rank
+from reference_linalg import kernel_basis, matrix_rank, rref_dense
 
 from nlflow import linalg
 from nlflow.linalg import (
@@ -33,6 +33,28 @@ class TestRref:
     def test_rank(self):
         assert matrix_rank([[1, 1, 0], [-1, 0, 1], [0, -1, -1]]) == 2
         assert matrix_rank([]) == 0
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 8),
+        st.data(),
+    )
+    def test_sparse_updates_equal_dense(self, p, q, data):
+        # Mostly zeros, so the pivot rows are sparse; entries up to 3 and
+        # fractions, so most matrices are not totally unimodular.
+        entry = st.one_of(
+            st.just(0),
+            st.integers(-3, 3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        )
+        mat = [[data.draw(entry) for _ in range(q)] for _ in range(p)]
+        assert rref(mat) == rref_dense(mat)
+
+    def test_wide_path_matrix_equals_dense(self):
+        # Rows e_i - e_(i+1): each pivot row has two nonzeros.
+        mat = [[(j == i) - (j == i + 1) for j in range(41)] for i in range(40)]
+        assert rref(mat) == rref_dense(mat)
 
 
 class TestKernel:
