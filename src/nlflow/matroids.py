@@ -7,7 +7,7 @@ The oriented matroid is represented linear-algebraically: flows are the
 rational kernel of the matrix, coflows its row space.  All feasibility
 decisions are exact; no floating point.  The group and integer counts and
 the polynomial fit are the shared ones of nlflow.oracles, called with the
-matrix and the contraction predicate.  The integer kernel basis behind the
+matrix and the up-set walk over the contraction predicate.  The integer kernel basis behind the
 Farkas certificates and contractions is read off the same cached cotree
 expression those counters walk, so each matrix is row-reduced once.
 """
@@ -25,6 +25,7 @@ from .linalg import farkas_nonneg_solve, int_det
 from .oracles import (
     DEFAULT_BUDGET,
     _cotree_expression,
+    cyclic_supports,
     fit_nl_integer_polynomial,
     nl_group_flow_count,
     nl_integer_kflow_counts,
@@ -203,10 +204,17 @@ def _support_contraction_cyclic(m: TUMatrix, mask: int) -> bool:
     return contract_matroid(m, supp).is_totally_cyclic()
 
 
+def _supports(m: TUMatrix):
+    """The support filter of the counters: the up-set walk over the
+    contraction predicate.
+    """
+    return partial(cyclic_supports, predicate=partial(_support_contraction_cyclic, m))
+
+
 def count_nl_group_flows_matroid(m: TUMatrix, g: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
     """Kernel elements over G whose support contraction is totally cyclic."""
     return nl_group_flow_count(
-        m.rows, m.q, g, partial(_support_contraction_cyclic, m), budget
+        m.rows, m.q, g, _supports(m), budget
     )
 
 
@@ -216,7 +224,7 @@ def count_nl_integer_kflows_matroid(m: TUMatrix, k: int, budget: int = DEFAULT_B
     budget bounds the (2k-1)^nullity cotree box, not (2k-1)^q.
     """
     return nl_integer_kflow_counts(
-        m.rows, m.q, [k], partial(_support_contraction_cyclic, m), budget
+        m.rows, m.q, [k], _supports(m), budget
     )[0]
 
 
@@ -226,5 +234,5 @@ def fit_integer_flow_polynomial_matroid(m: TUMatrix, k_range, budget: int = DEFA
     exist, exact rational ones otherwise.
     """
     return fit_nl_integer_polynomial(
-        m.rows, m.q, k_range, partial(_support_contraction_cyclic, m), budget
+        m.rows, m.q, k_range, _supports(m), budget
     )

@@ -3,11 +3,17 @@ colorings, the equivalence theorem, and polynomiality fits.
 
 These stay independent of the Moebius-inversion formulas they validate.
 A digraph's NL-flows are those of its incidence matrix, so every count
-is taken over an integer matrix and a support predicate: the digraph
-path passes the incidence matrix and an SCC test of the contraction, the
-matroid path (nlflow.matroids) a TU matrix and a Farkas test.  There is
-one kernel walker, over the free (cotree) coordinates of the kernel,
-under one group counter and one integer counter, and one polynomial fit:
+is taken over an integer matrix and a support filter, which maps the
+count of every support mask to the accepted masks once the count exists.
+The digraph path passes the incidence matrix and its dijoin table: a
+support's contraction is totally cyclic exactly when the support meets
+every dicut, so one boolean array over the 2^m masks, built from its own
+brute-force dicuts, accepts them all in one lookup.  The matroid path
+(nlflow.matroids) passes a TU matrix and cyclic_supports, a walk of the
+up-set of accepted masks that calls a Farkas test where no accepted
+subset or rejected superset decides.  There is one kernel walker, over
+the free (cotree) coordinates of the kernel, under one group counter and
+one integer counter, and one polynomial fit:
 
 - nl_group_flow_count walks G^nullity, exact when a pivot block has
   determinant +-1, as in every TU matrix; other matrices walk G^ncols.
@@ -35,23 +41,19 @@ The budget bounds, before anything is allocated, both the points walked
 (|G|^nullity or |G|^ncols, or (2K-1)^nullity) and the cells of the
 support histogram (2^m, or K * 2^m); support masks are int64, so more
 than 62 arcs or columns are refused whatever the budget, before any
-elimination.
+elimination.  The support filter runs only after those checks, so the
+dijoin table of an over-budget digraph is never built.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache, partial, reduce
 from math import lcm, prod
 
 import numpy as np
 
-from .digraphs import (
-    Digraph,
-    contract,
-    incidence_matrix,
-    is_acyclic,
-    is_totally_cyclic,
-)
+from .digraphs import Digraph, incidence_matrix, is_acyclic, weak_components
 from .errors import BudgetExceededError, WitnessMismatchError
 from .groups import AbelianGroup, abelian_groups_of_order, cyclic
 from .linalg import int_det, rref
@@ -63,19 +65,60 @@ _FOLD_ROWS = 1 << 10
 MAX_MASK_BITS = 62
 
 
-@lru_cache(maxsize=1_000_000)
-def _support_cyclic(d: Digraph, mask: int) -> bool:
-    """Is the contraction of this support (as an arc-index bitmask)
-    totally cyclic?  Digraphs are immutable, so a global memo is safe and
-    pays off across repeated counts on the same digraph.
+@lru_cache(maxsize=4)
+def _dijoin_table(d: Digraph) -> np.ndarray:
+    """accepted[mask] for every arc bitmask of d: does the support meet
+    every dicut?  Exactly then is its contraction totally cyclic, since
+    the dicuts of d/S are the dicuts of d that miss S.
+
+    The dicuts are found here, not by cuts.enumerate_dicuts, which phi
+    uses, so the counts stay an independent check on phi.  In each weak
+    component every vertex set X, 2^(n_c) <= 2^(m_c + 1) of them, is
+    tested in numpy for an entering arc; one with none and with a leaving
+    arc gives the dicut delta+(X).  A support inside the complement of a
+    dicut misses it, so the complements are marked and closed downward by
+    an OR over supersets, one pass per arc; the rest are the dijoins.
+
+    The table is 2^m bytes, an eighth of the group counter's histogram.
+    The cache is keyed by the digraph, so the counts of one digraph share
+    its table, and holds few of them; the array is read-only.
     """
-    supp = frozenset(j for j in range(d.m) if mask >> j & 1)
-    return is_totally_cyclic(contract(d, supp))
+    full = (1 << d.m) - 1
+    rejected = np.zeros(full + 1, dtype=bool)
+    labels = weak_components(d)
+    for c in set(labels):
+        local = {v: i for i, v in enumerate(v for v in range(d.n) if labels[v] == c)}
+        arcs = [(j, local[t], local[h]) for j, (t, h) in enumerate(d.arcs) if t != h and labels[t] == c]
+        if not arcs:
+            continue
+        bits, tails, heads = (np.array(col, dtype=np.int64) for col in zip(*arcs))
+        bits = 1 << bits
+        step = max(1, _CHUNK // len(arcs))
+        for lo in range(0, 1 << len(local), step):
+            sets = np.arange(lo, min(lo + step, 1 << len(local)), dtype=np.int64)[:, None]
+            t_in, h_in = sets >> tails & 1, sets >> heads & 1
+            leaving = ((t_in > h_in) * bits).sum(axis=1)
+            dicuts = leaving[(leaving != 0) & ~(h_in > t_in).any(axis=1)]
+            rejected[dicuts ^ full] = True
+    for j in range(d.m):
+        pairs = rejected.reshape(-1, 2, 1 << j)
+        pairs[:, 0] |= pairs[:, 1]
+    accepted = ~rejected
+    accepted.flags.writeable = False
+    return accepted
+
+
+def _dijoins(d: Digraph, counts) -> np.ndarray:
+    """The digraph support filter: the dijoin table of d, whatever the
+    counts, for a lookup of the whole count column.
+    """
+    return _dijoin_table(d)
 
 
 def cyclic_supports(counts, predicate) -> list[int]:
     """The support bitmasks (indices of counts) with a nonzero count whose
-    contraction the support predicate accepts, in increasing order.
+    contraction the support predicate accepts, in increasing order; with
+    the predicate bound, the matroid path's support filter.
 
     The accepted supports form an up-set, since contracting more of a
     totally cyclic contraction keeps it totally cyclic: M/T = (M/S)/(T-S).
@@ -127,9 +170,9 @@ def check_histogram_budget(kmax: int, ncols: int, budget: int) -> None:
         )
 
 
-def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, predicate, budget: int = DEFAULT_BUDGET) -> int:
+def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, supports, budget: int = DEFAULT_BUDGET) -> int:
     """Number of x in G^ncols with rows @ x = 0 in G whose support mask
-    satisfies the predicate.  Each free coordinate takes all |G| values;
+    the support filter accepts.  Each free coordinate takes all |G| values;
     a basic one, -expr @ x_free in each cyclic factor f, is in the support
     when nonzero mod f.  Without the certificate of _cotree_expression
     every column is free and every row is checked mod each factor.
@@ -145,13 +188,16 @@ def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, predicate, budget: in
 
     expr = np.array(expr, dtype=np.int64).reshape(len(expr), len(free))
     factors = np.array(g.factors, dtype=np.int64)
-    values = np.arange(k, dtype=np.int64)
-    # Residues of each element of G mod each factor, the first leading;
-    # table holds the rows of expr once per factor.
-    digits = (values // (k // np.cumprod(factors))[:, None]) % factors[:, None]
     mods = np.repeat(factors, len(expr))[:, None]
     bits = np.tile(np.array([1 << c for c in pivots], dtype=np.int64), len(factors))[:, None]
-    table = (digits[:, None, None, :] * expr[:, :, None]).reshape(len(mods), len(free), k)
+
+    def columns(lo, hi):
+        # Residues of the elements lo..hi-1 of G mod each factor, the first
+        # leading; the table holds the rows of expr once per factor.
+        values = np.arange(lo, hi, dtype=np.int64)
+        digits = (values // (k // np.cumprod(factors))[:, None]) % factors[:, None]
+        table = (digits[:, None, None, :] * expr[:, :, None]).reshape(len(mods), len(free), hi - lo)
+        return table, values, 0 * values
 
     counts = np.zeros(1 << ncols, dtype=np.int64)
 
@@ -164,17 +210,15 @@ def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, predicate, budget: in
         else:
             _accumulate(counts, mask, weight, ~nonzero.any(axis=0))
 
-    _box_sum(table, free, values, 0 * values, k ** len(free), add)
-    return int(counts[cyclic_supports(counts, predicate)].sum())
+    _box_sum(columns, len(mods), free, k, k ** len(free), add)
+    return int(counts[supports(counts)].sum())
 
 
 def count_nl_group_flows(d: Digraph, g: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
     """Number of assignments A -> G that are flows with totally cyclic
     support contraction.
     """
-    return nl_group_flow_count(
-        incidence_matrix(d), d.m, g, partial(_support_cyclic, d), budget
-    )
+    return nl_group_flow_count(incidence_matrix(d), d.m, g, partial(_dijoins, d), budget)
 
 
 @lru_cache(maxsize=100_000)
@@ -204,17 +248,18 @@ def kernel_nullity(rows, ncols: int) -> int:
     return len(_cotree_expression(tuple(map(tuple, rows)), ncols)[1])
 
 
-def _accumulate(hist, index, weight, keep) -> None:
-    """hist[index[keep]] += weight[keep], or += 1 with no weight column, in
-    place.  An unweighted batch into a histogram of at most _CHUNK cells
-    is counted by bincount; any other by np.add.at, which allocates
-    nothing of the histogram's size.
+def _accumulate(hist, index, weight, keep, times: int = 1) -> None:
+    """hist[index[keep]] += times * weight[keep], or += times with no
+    weight column, in place.  An unweighted batch into a histogram of at
+    most _CHUNK cells is counted by bincount; any other by np.add.at,
+    which allocates nothing of the histogram's size and writes only the
+    cells it adds to.
     """
     index = index[keep]
     if weight is None and len(hist) <= _CHUNK:
-        hist += np.bincount(index, minlength=len(hist))
+        hist += times * np.bincount(index, minlength=len(hist))
     else:
-        np.add.at(hist, index, 1 if weight is None else weight[keep])
+        np.add.at(hist, index, times if weight is None else times * weight[keep])
 
 
 def _product(high, low):
@@ -303,39 +348,45 @@ def _fold(axes, count: int, unit):
     return box, _points(box, 0, count) if head is None else head
 
 
-def _box_sum(table, free, values, heights, end: int, add) -> None:
+def _box_sum(columns, nrows: int, free, radix: int, end: int, add) -> None:
     """Pass the first `end` points of the cotree box, in mixed-radix
     order with the first free coordinate leading, to add(box) batch by
-    batch.  Coordinate j (column free[j]) takes each of the values;
-    values[i] adds table[:, j, i] to the scaled rows, is in the support
-    when nonzero, and has height heights[i].
+    batch.  Each coordinate j (column free[j]) takes the same radix
+    values; columns(lo, hi) gives (table, values, heights) for the values
+    lo..hi-1, where values[i] adds table[:, j, i] to the nrows scaled
+    rows, is in the support when nonzero, and has height heights[i].
 
     The trailing coordinates form one low block of at most _CHUNK
     points, folded (see _fold) so that points of equal state are one
     weighted row; a single coordinate of more values is walked in slices
-    of _CHUNK, whose first points make up the cut prefix.  The leading
-    prefixes are taken in batches, each broadcast with the block, and the
-    prefix that `end` cuts takes the block's first points only.
+    of _CHUNK, each built from its own values, whose first points make up
+    the cut prefix.  The leading prefixes are taken in batches, each
+    broadcast with the block, and the prefix that `end` cuts takes the
+    block's first points only.
     """
-    n, radix = len(free), len(values)
-    nonzero = values != 0
+    n = len(free)
 
-    def axis(j, lo=0, hi=radix):
-        return table[:, j, lo:hi], nonzero[lo:hi] * (1 << free[j]), heights[lo:hi], None
+    def axis(j, cols):
+        table, values, heights = cols
+        return table[:, j], (values != 0) * (1 << free[j]), heights, None
 
     n_low = min(n, 1)
     while n_low < n and radix ** (n_low + 1) <= _CHUNK:
         n_low += 1
-    zero = np.zeros(1, dtype=np.int64)
-    unit = (np.zeros((len(table), 1), dtype=np.int64), zero, zero, None)
-    high = reduce(_product, [axis(j) for j in range(n - n_low)], unit)
     size = radix**n_low
     full, tail = divmod(end, size)
+    # Every value of every coordinate, unless a lone coordinate is sliced.
+    whole = columns(0, radix) if size <= _CHUNK or n > 1 else None
+    zero = np.zeros(1, dtype=np.int64)
+    unit = (np.zeros((nrows, 1), dtype=np.int64), zero, zero, None)
+    high = reduce(_product, [axis(j, whole) for j in range(n - n_low)], unit)
     if size > _CHUNK:
-        slices = ((lo, axis(n - 1, lo, lo + _CHUNK)) for lo in range(0, size, _CHUNK))
+        slices = (
+            (lo, axis(n - 1, columns(lo, min(lo + _CHUNK, size)))) for lo in range(0, size, _CHUNK)
+        )
         blocks = ((low, _points(low, 0, max(0, tail - lo))) for lo, low in slices)
     else:
-        blocks = [_fold([axis(j) for j in range(n - n_low, n)], tail, unit)]
+        blocks = [_fold([axis(j, whole) for j in range(n - n_low, n)], tail, unit)]
     for low, head in blocks:
         add(_product(_points(high, full, full + 1), head))
         step = max(1, _CHUNK // len(low[1]))
@@ -350,11 +401,12 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
     One pass over the cotree box {-(kmax-1), ..., kmax-1}^nullity, which
     is symmetric about its centre, the zero flow: in mixed-radix order the
     points i and total-1-i are x and -x.  So only the points below the
-    centre are walked and the histogram is doubled.  Points of the low
+    centre are walked, each added twice.  Points of the low
     block with equal partial sums, support and height are counted once
     with their multiplicity (see _fold), and every batch is added into one
-    int64 histogram.  The budget bounds the box and the kmax * 2^ncols
-    cells before anything is allocated.
+    int64 histogram; cells that no point reaches are never written, so a
+    wide histogram's untouched pages take no memory.  The budget bounds the box and the kmax * 2^ncols cells before anything is
+    allocated.
     """
     if kmax < 1:
         raise ValueError("k must be >= 1")
@@ -368,8 +420,11 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
 
     expr = np.array(expr, dtype=np.int64).reshape(len(pivots), nullity)
     bits_piv = np.array([1 << c for c in pivots], dtype=np.int64)[:, None]
-    values = np.arange(1 - kmax, kmax, dtype=np.int64)
     hist = np.zeros(kmax << ncols, dtype=np.int64)
+
+    def columns(lo, hi):
+        values = np.arange(lo + 1 - kmax, hi + 1 - kmax, dtype=np.int64)
+        return expr[:, :, None] * values, values, np.abs(values)
 
     def add(box):
         scaled, mask, height, weight = box
@@ -379,26 +434,30 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
             ok &= (scaled % denom == 0).all(axis=0)
         height = np.maximum(height, size.max(axis=0, initial=0) // denom)
         mask = mask + ((scaled != 0) * bits_piv).sum(axis=0)
-        _accumulate(hist, mask * kmax + height, weight, ok)
+        _accumulate(hist, mask * kmax + height, weight, ok, times=2)
 
-    _box_sum(expr[:, :, None] * values, free, values, np.abs(values), base**nullity // 2, add)
-    hist *= 2
+    _box_sum(columns, len(pivots), free, base, base**nullity // 2, add)
     hist[0] += 1
     return hist.reshape(1 << ncols, kmax)
 
 
-def nl_integer_kflow_counts(rows, ncols: int, ks, predicate, budget: int = DEFAULT_BUDGET):
+def nl_integer_kflow_counts(rows, ncols: int, ks, supports, budget: int = DEFAULT_BUDGET):
     """For each k in ks, the number of integer kernel elements of rows with
-    entries in {0, +-1, ..., +-(k-1)} whose support mask satisfies the
-    predicate; one histogram pass at max(ks) serves every k.
+    entries in {0, +-1, ..., +-(k-1)} whose support mask the support
+    filter accepts; one histogram pass at max(ks) serves every k.  The
+    accepted masks' rows are summed by a product with their indicator,
+    not copied out, and the sum is cumulated over the heights.  The rows
+    are summed by einsum, which on short rows takes a third of the time of
+    sum(axis=1).
     """
     ks = list(ks)
     if min(ks) < 1:
         raise ValueError("k must be >= 1")
-    at_most = kernel_height_histogram(rows, ncols, max(ks), budget)
-    at_most.cumsum(axis=1, out=at_most)
-    totals = at_most[cyclic_supports(at_most[:, -1], predicate)].sum(axis=0)
-    return [int(totals[k - 1]) for k in ks]
+    hist = kernel_height_histogram(rows, ncols, max(ks), budget)
+    accepted = np.zeros(len(hist), dtype=np.int64)
+    accepted[supports(np.einsum("ij->i", hist))] = 1
+    at_most = (accepted @ hist).cumsum()
+    return [int(at_most[k - 1]) for k in ks]
 
 
 def count_nl_integer_kflows(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -406,9 +465,7 @@ def count_nl_integer_kflows(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) ->
     (exact conservation over the integers) whose support contraction is
     totally cyclic.
     """
-    return nl_integer_kflow_counts(
-        incidence_matrix(d), d.m, [k], partial(_support_cyclic, d), budget
-    )[0]
+    return nl_integer_kflow_counts(incidence_matrix(d), d.m, [k], partial(_dijoins, d), budget)[0]
 
 
 def _acyclic_subsets(d: Digraph) -> bytearray:
@@ -416,14 +473,16 @@ def _acyclic_subsets(d: Digraph) -> bytearray:
     subdigraph?  A nonempty S is acyclic iff it has sinks and stays
     acyclic without them.  The sinks of S follow in O(1) from those of S
     less its highest vertex h: in-neighbours of h stop being sinks, and h
-    is one when it has no out-neighbour below it.
+    is one when it has no out-neighbour below it.  The sinks are vertex
+    bitmasks in a typed array of the narrowest width that holds n bits.
     """
     out = [0] * d.n
     into = [0] * d.n
     for t, h in d.arcs:
         out[t] |= 1 << h
         into[h] |= 1 << t
-    sinks = [0] * (1 << d.n)
+    typecode = next(c for c in "IQ" if array(c).itemsize * 8 >= d.n)
+    sinks = array(typecode, [0]) * (1 << d.n)
     acyclic = bytearray(1 << d.n)
     acyclic[0] = 1
     for h in range(d.n):
@@ -501,9 +560,9 @@ def check_equivalence_theorem(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) 
     return len(set(flags)) == 1
 
 
-def fit_nl_integer_polynomial(rows, ncols: int, k_range, predicate, budget: int = DEFAULT_BUDGET):
+def fit_nl_integer_polynomial(rows, ncols: int, k_range, supports, budget: int = DEFAULT_BUDGET):
     """Interpolate the integer NL-k-flow counts of rows (support masks
-    filtered by the predicate) over k_range to a polynomial of degree at
+    filtered by the support filter) over k_range to a polynomial of degree at
     most the kernel nullity; at least one extra point must be supplied and
     must match the interpolant exactly.
 
@@ -519,7 +578,7 @@ def fit_nl_integer_polynomial(rows, ncols: int, k_range, predicate, budget: int 
             f"need at least {bound + 2} evaluation points (degree bound {bound} "
             f"plus a held-out witness), got {len(k_range)}"
         )
-    counts = nl_integer_kflow_counts(rows, ncols, k_range, predicate, budget)
+    counts = nl_integer_kflow_counts(rows, ncols, k_range, supports, budget)
     try:
         poly = interpolate_rational(list(zip(k_range, counts)), bound)
     except WitnessMismatchError as exc:
@@ -531,6 +590,4 @@ def fit_integer_flow_polynomial(d: Digraph, k_range, budget: int = DEFAULT_BUDGE
     """Interpolate the integer NL-k-flow counts of d over k_range to a
     polynomial of degree <= m - rk(A), with held-out witnesses.
     """
-    return fit_nl_integer_polynomial(
-        incidence_matrix(d), d.m, k_range, partial(_support_cyclic, d), budget
-    )
+    return fit_nl_integer_polynomial(incidence_matrix(d), d.m, k_range, partial(_dijoins, d), budget)

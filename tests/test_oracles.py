@@ -5,12 +5,13 @@ polynomiality fits.
 """
 
 import tracemalloc
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_counters import (
+    _support_cyclic,
     count_acyclic_colorings_naive,
     count_nl_group_flows_naive,
     count_nl_integer_kflows_naive,
@@ -40,7 +41,7 @@ from nlflow.matroids import (
     fit_integer_flow_polynomial_matroid,
 )
 from nlflow import oracles
-from nlflow.oracles import _support_cyclic, kernel_height_histogram, kernel_nullity
+from nlflow.oracles import kernel_height_histogram, kernel_nullity
 
 
 @pytest.fixture
@@ -272,12 +273,13 @@ class TestKernelHeightHistogram:
 
     def test_wide_coordinate_is_walked_in_slices(self, cycle3):
         # 2k-1 = 999999 values of one free coordinate, about 4 * _CHUNK:
-        # the walk takes them in slices of _CHUNK and adds each into the
-        # one k * 2^3 cell histogram (32 MB), which is summed in place.
-        # Besides it, only the per-value columns (values, heights and two
-        # table rows: 32 MB) and one slice's temporaries are allocated,
-        # 88 MB in all; a histogram per batch, a copy for the cumulative
-        # sum or the block of all values (140 MB before) passes 3.5 times it.
+        # the walk takes them in slices of _CHUNK, builds each slice's
+        # columns from its own values, and adds it into the one k * 2^3
+        # cell histogram (32 MB), which is summed in place.  Besides it
+        # only one slice's columns and temporaries are allocated, 59 MB in
+        # all; the columns of all values built up front (88 MB), a
+        # histogram per batch or a copy of the accepted rows passes 2.5
+        # times it.
         k = 500_000
         assert 2 * k - 1 > 3 * oracles._CHUNK
         tracemalloc.start()
@@ -286,7 +288,7 @@ class TestKernelHeightHistogram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 8 * (k << cycle3.m), peak
+        assert peak < 2.5 * 8 * (k << cycle3.m), peak
 
     def test_masks_wider_than_62_bits_are_refused(self):
         # int64 support masks: no budget admits a histogram over 63 columns.
@@ -369,14 +371,13 @@ class TestFoldedWalk:
         rows = tuple(tuple(data.draw(st.integers(-2, 2)) for _ in range(q)) for _ in range(p))
         k = data.draw(st.integers(1, 3))
         g = data.draw(st.sampled_from([cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2))]))
-        everything = lambda mask: True  # noqa: E731
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracles, "_FOLD_ROWS", 0)
             hist = kernel_height_histogram(rows, q, k)
-            count = oracles.nl_group_flow_count(rows, q, g, everything)
+            count = oracles.nl_group_flow_count(rows, q, g, lambda counts: slice(None))
         assert hist.dtype == np.int64
         assert (hist == full_box_histogram(rows, q, k)).all()
-        assert count == dense_group_flow_count(rows, q, g, everything)
+        assert count == dense_group_flow_count(rows, q, g, lambda mask: True)
 
     def test_rank_one_multi_arc_digraph_merges_a_group_walk(self, merges):
         # Nullity 6: Z4 walks 4^6 = 4096 rows, while one basic row of 19
@@ -450,6 +451,87 @@ class TestMonotoneSupportSkip:
         assert calls == [1, 7]
 
 
+@st.composite
+def digraphs_in_parts(draw, max_n=10, max_m=16):
+    """Digraphs whose arcs stay inside up to three vertex classes (v mod
+    parts), so they may have several weak components, with loops,
+    parallel arcs and isolated vertices.
+    """
+    n = draw(st.integers(1, max_n))
+    parts = draw(st.integers(1, 3))
+    tails = draw(st.lists(st.integers(0, n - 1), max_size=max_m))
+    heads = [draw(st.sampled_from(range(t % parts, n, parts))) for t in tails]
+    return Digraph(n, tuple(zip(tails, heads)))
+
+
+class TestDijoinTable:
+    # The table accepts a support exactly when it meets every dicut; the
+    # oracles are the SCC test of the contraction and cuts.is_dijoin.
+    def test_catalog_every_mask(self, catalog_full):
+        for d in catalog_full:
+            table = oracles._dijoin_table(d)
+            assert table.shape == (1 << d.m,) and table.dtype == bool
+            assert table.tolist() == [_support_cyclic(d, mask) for mask in range(1 << d.m)], d
+
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs_in_parts(), st.randoms(use_true_random=False))
+    def test_equals_scc_oracle_and_is_dijoin(self, d, rng):
+        table = oracles._dijoin_table(d)
+        masks = range(1 << d.m) if d.m <= 10 else [rng.getrandbits(d.m) for _ in range(512)]
+        for mask in masks:
+            want = _support_cyclic(d, mask)
+            assert bool(table[mask]) == want, (d, mask)
+            assert is_dijoin(d, frozenset(j for j in range(d.m) if mask >> j & 1)) == want
+
+    def test_several_components_loops_and_isolated_vertices(self):
+        # A 2-cycle, a one-way arc with a loop, and an isolated vertex:
+        # the only dicut is {2}, so the dijoins are the masks with bit 2.
+        d = Digraph(5, ((0, 1), (1, 0), (2, 3), (3, 3)))
+        assert oracles._dijoin_table(d).tolist() == [bool(mask & 4) for mask in range(16)]
+
+    def test_read_only_and_shared_by_the_counts(self, monkeypatch, k3_acyclic):
+        built = []
+        build = oracles._dijoin_table.__wrapped__
+
+        def spy(d):
+            built.append(d)
+            return build(d)
+
+        monkeypatch.setattr(oracles, "_dijoin_table", lru_cache(maxsize=4)(spy))
+        for g in (cyclic(2), cyclic(3), AbelianGroup((2, 2))):
+            count_nl_group_flows(k3_acyclic, g)
+        count_nl_integer_kflows(k3_acyclic, 3)
+        fit_integer_flow_polynomial(k3_acyclic, range(1, 4))
+        assert built == [k3_acyclic]
+        with pytest.raises(ValueError):
+            oracles._dijoin_table(k3_acyclic)[0] = True
+
+    def test_refused_before_the_table_is_built(self, monkeypatch):
+        # The mask-width and histogram-budget checks come first: a 63-arc
+        # path, and a 20-arc path (nullity 0, one box point) whose 2^20
+        # histogram cells exceed the budget, never reach the builder.
+        def refuse(d):
+            raise AssertionError("the dijoin table was built")
+
+        monkeypatch.setattr(oracles, "_dijoin_table", refuse)
+        wide = Digraph(64, tuple((i, i + 1) for i in range(63)))
+        path = Digraph(21, wide.arcs[:20])
+        counts = [
+            partial(count_nl_group_flows, wide, cyclic(2)),
+            partial(count_nl_integer_kflows, wide, 2),
+            partial(fit_integer_flow_polynomial, wide, range(1, 3)),
+            partial(count_nl_group_flows, path, cyclic(2), budget=(1 << 20) - 1),
+            partial(count_nl_integer_kflows, path, 2, budget=(2 << 20) - 1),
+            partial(fit_integer_flow_polynomial, path, range(1, 3), budget=(2 << 20) - 1),
+        ]
+        for count in counts:
+            with pytest.raises(BudgetExceededError):
+                count()
+        # Within the budget the same count does reach it.
+        with pytest.raises(AssertionError, match="dijoin table"):
+            count_nl_group_flows(path, cyclic(2), budget=1 << 20)
+
+
 class TestAcyclicColorings:
     def test_cycle3_k2(self, cycle3):
         assert count_acyclic_colorings(cycle3, 2) == 6
@@ -500,6 +582,21 @@ class TestAcyclicColorings:
         assert count_acyclic_colorings(path, 1, budget=1) == 1
         cycle = Digraph(60, path.arcs + ((59, 0),))
         assert count_acyclic_colorings(cycle, 1, budget=1) == 0
+
+    def test_subset_table_memory_at_n_20(self):
+        # The sinks of 2^20 vertex subsets take 4 bytes each (4 MB) beside
+        # the 1 MB acyclic table; as Python ints in a list they took 41 MB.
+        # A directed 20-cycle is acyclic in every colouring but the two
+        # constant ones.
+        n = 20
+        d = Digraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+        tracemalloc.start()
+        try:
+            assert count_acyclic_colorings(d, 2) == 2**n - 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak
 
 
 class TestEquivalence:
