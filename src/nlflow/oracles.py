@@ -91,8 +91,8 @@ def _dijoin_table(d: Digraph) -> np.ndarray:
         arcs = [(j, local[t], local[h]) for j, (t, h) in enumerate(d.arcs) if t != h and labels[t] == c]
         if not arcs:
             continue
-        bits, tails, heads = (np.array(col, dtype=np.int64) for col in zip(*arcs))
-        bits = 1 << bits
+        index, tails, heads = (np.array(col, dtype=np.int64) for col in zip(*arcs))
+        bits = 1 << index
         step = max(1, _CHUNK // len(arcs))
         for lo in range(0, 1 << len(local), step):
             sets = np.arange(lo, min(lo + step, 1 << len(local)), dtype=np.int64)[:, None]
