@@ -4,12 +4,12 @@ BENCH_<label>.json summary.
 
 Usage:
     python3 scripts/bench_pairs.py --parent DIR --change DIR --label NAME
-        [--workloads sweep intfit ...] [--seeds 1 2 ...] [--seconds 15]
-        [--description TEXT] [--out FILE]
+        [--workloads sweep intfit ...] [--seeds 1 2 ...] [--description TEXT]
 
 For each workload and seed, `perfbench/run.py --trace 0` runs once in each
-checkout, one after the other: the parent first at odd seeds, the change
-first at even ones.  Each run keeps the '# ' info line and the result line
+checkout for the run_seconds that BENCHMARK.json fixes, one after the
+other: the parent first at odd seeds, the change first at even ones.
+The summary is written to BENCH_<label>.json in the current directory.  Each run keeps the '# ' info line and the result line
 that run.py prints.  'pairs' gives, per workload, the first quartile,
 median and third quartile of each end-to-end metric on each side
 (statistics.quantiles, n=4) and in how many pairs the change read better,
@@ -96,19 +96,18 @@ def main() -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--workloads", nargs="+", default=["lattice", "sweep", "intfit", "matroid"])
     parser.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
-    parser.add_argument("--seconds", type=int, default=15)
     parser.add_argument("--description", default="", help="what the change does")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<label>.json")
     args = parser.parse_args()
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    out = args.out or Path(f"BENCH_{args.label}.json")
+    seconds = bench["run_seconds"]
+    out = Path(f"BENCH_{args.label}.json")
     checkouts = {"parent": args.parent, "change": args.change}
     record = {
         "label": args.label,
         "change": args.description,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "notes": __doc__.split("\n\n", 2)[2].replace("\n", " ").strip(),
         "runs": [],
         "pairs": {},
@@ -117,7 +116,7 @@ def main() -> int:
         for seed in args.seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
             for side in order:
-                record["runs"].append(run_once(checkouts[side], workload, seed, args.seconds, side))
+                record["runs"].append(run_once(checkouts[side], workload, seed, seconds, side))
             record["pairs"] = summarise(record["runs"], better)
             out.write_text(json.dumps(record, indent=1) + "\n")
             summary = record["pairs"][workload]["jobs_per_s"]

@@ -5,10 +5,12 @@ These stay independent of the Moebius-inversion formulas they validate.
 A digraph's NL-flows are those of its incidence matrix, so every count
 is taken over an integer matrix and a support filter, which maps the
 count of every support mask to the accepted masks once the count exists.
-The digraph path passes the incidence matrix and its dijoin table: a
+The digraph path passes the incidence matrix and a dijoin filter: a
 support's contraction is totally cyclic exactly when the support meets
 every dicut, so one boolean array over the 2^m masks, built from its own
-brute-force dicuts, accepts them all in one lookup.  The matroid path
+brute-force dicuts, accepts them all in one lookup.  Where that table
+costs more than testing the few masks with a count by reachability, as
+on a long path or cycle, those masks are tested instead.  The matroid path
 (nlflow.matroids) passes a TU matrix and cyclic_supports, a walk of the
 up-set of accepted masks that calls a Farkas test where no accepted
 subset or rejected superset decides.  There is one kernel walker, over
@@ -42,7 +44,10 @@ The budget bounds, before anything is allocated, both the points walked
 support histogram (2^m, or K * 2^m); support masks are int64, so more
 than 62 arcs or columns are refused whatever the budget, before any
 elimination.  The support filter runs only after those checks, so the
-dijoin table of an over-budget digraph is never built.
+dijoin table of an over-budget digraph is never built.  The filter's work
+is the cheaper of the table's, at most a few passes per arc over 2^m
+bytes, and a reachability test per mask with a count, so it is bounded by
+the histogram cells and the points walked times the digraph's size.
 """
 
 from __future__ import annotations
@@ -65,7 +70,24 @@ _FOLD_ROWS = 1 << 10
 MAX_MASK_BITS = 62
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
+def _arc_components(d: Digraph) -> tuple:
+    """The weak components of d that have an arc other than a loop, each as
+    its vertex count and the arrays of the index, local tail and local head
+    of those arcs.  A loop lies on a directed cycle and in no dicut, so it
+    is left out.  One slot: the counts of one digraph run back to back.
+    """
+    labels = weak_components(d)
+    parts = []
+    for c in dict.fromkeys(labels):
+        local = {v: i for i, v in enumerate(v for v in range(d.n) if labels[v] == c)}
+        arcs = [(j, local[t], local[h]) for j, (t, h) in enumerate(d.arcs) if t != h and labels[t] == c]
+        if arcs:
+            parts.append((len(local), *(np.array(col, dtype=np.int64) for col in zip(*arcs))))
+    return tuple(parts)
+
+
+@lru_cache(maxsize=1)
 def _dijoin_table(d: Digraph) -> np.ndarray:
     """accepted[mask] for every arc bitmask of d: does the support meet
     every dicut?  Exactly then is its contraction totally cyclic, since
@@ -79,23 +101,16 @@ def _dijoin_table(d: Digraph) -> np.ndarray:
     dicut misses it, so the complements are marked and closed downward by
     an OR over supersets, one pass per arc; the rest are the dijoins.
 
-    The table is 2^m bytes, an eighth of the group counter's histogram.
-    The cache is keyed by the digraph, so the counts of one digraph share
-    its table, and holds few of them; the array is read-only.
+    The table is 2^m bytes, an eighth of the group counter's histogram,
+    and read-only.  One slot keeps it for the counts of one digraph.
     """
     full = (1 << d.m) - 1
     rejected = np.zeros(full + 1, dtype=bool)
-    labels = weak_components(d)
-    for c in set(labels):
-        local = {v: i for i, v in enumerate(v for v in range(d.n) if labels[v] == c)}
-        arcs = [(j, local[t], local[h]) for j, (t, h) in enumerate(d.arcs) if t != h and labels[t] == c]
-        if not arcs:
-            continue
-        index, tails, heads = (np.array(col, dtype=np.int64) for col in zip(*arcs))
+    for n_c, index, tails, heads in _arc_components(d):
         bits = 1 << index
-        step = max(1, _CHUNK // len(arcs))
-        for lo in range(0, 1 << len(local), step):
-            sets = np.arange(lo, min(lo + step, 1 << len(local)), dtype=np.int64)[:, None]
+        step = max(1, _CHUNK // len(index))
+        for lo in range(0, 1 << n_c, step):
+            sets = np.arange(lo, min(lo + step, 1 << n_c), dtype=np.int64)[:, None]
             t_in, h_in = sets >> tails & 1, sets >> heads & 1
             leaving = ((t_in > h_in) * bits).sum(axis=1)
             dicuts = leaving[(leaving != 0) & ~(h_in > t_in).any(axis=1)]
@@ -108,10 +123,50 @@ def _dijoin_table(d: Digraph) -> np.ndarray:
     return accepted
 
 
-def _dijoins(d: Digraph, counts) -> np.ndarray:
-    """The digraph support filter: the dijoin table of d, whatever the
-    counts, for a lookup of the whole count column.
+def _reach_dijoins(d: Digraph, masks: np.ndarray) -> np.ndarray:
+    """accepted[i]: does the support masks[i] meet every dicut of d, that
+    is, does every arc lie on a directed cycle once the support is
+    contracted?  Contracting an arc joins its ends, which for reachability
+    is the arc made usable both ways.  So in each component, per mask, the
+    row reach[:, v] (the vertices reachable from v, as a bitmask) starts
+    at v, its out-neighbours and the tails of its in-arcs in the mask, is
+    closed by Warshall's algorithm, one pass per pivot vertex, and every
+    arc (t, h) needs t reachable from h.  The masks are taken in blocks of
+    at most _CHUNK vertex rows.
     """
+    ok = np.ones(len(masks), dtype=bool)
+    for n_c, index, tails, heads in _arc_components(d):
+        step = max(1, _CHUNK // n_c)
+        for lo in range(0, len(masks), step):
+            block = masks[lo : lo + step]
+            reach = np.tile(1 << np.arange(n_c, dtype=np.int64), (len(block), 1))
+            for j, t, h in zip(index.tolist(), tails.tolist(), heads.tolist()):
+                reach[:, t] |= 1 << h
+                reach[:, h] |= (block >> j & 1) << t
+            for v in range(n_c):
+                reach |= np.where(reach & 1 << v != 0, reach[:, v, None], 0)
+            ok[lo : lo + step] &= (reach[:, heads] >> tails & 1).all(axis=1)
+    return ok
+
+
+def _dijoins(d: Digraph, counts) -> np.ndarray:
+    """The digraph support filter: the masks of counts that meet every
+    dicut of d.
+
+    The dijoin table decides all 2^m masks in one lookup, but its work, a
+    test of each vertex set against each arc of its component and a pass
+    over its 2^m bytes per arc, does not shrink with the supports that
+    have a count.  When it is more than one batch (_CHUNK) and more than
+    the reachability test of the masks with a count, about n_c * (n_c +
+    m_c) per mask and component, those masks are tested instead: on a long
+    path or cycle the walk reaches one or two supports.
+    """
+    parts = _arc_components(d)
+    table_work = sum(len(index) << n_c for n_c, index, _, _ in parts) + (d.m << d.m)
+    if table_work > _CHUNK:
+        masks = np.flatnonzero(counts)
+        if len(masks) * sum(n_c * (n_c + len(index)) for n_c, index, _, _ in parts) < table_work:
+            return masks[_reach_dijoins(d, masks)]
     return _dijoin_table(d)
 
 

@@ -10,9 +10,10 @@ count_nl_group_flows_naive tuple by tuple in pure Python, with no numpy
 and no support histogram.  count_group_kernel checks the closed kernel
 count |G|^(q-p), and is_group_flow tests conservation arc by arc on a
 digraph.  count_acyclic_colorings_naive tries all k^n colorings, which
-the subset DP in nlflow.oracles must match.  _support_cyclic is the
-per-mask SCC test of a digraph's contraction, which the dijoin table in
-nlflow.oracles must match.  Test-side only.
+the subset DP in nlflow.oracles must match.  _support_cyclic is
+cuts.is_dijoin, the SCC test of a digraph's contraction, on a support
+bitmask, which the digraph support filters in nlflow.oracles must
+match.  Test-side only.
 """
 
 from functools import lru_cache
@@ -21,7 +22,8 @@ from itertools import product
 import numpy as np
 from reference_linalg import matrix_rank
 
-from nlflow.digraphs import Digraph, contract, incidence_matrix, is_acyclic, is_totally_cyclic
+from nlflow.cuts import is_dijoin
+from nlflow.digraphs import Digraph, incidence_matrix, is_acyclic
 from nlflow.groups import AbelianGroup
 from nlflow.matroids import TUMatrix, _support_contraction_cyclic
 from nlflow.oracles import cyclic_supports
@@ -35,8 +37,7 @@ def _support_cyclic(d: Digraph, mask: int) -> bool:
     totally cyclic?  Digraphs are immutable, so a memo is safe and pays
     off across the sweeps over one catalog.
     """
-    supp = frozenset(j for j in range(d.m) if mask >> j & 1)
-    return is_totally_cyclic(contract(d, supp))
+    return is_dijoin(d, frozenset(j for j in range(d.m) if mask >> j & 1))
 
 
 def full_box_histogram(rows, ncols: int, kmax: int):

@@ -32,7 +32,7 @@ from nlflow import (
     fit_integer_flow_polynomial,
     is_totally_cyclic,
 )
-from nlflow.cuts import is_dijoin
+from nlflow.cuts import enumerate_dicuts, is_dijoin
 from nlflow.digraphs import incidence_matrix, rank
 from nlflow.groups import AbelianGroup
 from nlflow.matroids import (
@@ -465,29 +465,37 @@ def digraphs_in_parts(draw, max_n=10, max_m=16):
 
 
 class TestDijoinTable:
-    # The table accepts a support exactly when it meets every dicut; the
-    # oracles are the SCC test of the contraction and cuts.is_dijoin.
+    # The digraph support filter accepts a support exactly when it meets
+    # every dicut, whether from the dijoin table or by reachability.  The
+    # oracles are the SCC test of the contraction (_support_cyclic, that is
+    # cuts.is_dijoin) and, apart from it, the dicuts of cuts.enumerate_dicuts.
     def test_catalog_every_mask(self, catalog_full):
         for d in catalog_full:
+            want = [_support_cyclic(d, mask) for mask in range(1 << d.m)]
             table = oracles._dijoin_table(d)
             assert table.shape == (1 << d.m,) and table.dtype == bool
-            assert table.tolist() == [_support_cyclic(d, mask) for mask in range(1 << d.m)], d
+            assert table.tolist() == want, d
+            assert oracles._reach_dijoins(d, np.arange(1 << d.m)).tolist() == want, d
 
     @settings(max_examples=80, deadline=None)
     @given(digraphs_in_parts(), st.randoms(use_true_random=False))
-    def test_equals_scc_oracle_and_is_dijoin(self, d, rng):
+    def test_equals_scc_oracle_and_dicut_listing(self, d, rng):
         table = oracles._dijoin_table(d)
         masks = range(1 << d.m) if d.m <= 10 else [rng.getrandbits(d.m) for _ in range(512)]
-        for mask in masks:
+        reach = oracles._reach_dijoins(d, np.array(masks, dtype=np.int64))
+        dicuts = [sum(1 << j for j in cut) for cut in enumerate_dicuts(d)]
+        for mask, by_reach in zip(masks, reach.tolist()):
             want = _support_cyclic(d, mask)
-            assert bool(table[mask]) == want, (d, mask)
-            assert is_dijoin(d, frozenset(j for j in range(d.m) if mask >> j & 1)) == want
+            assert bool(table[mask]) == by_reach == want, (d, mask)
+            assert all(mask & cut for cut in dicuts) == want, (d, mask)
 
     def test_several_components_loops_and_isolated_vertices(self):
         # A 2-cycle, a one-way arc with a loop, and an isolated vertex:
         # the only dicut is {2}, so the dijoins are the masks with bit 2.
         d = Digraph(5, ((0, 1), (1, 0), (2, 3), (3, 3)))
-        assert oracles._dijoin_table(d).tolist() == [bool(mask & 4) for mask in range(16)]
+        want = [bool(mask & 4) for mask in range(16)]
+        assert oracles._dijoin_table(d).tolist() == want
+        assert oracles._reach_dijoins(d, np.arange(16)).tolist() == want
 
     def test_read_only_and_shared_by_the_counts(self, monkeypatch, k3_acyclic):
         built = []
@@ -497,7 +505,9 @@ class TestDijoinTable:
             built.append(d)
             return build(d)
 
-        monkeypatch.setattr(oracles, "_dijoin_table", lru_cache(maxsize=4)(spy))
+        # One slot, as in the module: the counts of one digraph run back to back.
+        assert oracles._dijoin_table.cache_info().maxsize == 1
+        monkeypatch.setattr(oracles, "_dijoin_table", lru_cache(maxsize=1)(spy))
         for g in (cyclic(2), cyclic(3), AbelianGroup((2, 2))):
             count_nl_group_flows(k3_acyclic, g)
         count_nl_integer_kflows(k3_acyclic, 3)
@@ -506,14 +516,16 @@ class TestDijoinTable:
         with pytest.raises(ValueError):
             oracles._dijoin_table(k3_acyclic)[0] = True
 
-    def test_refused_before_the_table_is_built(self, monkeypatch):
+    @staticmethod
+    def refuse(d):
+        raise AssertionError("the dijoin table was built")
+
+    def test_refused_before_the_table_is_built(self, monkeypatch, cycle3):
         # The mask-width and histogram-budget checks come first: a 63-arc
         # path, and a 20-arc path (nullity 0, one box point) whose 2^20
-        # histogram cells exceed the budget, never reach the builder.
-        def refuse(d):
-            raise AssertionError("the dijoin table was built")
-
-        monkeypatch.setattr(oracles, "_dijoin_table", refuse)
+        # histogram cells exceed the budget, never reach the filter.
+        monkeypatch.setattr(oracles, "_dijoin_table", self.refuse)
+        monkeypatch.setattr(oracles, "_reach_dijoins", self.refuse)
         wide = Digraph(64, tuple((i, i + 1) for i in range(63)))
         path = Digraph(21, wide.arcs[:20])
         counts = [
@@ -523,13 +535,44 @@ class TestDijoinTable:
             partial(count_nl_group_flows, path, cyclic(2), budget=(1 << 20) - 1),
             partial(count_nl_integer_kflows, path, 2, budget=(2 << 20) - 1),
             partial(fit_integer_flow_polynomial, path, range(1, 3), budget=(2 << 20) - 1),
+            partial(count_nl_group_flows, cycle3, cyclic(3), budget=7),
         ]
         for count in counts:
             with pytest.raises(BudgetExceededError):
                 count()
-        # Within the budget the same count does reach it.
+        # At the histogram's 2^3 cells the 3-cycle's table is built.
         with pytest.raises(AssertionError, match="dijoin table"):
-            count_nl_group_flows(path, cyclic(2), budget=1 << 20)
+            count_nl_group_flows(cycle3, cyclic(3), budget=8)
+
+    def test_few_supports_are_tested_without_the_table(self, monkeypatch):
+        # A long path, cycle or out-star reaches one or two supports; its
+        # table would cost m * 2^m and more, so it is never built.
+        monkeypatch.setattr(oracles, "_dijoin_table", self.refuse)
+        path = Digraph(21, tuple((i, i + 1) for i in range(20)))
+        cycle = Digraph(20, tuple((i, (i + 1) % 20) for i in range(20)))
+        star = Digraph(21, tuple((0, i) for i in range(1, 21)))
+        for d, flows in ((path, 0), (cycle, 1), (star, 0)):
+            assert count_nl_group_flows(d, cyclic(3)) == 3 * flows
+            assert count_nl_integer_kflows(d, 2) == 3 * flows
+            assert fit_integer_flow_polynomial(d, range(1, 4)) == IntPolynomial({1: 2 * flows, 0: -flows})
+
+    def test_table_or_reachability_at_the_boundary(self, monkeypatch):
+        # A 12-arc path's table costs 12 * 2^13 + 12 * 2^12 <= _CHUNK: it is
+        # built even for one support.  A 13-arc path's costs 13 * 2^14 +
+        # 13 * 2^13 = 319488, and testing a mask 14 * (14 + 13) = 378: 845
+        # masks (319410) are tested, 846 (319788) read the table.
+        tables = []
+        build = oracles._dijoin_table.__wrapped__
+        monkeypatch.setattr(oracles, "_dijoin_table", lambda d: tables.append(d.m) or build(d))
+        for m, nonzero, table in ((12, 1, True), (13, 845, False), (13, 846, True)):
+            d = Digraph(m + 1, tuple((i, i + 1) for i in range(m)))
+            counts = np.zeros(1 << m, dtype=np.int64)
+            counts[-nonzero:] = 1
+            tables.clear()
+            accepted = oracles._dijoins(d, counts)
+            assert tables == ([m] if table else []), (m, nonzero)
+            # Only the full mask meets every dicut of a path.
+            assert counts[accepted].sum() == 1
 
 
 class TestAcyclicColorings:
