@@ -16,6 +16,7 @@ import time
 from .cuts import enumerate_dicuts, is_dijoin
 from .digraphs import read_digraph
 from .errors import BudgetExceededError, LatticeSizeError, NLFlowError
+from .errors import NonIntegerPolynomialError, WitnessMismatchError
 from .groups import parse_group_spec
 from .matroids import (
     count_nl_group_flows_matroid,
@@ -210,6 +211,8 @@ _ERROR_KINDS = [
     (MemoryError, "budget"),
     (LatticeSizeError, "lattice-size"),
     (ValueError, "domain"),
+    (WitnessMismatchError, "witness"),
+    (NonIntegerPolynomialError, "witness"),
     (NLFlowError, "io"),
 ]
 

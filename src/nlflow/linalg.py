@@ -1,8 +1,8 @@
-"""Exact linear algebra: row reduction and a square solve on
-fractions.Fraction, a Bareiss determinant, and a phase-1 simplex deciding
-Farkas alternatives on one integer tableau, pivoted fraction-free.
-Kernels are not computed here: nlflow.oracles builds a matrix's cotree
-expression from rref, and nlflow.matroids reads its kernel basis off that.
+"""Exact linear algebra on integers: one fraction-free pivot step
+(Bareiss 1968) behind an integer Gauss-Jordan, rref as its view over
+fractions.Fraction, a determinant, and a phase-1 simplex deciding Farkas
+alternatives on one integer tableau.  nlflow.oracles builds a matrix's
+cotree expression from one int_rref.
 
 No floating point anywhere.  Matrices are lists of row lists.
 """
@@ -13,43 +13,50 @@ from fractions import Fraction
 from math import lcm
 
 
-def _frac_rows(mat):
-    return [[Fraction(x) for x in row] for row in mat]
+def _pivot(rows, prow, e, d) -> None:
+    """Pivot every row of rows but prow on prow[e], in place.  Entries are
+    d times their values, and T[i][j] becomes (T[i][j] * pv - T[i][e] *
+    prow[j]) // d, exact, over pv = prow[e].  When pv = d, only the
+    nonzero columns of prow change, in rows with T[i][e] != 0.
+    """
+    pv = prow[e]
+    nonzero = [(j, y) for j, y in enumerate(prow) if y]
+    for row in (r for r in rows if r is not prow):
+        f = row[e]
+        if pv != d:
+            row[:] = [(x * pv - f * y) // d for x, y in zip(row, prow)]
+        elif f:
+            for j, y in nonzero:
+                row[j] -= f * y // d
+
+
+def int_rref(mat):
+    """Fraction-free Gauss-Jordan: (rows, pivot columns, d), rows being d
+    times the reduced row echelon form.  d, the last pivot (1 with none),
+    is up to sign the determinant of the pivot columns on the rows pivoted
+    on, each the first remaining row nonzero in its column.
+    """
+    rows = [list(row) for row in mat]
+    pivots = []
+    d = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is not None:
+            rows[r], rows[i] = rows[i], rows[r]
+            _pivot(rows, rows[r], c, d)
+            d = rows[r][c]
+            pivots.append(c)
+    return rows[: len(pivots)], pivots, d
 
 
 def rref(mat):
-    """Reduced row echelon form; returns (rows, pivot_columns).
-
-    Each pivot updates only the columns where the pivot row is nonzero, so
-    the work follows the fill-in rather than rows * columns per pivot.
+    """Reduced row echelon form over Fractions: (rows, pivot columns), read
+    off int_rref of the rows scaled to integers, which keeps that form.
     """
-    rows = _frac_rows(mat)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        # Rows from r on are zero left of column c.
-        nonzero = [j for j in range(c, ncols) if prow[j] != 0]
-        for j in nonzero:
-            prow[j] /= pv
-        for row in rows:
-            f = row[c]
-            if f != 0 and row is not prow:
-                for j in nonzero:
-                    row[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    scales = (lcm(*(x.denominator for x in row)) for row in mat)
+    rows, pivots, d = int_rref([[int(x * s) for x in row] for row, s in zip(mat, scales)])
+    return [[Fraction(x, d) for x in row] for row in rows], pivots
 
 
 def int_det(rows) -> int:
@@ -58,28 +65,23 @@ def int_det(rows) -> int:
     """
     a = [list(r) for r in rows]
     n = len(a[0]) if a else 0
-    sign = 1
-    prev = 1
+    sign, d = 1, 1
     for c in range(n):
-        if a[c][c] == 0:
-            swap = next((i for i in range(c + 1, len(a)) if a[i][c] != 0), None)
-            if swap is None:
-                return 0
-            a[c], a[swap] = a[swap], a[c]
-            sign = -sign
-        for i in range(c + 1, len(a)):
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
-        prev = a[c][c]
-    return sign * prev
+        i = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if i is None:
+            return 0
+        if i > c:
+            a[c], a[i], sign = a[i], a[c], -sign
+        _pivot(a[c + 1 :], a[c], c, d)
+        d = a[c][c]
+    return sign * d
 
 
 def solve_upper(b_mat, rhs):
     """Solve the square system b_mat x = rhs by Gaussian elimination."""
     n = len(rhs)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(b_mat)]
-    rows, pivots = rref(aug)
-    if len(pivots) != n or pivots != list(range(n)):
+    rows, pivots = rref([list(row) + [rhs[i]] for i, row in enumerate(b_mat)])
+    if pivots != list(range(n)):
         raise ValueError("singular basis matrix")
     return [rows[i][n] for i in range(n)]
 
@@ -93,10 +95,9 @@ def farkas_nonneg_solve(a_mat, b_vec):
 
     Phase-1 simplex on one integer tableau [A | I | b] (rows with b_i < 0
     negated, one artificial per row) under an objective row of reduced
-    costs.  Pivots are fraction-free (Bareiss): the tableau is kept as
-    integers T over the common denominator d, the previous pivot, and
-    updated by T[i][j] = (T[i][j] * pv - T[i][e] * T[r][j]) // d, which
-    divides exactly.  Bland's rule picks the pivots: the smallest column
+    costs.  Pivots are fraction-free (_pivot): the tableau and the
+    objective row are kept as integers T over the common denominator d, the
+    previous pivot.  Bland's rule picks the pivots: the smallest column
     with a negative reduced cost enters; the minimum ratio T[i][-1] /
     T[i][e] over T[i][e] > 0 leaves, ties evicting the smallest basic
     index.  Fractional input is scaled to integers column by column (and
@@ -139,13 +140,8 @@ def farkas_nonneg_solve(a_mat, b_vec):
                     leave = i
         if leave is None:
             raise RuntimeError("phase-1 objective unbounded; cannot happen")
-        prow = rows[leave]
-        pv = prow[e]
-        for row in (*rows, obj):
-            if row is not prow:
-                f = row[e]
-                row[:] = [(x * pv - f * y) // d for x, y in zip(row, prow)]
-        d = pv
+        _pivot((*rows, obj), rows[leave], e, d)
+        d = rows[leave][e]
         basis[leave] = e
 
     if obj[-1] != 0:

@@ -54,14 +54,14 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache, partial, reduce
-from math import lcm, prod
+from math import gcd, prod
 
 import numpy as np
 
 from .digraphs import Digraph, incidence_matrix, is_acyclic, weak_components
 from .errors import BudgetExceededError, WitnessMismatchError
 from .groups import AbelianGroup, abelian_groups_of_order, cyclic
-from .linalg import int_det, rref
+from .linalg import int_rref
 from .polynomials import interpolate_rational
 
 DEFAULT_BUDGET = 10**8
@@ -282,18 +282,17 @@ def _cotree_expression(rows: tuple[tuple[int, ...], ...], ncols: int):
     integer matrix expr with denom * x_basic = -expr @ x_free on its
     kernel, and whether it also holds over every Z_f.
 
-    Total unimodularity makes denom 1; other integer matrices keep exact
-    counts through the divisibility test in kernel_height_histogram.  It
-    holds over Z_f when r rows of the r pivot columns (those int_det
-    pivots on) have determinant +-1, whose inverse is integral: every row
-    is its pivot entries times the reduced rows.
+    One int_rref gives E, d times the reduced rows: with g = gcd(d, free
+    entries of E), denom = |d| / g and expr = sign(d) * E / g.  Total
+    unimodularity makes denom 1; other matrices keep exact counts through
+    the divisibility test in kernel_height_histogram.  It holds over Z_f
+    when |d| = 1, d being up to sign the determinant of the pivot block.
     """
-    reduced, pivots = rref(rows)
+    reduced, pivots, d = int_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
-    denom = lcm(*(reduced[r][c].denominator for r in range(len(pivots)) for c in free))
-    expr = [[int(reduced[r][c] * denom) for c in free] for r in range(len(pivots))]
-    unimodular = abs(int_det([[row[c] for c in pivots] for row in rows])) == 1
-    return pivots, free, expr, denom, unimodular
+    g = gcd(d, *(row[c] for row in reduced for c in free)) * (1 if d > 0 else -1)
+    expr = [[row[c] // g for c in free] for row in reduced]
+    return pivots, free, expr, d // g, abs(d) == 1
 
 
 def kernel_nullity(rows, ncols: int) -> int:
@@ -456,12 +455,12 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
     One pass over the cotree box {-(kmax-1), ..., kmax-1}^nullity, which
     is symmetric about its centre, the zero flow: in mixed-radix order the
     points i and total-1-i are x and -x.  So only the points below the
-    centre are walked, each added twice.  Points of the low
-    block with equal partial sums, support and height are counted once
-    with their multiplicity (see _fold), and every batch is added into one
-    int64 histogram; cells that no point reaches are never written, so a
-    wide histogram's untouched pages take no memory.  The budget bounds the box and the kmax * 2^ncols cells before anything is
-    allocated.
+    centre are walked, each added twice.  Points of the low block with
+    equal partial sums, support and height are counted once with their
+    multiplicity (see _fold), and every batch is added into one int64
+    histogram; cells that no point reaches are never written, so a wide
+    histogram's untouched pages take no memory.  The budget bounds the box
+    and the kmax * 2^ncols cells before anything is allocated.
     """
     if kmax < 1:
         raise ValueError("k must be >= 1")

@@ -2,16 +2,31 @@
 nlflow.linalg.farkas_nonneg_solve used before its fraction-free tableau.
 
 It runs on fractions.Fraction and refactorizes the basis with a Gaussian
-solve on every iteration.  Its pivot rule (Bland's, ties evicting the
-smallest basic index) is the tableau's, so the two reach the same final
-basis and return identical (status, vector) pairs.
+solve on every iteration, by the dense rref of tests/reference_linalg.py,
+so it shares no elimination code with the tableau.  Its pivot rule
+(Bland's, ties evicting the smallest basic index) is the tableau's, so
+the two reach the same final basis and return identical (status, vector)
+pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from nlflow.linalg import _frac_rows, solve_upper
+from reference_linalg import rref_dense
+
+
+def _frac_rows(mat):
+    return [[Fraction(x) for x in row] for row in mat]
+
+
+def solve_upper(b_mat, rhs):
+    """Solve the square system b_mat x = rhs by Gaussian elimination."""
+    n = len(rhs)
+    rows, pivots = rref_dense([list(row) + [rhs[i]] for i, row in enumerate(b_mat)])
+    if pivots != list(range(n)):
+        raise ValueError("singular basis matrix")
+    return [rows[i][n] for i in range(n)]
 
 
 def reference_farkas_nonneg_solve(a_mat, b_vec):

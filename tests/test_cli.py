@@ -149,6 +149,17 @@ class TestMatroidCommands:
         status, out, _ = run(capsys, ["matroid", "poly-fit", "--matrix", str(p)])
         assert status == 0 and out == "8x^3-12x^2+6x-1\n"
 
+    def test_failed_witness_is_its_own_error_kind(self, capsys, tmp_path):
+        # Not TU, nullity 1: the counts at k = 2, 3, 4 are 0, 2, 2, not on
+        # one line, so the held-out k = 4 fails; the input is well formed.
+        p = tmp_path / "non_tu.tu"
+        p.write_text("3 4\n0 1 1 1\n1 0 -1 0\n1 1 -1 -1\n")
+        assert run(capsys, ["matroid", "poly-fit", "--matrix", str(p)]) == (
+            1,
+            "",
+            "error: witness: polynomiality violated: held-out point k=4: interpolant gives 4, expected 2\n",
+        )
+
     def test_columns_without_rows_refused(self, capsys, tmp_path):
         # A 0 x 3 header cannot be stored; it used to count as 0 x 0.
         p = tmp_path / "empty3.tu"
@@ -242,7 +253,7 @@ class TestErrors:
         files["tu"].write_text(write_matrix(TUMatrix.from_digraph(cycle)))
         calls = []
         for module in (oracles, linalg):
-            monkeypatch.setattr(module, "rref", lambda mat: calls.append(mat))
+            monkeypatch.setattr(module, "int_rref", lambda mat: calls.append(mat))
         argv = [arg.format(**files) for arg in command]
         assert run(capsys, argv) == (
             1, "", "error: budget: support masks of 300 columns exceed 62 bits\n"

@@ -1,5 +1,7 @@
-"""Exact rational linear algebra: rref, the reference kernel bases of
-tests/reference_linalg.py, and the Farkas feasibility solver.
+"""Exact linear algebra: the fraction-free int_rref and its rref view
+against the dense Fraction reference, the determinant, the reference
+kernel bases of tests/reference_linalg.py, and the Farkas feasibility
+solver.
 """
 
 from fractions import Fraction
@@ -9,12 +11,13 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_farkas import reference_farkas_nonneg_solve
-from reference_linalg import kernel_basis, matrix_rank, rref_dense
+from reference_linalg import det, kernel_basis, matrix_rank, rref_dense
 
 from nlflow import linalg
 from nlflow.linalg import (
     farkas_nonneg_solve,
     int_det,
+    int_rref,
     rref,
     solve_upper,
 )
@@ -50,6 +53,19 @@ class TestRref:
         )
         mat = [[data.draw(entry) for _ in range(q)] for _ in range(p)]
         assert rref(mat) == rref_dense(mat)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 5), st.integers(1, 6), st.data())
+    def test_int_rref_is_d_times_the_reduced_form(self, p, q, data):
+        # d is, up to sign, the determinant of the pivot columns on the
+        # rows a forward Bareiss pass pivots on.
+        mat = [[data.draw(st.integers(-3, 3)) for _ in range(q)] for _ in range(p)]
+        rows, pivots, d = int_rref(mat)
+        reduced, ref_pivots = rref_dense(mat)
+        assert pivots == ref_pivots
+        assert rows == [[x * d for x in row] for row in reduced]
+        assert all(type(x) is int for row in rows for x in row)
+        assert abs(d) == abs(det([[row[c] for c in pivots] for row in mat]))
 
     def test_wide_path_matrix_equals_dense(self):
         # Rows e_i - e_(i+1): each pivot row has two nonzeros.

@@ -17,7 +17,7 @@ from reference_counters import (
     count_nl_integer_kflows_matroid_naive,
 )
 from reference_farkas import reference_farkas_nonneg_solve
-from reference_linalg import kernel_basis
+from reference_linalg import kernel_basis, reference_cotree_expression, rref_dense
 
 from nlflow import (
     BudgetExceededError,
@@ -39,7 +39,7 @@ from nlflow import (
 from nlflow import linalg, matroids, oracles
 from nlflow.digraphs import contract, incidence_matrix
 from nlflow.groups import AbelianGroup
-from nlflow.linalg import farkas_nonneg_solve, rref
+from nlflow.linalg import farkas_nonneg_solve, int_rref
 from nlflow.matroids import (
     _support_contraction_cyclic,
     fit_integer_flow_polynomial_matroid,
@@ -70,7 +70,7 @@ def inc(d: Digraph) -> TUMatrix:
 def cographic(d: Digraph) -> TUMatrix:
     """[-E^T | I] from the rref [I | E] of the incidence matrix, in arc
     order: its kernel is the tension space of d."""
-    rows, pivots = rref(incidence_matrix(d))
+    rows, pivots = rref_dense(incidence_matrix(d))
     free = [c for c in range(d.m) if c not in pivots]
     out = []
     for fc in free:
@@ -279,10 +279,10 @@ class TestKernelBasisFromCotree:
 
         def spy(mat):
             calls.append(mat)
-            return rref(mat)
+            return int_rref(mat)
 
-        monkeypatch.setattr(oracles, "rref", spy)
-        monkeypatch.setattr(linalg, "rref", spy)
+        monkeypatch.setattr(oracles, "int_rref", spy)
+        monkeypatch.setattr(linalg, "int_rref", spy)
         oracles._cotree_expression.cache_clear()
         count_nl_group_flows_matroid(m, cyclic(3))
         count_nl_integer_kflows_matroid(m, 3)
@@ -293,6 +293,34 @@ class TestKernelBasisFromCotree:
             _support_contraction_cyclic(m, mask)
             contract_matroid(m, {c for c in range(m.q) if mask >> c & 1}).is_totally_cyclic()
         assert len(calls) == 1
+
+
+class TestCotreeExpressionAgainstReference:
+    """One fraction-free elimination gives the cotree expression and its
+    certificate; they equal the Fraction rref and separate Bareiss
+    determinant of tests/reference_linalg.py, TU or not.
+    """
+
+    def test_catalog_and_r10(self, catalog_full):
+        for m in [R10, *(f(d) for d in catalog_full for f in (inc, cographic))]:
+            got = oracles._cotree_expression.__wrapped__(m.rows, m.q)
+            assert got == reference_cotree_expression(m.rows, m.q), m
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 7), st.data())
+    def test_random_matrices(self, p, q, data):
+        rows = tuple(tuple(data.draw(st.integers(-1, 1)) for _ in range(q)) for _ in range(p))
+        got = oracles._cotree_expression.__wrapped__(rows, q)
+        assert got == reference_cotree_expression(rows, q)
+
+    def test_no_fractions(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Fraction was created")
+
+        monkeypatch.setattr(linalg, "Fraction", refuse)
+        for rows, q in [(R10.rows, R10.q), (((1, 1, 0), (1, -1, 1)), 3), (((1, 1), (1, -1), (1, 0)), 2)]:
+            got = oracles._cotree_expression.__wrapped__(rows, q)
+            assert got == reference_cotree_expression(rows, q)
 
 
 class TestContraction:

@@ -300,9 +300,9 @@ class TestKernelHeightHistogram:
         # The width needs only ncols: the 300 x 300 incidence matrix of a
         # directed 300-cycle is never row-reduced.
         def refuse(mat):
-            raise AssertionError("rref ran before the width check")
+            raise AssertionError("int_rref ran before the width check")
 
-        monkeypatch.setattr(oracles, "rref", refuse)
+        monkeypatch.setattr(oracles, "int_rref", refuse)
         d = Digraph(300, tuple((i, (i + 1) % 300) for i in range(300)))
         counts = [
             partial(count_nl_group_flows, d, cyclic(2)),
