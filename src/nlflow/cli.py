@@ -3,6 +3,7 @@
 Results go to stdout and are byte-identical across runs; diagnostics and
 the optional JSON run report (schema 1, carries timing) go to stderr.
 Exit codes: 0 success, 1 usage/domain errors, 2 verification mismatch.
+A usage error is reported as `error: usage:` and the usage line.
 """
 
 from __future__ import annotations
@@ -55,8 +56,17 @@ def _emit_poly(poly: IntPolynomial, args, out) -> dict:
     return {"text": poly.to_text(), "json": poly.to_json_dict()}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1, as other errors, not its
+    own exit 2, which is the verify mismatch.  Subparsers share the class.
+    """
+
+    def error(self, message):
+        self.exit(1, f"error: usage: {message}\n{self.format_usage()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlflow",
         description="Exact NL-flow/coflow polynomials and brute-force oracles",
     )
@@ -65,7 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--report", action="store_true", help="write a JSON run report to stderr"
     )
     parser.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget"
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="enumeration budget of counts, fits, colorings and verify; "
+        "poly, copoly and dicuts are bounded by the fixed 10^6 lattice cap instead",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,9 +7,12 @@ The oriented matroid is represented linear-algebraically: flows are the
 rational kernel of the matrix, coflows its row space.  All feasibility
 decisions are exact; no floating point.  The group and integer counts and
 the polynomial fit are the shared ones of nlflow.oracles, called with the
-matrix and the up-set walk over the contraction predicate.  The integer kernel basis behind the
-Farkas certificates and contractions is read off the same cached cotree
-expression those counters walk, so each matrix is row-reduced once.
+matrix and its support filter: a table of the masks that meet every
+positive cocircuit, or, where that table would cost more than one batch,
+the up-set walk over the Farkas contraction predicate.  The integer
+kernel basis behind the Farkas certificates and contractions, and the
+rows the table combines, are read off the same cached cotree expression
+those counters walk, so each matrix is row-reduced once.
 """
 
 from __future__ import annotations
@@ -17,14 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
+from math import comb
+
+import numpy as np
 
 from .digraphs import Digraph, incidence_matrix
 from .errors import BudgetExceededError
 from .groups import AbelianGroup
-from .linalg import farkas_nonneg_solve, int_det
+from .linalg import farkas_nonneg_solve, int_det, int_rref
 from .oracles import (
+    _CHUNK,
     DEFAULT_BUDGET,
     _cotree_expression,
+    _hitting_table,
     cyclic_supports,
     fit_nl_integer_polynomial,
     nl_group_flow_count,
@@ -204,17 +212,75 @@ def _support_contraction_cyclic(m: TUMatrix, mask: int) -> bool:
     return contract_matroid(m, supp).is_totally_cyclic()
 
 
-def _supports(m: TUMatrix):
-    """The support filter of the counters: the up-set walk over the
-    contraction predicate.
+@lru_cache(maxsize=1)
+def _cocircuit_table(m: TUMatrix) -> np.ndarray:
+    """accepted[mask] for every column bitmask of m: does the support S
+    meet every positive cocircuit?  Exactly then is M/S totally cyclic: by
+    Farkas, otherwise a nonzero y >= 0 of the row space vanishes on S, and
+    such a y is a conformal sum of positive cocircuits.
+
+    The rows of the cotree expression (denom on the pivots, expr on the
+    free columns) span the row space.  Every y = lam @ rows with lam in
+    {0, +-1}^r is one numpy product, and each nonzero y >= 0 rejects the
+    complement of its support.  In a TU matrix every cocircuit is such a
+    y.  In another, a cocircuit may have other entries; its hyperplane is
+    spanned by some r - 1 columns, and where no nonzero seed y vanishes on
+    them, the y that does comes from one int_rref of their r x (r - 1)
+    block and is added when it has one sign.  A set of rank below r - 1
+    has none; the hyperplanes through it have bases of their own.
+    _hitting_table closes the rejected masks downward.
+
+    The table is 2^q bytes and read-only.  One slot keeps it for the
+    counts of one matrix.
     """
-    return partial(cyclic_supports, predicate=partial(_support_contraction_cyclic, m))
+    pivots, free, expr, denom, _ = _cotree_expression(m.rows, m.q)
+    r, q = len(pivots), m.q
+    rows = np.zeros((r, q), dtype=np.int64)
+    rows[range(r), pivots] = denom
+    rows[:, free] = np.array(expr, dtype=np.int64).reshape(r, len(free))
+    bits = 1 << np.arange(q, dtype=np.int64)
+    seeds = (np.arange(3**r)[:, None] // 3 ** np.arange(r) % 3 - 1) @ rows
+    supports = (seeds != 0) @ bits
+    positive = [supports[(seeds >= 0).all(axis=1) & (supports != 0)]]
+    if r:
+        # The (r - 1)-sets of columns on which no nonzero seed vanishes.
+        spanning = _hitting_table(q, [supports[supports != 0]])
+        for s in np.flatnonzero(spanning & (np.bitwise_count(np.arange(1 << q)) == r - 1)).tolist():
+            block, piv, d = int_rref(rows[:, [c for c in range(q) if s >> c & 1]].T.tolist())
+            if len(piv) < r - 1:
+                continue
+            f = next(i for i in range(r) if i not in piv)
+            lam = np.zeros(r, dtype=np.int64)
+            lam[f] = d
+            lam[piv] = [-row[f] for row in block]
+            y = lam @ rows
+            if (y >= 0).all() or (y <= 0).all():
+                positive.append((y != 0) @ bits)
+    return _hitting_table(q, positive)
+
+
+def _supports(m: TUMatrix, counts):
+    """The support filter of the counters: the masks of counts whose
+    contraction is totally cyclic.
+
+    The cocircuit table decides all 2^q masks in one lookup.  Its work,
+    3^r * q for the seeds, C(q, r - 1) column sets and q passes over 2^q
+    bytes, grows fast with the rank r: a 20-arc directed cycle would need
+    3^19 seeds.  Where it is over one batch (_CHUNK), the masks with a
+    count are walked as an up-set instead (cyclic_supports), asking the
+    Farkas contraction test where no accepted subset or rejected superset
+    decides.
+    """
+    r, q = len(_cotree_expression(m.rows, m.q)[0]), m.q
+    if 3**r * q + comb(q, max(r - 1, 0)) + (q << q) > _CHUNK:
+        return cyclic_supports(counts, partial(_support_contraction_cyclic, m))
+    return _cocircuit_table(m)
 
 
 def count_nl_group_flows_matroid(m: TUMatrix, g: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
     """Kernel elements over G whose support contraction is totally cyclic."""
     return nl_group_flow_count(
-        m.rows, m.q, g, _supports(m), budget
+        m.rows, m.q, g, partial(_supports, m), budget
     )
 
 
@@ -224,7 +290,7 @@ def count_nl_integer_kflows_matroid(m: TUMatrix, k: int, budget: int = DEFAULT_B
     budget bounds the (2k-1)^nullity cotree box, not (2k-1)^q.
     """
     return nl_integer_kflow_counts(
-        m.rows, m.q, [k], _supports(m), budget
+        m.rows, m.q, [k], partial(_supports, m), budget
     )[0]
 
 
@@ -234,5 +300,5 @@ def fit_integer_flow_polynomial_matroid(m: TUMatrix, k_range, budget: int = DEFA
     exist, exact rational ones otherwise.
     """
     return fit_nl_integer_polynomial(
-        m.rows, m.q, k_range, _supports(m), budget
+        m.rows, m.q, k_range, partial(_supports, m), budget
     )

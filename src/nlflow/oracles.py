@@ -11,9 +11,14 @@ every dicut, so one boolean array over the 2^m masks, built from its own
 brute-force dicuts, accepts them all in one lookup.  Where that table
 costs more than testing the few masks with a count by reachability, as
 on a long path or cycle, those masks are tested instead.  The matroid path
-(nlflow.matroids) passes a TU matrix and cyclic_supports, a walk of the
+(nlflow.matroids) passes a TU matrix and a positive-cocircuit filter: by
+Farkas, a support's contraction is totally cyclic exactly when it meets
+every positive cocircuit, so one such table over the 2^q masks accepts
+them all.  Where the table would cost more than one batch, as at high
+rank, the masks with a count go through cyclic_supports, a walk of the
 up-set of accepted masks that calls a Farkas test where no accepted
-subset or rejected superset decides.  There is one kernel walker, over
+subset or rejected superset decides.  Both tables are closed downward
+by _hitting_table.  There is one kernel walker, over
 the free (cotree) coordinates of the kernel, under one group counter and
 one integer counter, and one polynomial fit:
 
@@ -43,11 +48,12 @@ The budget bounds, before anything is allocated, both the points walked
 (|G|^nullity or |G|^ncols, or (2K-1)^nullity) and the cells of the
 support histogram (2^m, or K * 2^m); support masks are int64, so more
 than 62 arcs or columns are refused whatever the budget, before any
-elimination.  The support filter runs only after those checks, so the
-dijoin table of an over-budget digraph is never built.  The filter's work
+elimination.  The support filter runs only after those checks, so no
+table of an over-budget input is ever built.  The digraph filter's work
 is the cheaper of the table's, at most a few passes per arc over 2^m
 bytes, and a reachability test per mask with a count, so it is bounded by
-the histogram cells and the points walked times the digraph's size.
+the histogram cells and the points walked times the digraph's size.  The
+matroid filter builds its table only within one batch of work.
 """
 
 from __future__ import annotations
@@ -97,30 +103,43 @@ def _dijoin_table(d: Digraph) -> np.ndarray:
     uses, so the counts stay an independent check on phi.  In each weak
     component every vertex set X, 2^(n_c) <= 2^(m_c + 1) of them, is
     tested in numpy for an entering arc; one with none and with a leaving
-    arc gives the dicut delta+(X).  A support inside the complement of a
-    dicut misses it, so the complements are marked and closed downward by
-    an OR over supersets, one pass per arc; the rest are the dijoins.
+    arc gives the dicut delta+(X).  _hitting_table then marks the masks
+    that miss a dicut; the rest are the dijoins.
 
     The table is 2^m bytes, an eighth of the group counter's histogram,
     and read-only.  One slot keeps it for the counts of one digraph.
     """
-    full = (1 << d.m) - 1
+
+    def dicuts():
+        for n_c, index, tails, heads in _arc_components(d):
+            bits = 1 << index
+            step = max(1, _CHUNK // len(index))
+            for lo in range(0, 1 << n_c, step):
+                sets = np.arange(lo, min(lo + step, 1 << n_c), dtype=np.int64)[:, None]
+                t_in, h_in = sets >> tails & 1, sets >> heads & 1
+                leaving = ((t_in > h_in) * bits).sum(axis=1)
+                yield leaving[(leaving != 0) & ~(h_in > t_in).any(axis=1)]
+
+    return _hitting_table(d.m, dicuts())
+
+
+def _hitting_table(width: int, blockers) -> np.ndarray:
+    """hits[mask] for every bitmask of `width` bits: does the mask meet
+    every mask of blockers, an iterable of int64 arrays?  A mask inside
+    the complement of a blocker misses it, so the complements are marked
+    and closed downward by an OR over supersets, one pass per bit; the
+    unmarked masks meet them all.  The table is 2^width bytes, read-only.
+    """
+    full = (1 << width) - 1
     rejected = np.zeros(full + 1, dtype=bool)
-    for n_c, index, tails, heads in _arc_components(d):
-        bits = 1 << index
-        step = max(1, _CHUNK // len(index))
-        for lo in range(0, 1 << n_c, step):
-            sets = np.arange(lo, min(lo + step, 1 << n_c), dtype=np.int64)[:, None]
-            t_in, h_in = sets >> tails & 1, sets >> heads & 1
-            leaving = ((t_in > h_in) * bits).sum(axis=1)
-            dicuts = leaving[(leaving != 0) & ~(h_in > t_in).any(axis=1)]
-            rejected[dicuts ^ full] = True
-    for j in range(d.m):
+    for masks in blockers:
+        rejected[masks ^ full] = True
+    for j in range(width):
         pairs = rejected.reshape(-1, 2, 1 << j)
         pairs[:, 0] |= pairs[:, 1]
-    accepted = ~rejected
-    accepted.flags.writeable = False
-    return accepted
+    hits = ~rejected
+    hits.flags.writeable = False
+    return hits
 
 
 def _reach_dijoins(d: Digraph, masks: np.ndarray) -> np.ndarray:
@@ -173,7 +192,8 @@ def _dijoins(d: Digraph, counts) -> np.ndarray:
 def cyclic_supports(counts, predicate) -> list[int]:
     """The support bitmasks (indices of counts) with a nonzero count whose
     contraction the support predicate accepts, in increasing order; with
-    the predicate bound, the matroid path's support filter.
+    the Farkas predicate bound, the matroid path's support filter where
+    the cocircuit table would cost too much.
 
     The accepted supports form an up-set, since contracting more of a
     totally cyclic contraction keeps it totally cyclic: M/T = (M/S)/(T-S).

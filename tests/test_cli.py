@@ -294,8 +294,24 @@ class TestErrors:
         assert err.startswith("error: domain:")
 
     def test_unknown_subcommand_exits_nonzero(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("error: usage: argument command: invalid choice")
+
+    def test_usage_errors_exit_1_and_help_exits_0(self, capsys, k3_path):
+        # Exit 2 is kept for a verify mismatch.
+        for argv in (["poly"], ["count", k3_path], ["matroid", "count", "--matrix", k3_path]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: usage: "), argv
+            assert err.splitlines()[1].startswith("usage: nlflow "), argv
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nlflow poly")
 
 
 class TestReport:

@@ -3,11 +3,13 @@ total cyclicity with Farkas certificates, contraction, and agreement with
 the graph oracles.
 """
 
+import time
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, product
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_counters import (
@@ -41,6 +43,7 @@ from nlflow.digraphs import contract, incidence_matrix
 from nlflow.groups import AbelianGroup
 from nlflow.linalg import farkas_nonneg_solve, int_rref
 from nlflow.matroids import (
+    _cocircuit_table,
     _support_contraction_cyclic,
     fit_integer_flow_polynomial_matroid,
     positive_span_certificate,
@@ -350,6 +353,146 @@ class TestContraction:
     def test_bad_columns(self, single_arc):
         with pytest.raises(ValueError):
             contract_matroid(inc(single_arc), {5})
+
+
+def every_mask(m: TUMatrix) -> list[bool]:
+    return [_support_contraction_cyclic(m, mask) for mask in range(1 << m.q)]
+
+
+def directed_cycle_matrix(n: int) -> TUMatrix:
+    return inc(Digraph(n, tuple((i, (i + 1) % n) for i in range(n))))
+
+
+class TestCocircuitTable:
+    # The matroid support filter accepts a support exactly when it meets
+    # every positive cocircuit.  The oracle is the Farkas LP of the
+    # contraction, _support_contraction_cyclic.
+    def test_catalog_every_mask(self, catalog_full):
+        # The up-set walk over the Farkas test decides every mask as the
+        # test itself would (TestMonotoneSupportSkip in test_oracles), with
+        # about a fifth of the LPs.
+        everything = partial(np.ones, dtype=np.int64)
+        for d in catalog_full:
+            for m in (inc(d), cographic(d)):
+                if m.p == 0:
+                    continue
+                table = _cocircuit_table(m)
+                assert table.shape == (1 << m.q,) and table.dtype == bool
+                walked = oracles.cyclic_supports(
+                    everything(1 << m.q), partial(_support_contraction_cyclic, m)
+                )
+                assert np.flatnonzero(table).tolist() == walked, m
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_r10_relabelled(self, seed):
+        # Rows and columns shuffled, and each negated or not: R10 with its
+        # elements renamed and some reoriented, still TU.
+        rng = Random(seed)
+        rows = [tuple(sign * x for x in row) for row, sign in zip(R10.rows, rng.choices((1, -1), k=5))]
+        rng.shuffle(rows)
+        signs = [rng.choice((1, -1)) for _ in range(R10.q)]
+        order = list(range(R10.q))
+        rng.shuffle(order)
+        m = TUMatrix(tuple(tuple(signs[j] * row[j] for j in order) for row in rows))
+        assert is_totally_unimodular(m, max_dim=5)
+        assert _cocircuit_table(m).tolist() == every_mask(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 7), st.data())
+    def test_random_matrices(self, p, q, data):
+        # Most of these are not TU, so some cocircuits have entries outside
+        # {0, +-1} and only the completion step finds them.
+        m = TUMatrix(
+            tuple(tuple(data.draw(st.integers(-1, 1)) for _ in range(q)) for _ in range(p))
+        )
+        assert _cocircuit_table(m).tolist() == every_mask(m)
+
+    def test_completion_finds_a_cocircuit_outside_the_seed(self):
+        # The row space of (0, 1, -1), (1, 1, 1) has the positive cocircuit
+        # (1, 2, 0) on columns {0, 1}, which no {0, +-1} combination of the
+        # reduced rows (1, 0, 2), (0, 1, -1) gives.  Without it, mask 4
+        # ({2}, missing that cocircuit) would be accepted.  With column 2
+        # reversed (and a row negated) that cocircuit stays, but the vector
+        # the completion step solves for comes out as (-1, -2, 0).
+        for rows, want in (
+            (((0, 1, -1), (1, 1, 1)), [False, True, False, True, False, True, True, True]),
+            (((0, 1, 1), (-1, -1, 1)), [False, False, True, True, False, True, True, True]),
+        ):
+            m = TUMatrix(rows)
+            assert not is_totally_unimodular(m)
+            assert every_mask(m) == want
+            assert _cocircuit_table(m).tolist() == want
+
+    def test_no_rows_or_no_columns(self):
+        for m in (TUMatrix(()), TUMatrix(((), ())), TUMatrix(((0, 0),)), TUMatrix(((0, 1),))):
+            assert _cocircuit_table(m).tolist() == every_mask(m), m
+
+    def test_read_only_and_shared_by_the_counts(self, monkeypatch, cycle3):
+        built = []
+        build = _cocircuit_table.__wrapped__
+
+        def spy(m):
+            built.append(m)
+            return build(m)
+
+        # One slot, as in the module: the counts of one matrix run back to back.
+        assert _cocircuit_table.cache_info().maxsize == 1
+        monkeypatch.setattr(matroids, "_cocircuit_table", lru_cache(maxsize=1)(spy))
+        monkeypatch.setattr(matroids, "_support_contraction_cyclic", self.refuse)
+        for m in (inc(cycle3), R10):
+            for g in (cyclic(2), cyclic(3), AbelianGroup((2, 2))):
+                count_nl_group_flows_matroid(m, g)
+            count_nl_integer_kflows_matroid(m, 3)
+            fit_integer_flow_polynomial_matroid(m, range(1, 4 + oracles.kernel_nullity(m.rows, m.q)))
+        assert built == [inc(cycle3), R10]
+        with pytest.raises(ValueError):
+            matroids._cocircuit_table(R10)[0] = True
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("the cocircuit table was built")
+
+    def test_wide_matrices_keep_the_walk(self, monkeypatch):
+        # A 20-arc directed cycle has rank 19: its seed would be 3^19 rows.
+        # Its counts reach two supports, which the Farkas walk decides.
+        monkeypatch.setattr(matroids, "_cocircuit_table", self.refuse)
+        m = directed_cycle_matrix(20)
+        times = []
+        for _ in range(3):
+            _support_contraction_cyclic.cache_clear()
+            start = time.perf_counter()
+            assert count_nl_group_flows_matroid(m, cyclic(3)) == 3
+            assert count_nl_integer_kflows_matroid(m, 2) == 3
+            times.append(time.perf_counter() - start)
+        assert min(times) <= 0.05, times
+
+    def test_table_or_walk_at_the_boundary(self, monkeypatch):
+        # A directed n-cycle has rank n - 1.  At n = 10 the table's work is
+        # 3^9 * 10 + C(10, 8) + 10 * 2^10 = 207115 <= _CHUNK, so it is built;
+        # at n = 11, 3^10 * 11 + C(11, 9) + 11 * 2^11 = 672122 is over.
+        built = []
+        build = _cocircuit_table.__wrapped__
+        monkeypatch.setattr(matroids, "_cocircuit_table", lambda m: built.append(m.q) or build(m))
+        for n, table in ((10, True), (11, False)):
+            built.clear()
+            assert count_nl_group_flows_matroid(directed_cycle_matrix(n), cyclic(2)) == 2
+            assert built == ([n] if table else []), n
+
+    def test_refused_before_the_table_is_built(self, monkeypatch):
+        # R10 at Z3 walks 3^5 points over 2^10 histogram cells; below either
+        # the count is refused before the filter runs.
+        monkeypatch.setattr(matroids, "_cocircuit_table", self.refuse)
+        monkeypatch.setattr(matroids, "_support_contraction_cyclic", self.refuse)
+        for count in (
+            partial(count_nl_group_flows_matroid, R10, cyclic(3), budget=3**5 - 1),
+            partial(count_nl_group_flows_matroid, R10, cyclic(2), budget=(1 << 10) - 1),
+            partial(count_nl_integer_kflows_matroid, R10, 2, budget=(2 << 10) - 1),
+            partial(fit_integer_flow_polynomial_matroid, R10, range(1, 8), budget=(7 << 10) - 1),
+        ):
+            with pytest.raises(BudgetExceededError):
+                count()
+        with pytest.raises(AssertionError, match="cocircuit table"):
+            count_nl_group_flows_matroid(R10, cyclic(2), budget=1 << 10)
 
 
 class TestMatroidCounts:
