@@ -264,9 +264,9 @@ def _supports(m: TUMatrix, counts):
     contraction is totally cyclic.
 
     The cocircuit table decides all 2^q masks in one lookup.  Its work,
-    3^r * q for the seeds, C(q, r - 1) column sets and q passes over 2^q
-    bytes, grows fast with the rank r: a 20-arc directed cycle would need
-    3^19 seeds.  Where it is over one batch (_CHUNK), the masks with a
+    about 3^r * q for the seeds, C(q, r - 1) column sets and q passes over
+    2^q bytes per closure, grows fast with the rank r: a 20-arc directed
+    cycle would need 3^19 seeds.  Where it is over one batch (_CHUNK), the masks with a
     count are walked as an up-set instead (cyclic_supports), asking the
     Farkas contraction test where no accepted subset or rejected superset
     decides.

@@ -371,7 +371,6 @@ class TestCocircuitTable:
         # The up-set walk over the Farkas test decides every mask as the
         # test itself would (TestMonotoneSupportSkip in test_oracles), with
         # about a fifth of the LPs.
-        everything = partial(np.ones, dtype=np.int64)
         for d in catalog_full:
             for m in (inc(d), cographic(d)):
                 if m.p == 0:
@@ -379,7 +378,7 @@ class TestCocircuitTable:
                 table = _cocircuit_table(m)
                 assert table.shape == (1 << m.q,) and table.dtype == bool
                 walked = oracles.cyclic_supports(
-                    everything(1 << m.q), partial(_support_contraction_cyclic, m)
+                    np.ones(1 << m.q, dtype=np.int64), partial(_support_contraction_cyclic, m)
                 )
                 assert np.flatnonzero(table).tolist() == walked, m
 
