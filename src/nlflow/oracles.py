@@ -34,9 +34,14 @@ bits and the height.  So the trailing coordinates are multiplied in one
 at a time, and where the states they can reach are fewer than their
 points, points of equal state become one row with an exact int64
 multiplicity: the 17^4 points of a nullity-5 digraph's low block at k = 9
-fold to about a thousand rows.  Boxes of at most _FOLD_ROWS points, and
-boxes that could hold more states than points (R10), are walked point by
-point.  Every batch is added into one int64 histogram per call.
+fold to about a thousand rows.  No merge fires below _FOLD_ROWS rows, so
+every block the fold cannot shrink is built as one integer product
+expr @ x over the values x of a cached digit grid of its coordinates:
+a box of at most _FOLD_ROWS points whole, in one batch; else the leading
+(high) coordinates, and the trailing ones up to _FOLD_ROWS points that
+seed the fold.  Boxes that could hold more states than points (R10) are
+walked point by point.  Every batch is added into one int64 histogram
+per call.
 - fit_nl_integer_polynomial interpolates those counts to a polynomial of
   degree at most the kernel nullity, with held-out witnesses.
 
@@ -48,8 +53,9 @@ The budget bounds, before anything is allocated, both the points walked
 (|G|^nullity or |G|^ncols, or (2K-1)^nullity) and the cells of the
 support histogram (2^m, or K * 2^m); support masks are int64, so more
 than 62 arcs or columns are refused whatever the budget, before any
-elimination.  The support filter runs only after those checks, so no
-table of an over-budget input is ever built.  The digraph filter's work
+elimination, and so are walks whose sums or histogram would leave int64.
+The support filter runs only after those checks, so no table of an
+over-budget input is ever built.  The digraph filter's work
 is the cheaper of the table's, at most a few passes per arc over 2^m
 bytes, and a reachability test per mask with a count, so it is bounded by
 the histogram cells and the points walked times the digraph's size.  The
@@ -59,7 +65,8 @@ matroid filter builds its table only within one batch of work.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
+from itertools import chain
 from math import gcd, prod
 
 import numpy as np
@@ -236,21 +243,40 @@ def check_mask_width(ncols: int) -> None:
 
 def check_histogram_budget(kmax: int, ncols: int, budget: int) -> None:
     """Refuse a support histogram of kmax * 2^ncols cells over the budget,
-    before it is allocated, and any over more than MAX_MASK_BITS columns.
+    before it is allocated, and any over more than MAX_MASK_BITS columns
+    or of 2^63 cells or more, whose indices would leave int64.
     """
     check_mask_width(ncols)
     if kmax << ncols > budget:
         raise BudgetExceededError(
             f"support histogram of {kmax}*2^{ncols} cells exceeds budget {budget}"
         )
+    if kmax << ncols >= 1 << 63:
+        raise BudgetExceededError(
+            f"support histogram of {kmax}*2^{ncols} cells exceeds int64 indices"
+        )
+
+
+def check_walk_width(radix: int, nullity: int, expr) -> None:
+    """Refuse a walk whose values could leave int64: the value indices of
+    its nullity coordinates are below radix, and a row's sum is at most
+    nullity * max|expr| times that.  Run before the histogram is allocated.
+    """
+    top = max(map(abs, chain.from_iterable(expr)), default=0)
+    if nullity and radix * nullity * max(top, 1) >= 1 << 63:
+        raise BudgetExceededError(
+            f"cotree sums of {radix} values times {nullity}*{top} exceed int64"
+        )
 
 
 def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, supports, budget: int = DEFAULT_BUDGET) -> int:
     """Number of x in G^ncols with rows @ x = 0 in G whose support mask
-    the support filter accepts.  Each free coordinate takes all |G| values;
-    a basic one, -expr @ x_free in each cyclic factor f, is in the support
-    when nonzero mod f.  Without the certificate of _cotree_expression
-    every column is free and every row is checked mod each factor.
+    the support filter accepts.  Each free coordinate takes all |G| values,
+    element v having the residue v // (|G| / (f_1 ... f_i)) mod f_i in
+    cyclic factor i; a basic one, -expr @ x_free in each factor f, is in
+    the support when nonzero mod f.  Without the certificate of
+    _cotree_expression every column is free and every row is checked mod
+    each factor.
     """
     check_mask_width(ncols)
     pivots, free, expr, _, unimodular = _cotree_expression(tuple(map(tuple, rows)), ncols)
@@ -260,32 +286,23 @@ def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, supports, budget: int
     if k ** len(free) > budget:
         raise BudgetExceededError(f"|G|^{walked} = {k}^{len(free)} exceeds budget {budget}")
     check_histogram_budget(1, ncols, budget)
+    check_walk_width(k, len(free), expr)
 
     expr = np.array(expr, dtype=np.int64).reshape(len(expr), len(free))
-    factors = np.array(g.factors, dtype=np.int64)
-    mods = np.repeat(factors, len(expr))[:, None]
-    bits = np.tile(np.array([1 << c for c in pivots], dtype=np.int64), len(factors))[:, None]
-
-    def columns(lo, hi):
-        # Residues of the elements lo..hi-1 of G mod each factor, the first
-        # leading; the table holds the rows of expr once per factor.
-        values = np.arange(lo, hi, dtype=np.int64)
-        digits = (values // (k // np.cumprod(factors))[:, None]) % factors[:, None]
-        table = (digits[:, None, None, :] * expr[:, :, None]).reshape(len(mods), len(free), hi - lo)
-        return table, values, 0 * values
-
+    factors = np.array(g.factors, dtype=np.int64)[:, None, None]
+    weights = k // np.cumprod(factors).reshape(factors.shape)
+    bits = np.array([1 << c for c in pivots], dtype=np.int64)
     counts = np.zeros(1 << ncols, dtype=np.int64)
 
     def add(box):
         scaled, mask, _, weight = box
-        nonzero = scaled % mods != 0
+        nonzero = (scaled.reshape(len(factors), len(expr), len(mask)) % factors != 0).any(axis=0)
         if unimodular:
-            mask = mask | np.bitwise_or.reduce(nonzero * bits, axis=0)
-            _accumulate(counts, mask, weight, slice(None))
+            _accumulate(counts, mask | bits @ nonzero, weight, slice(None))
         else:
             _accumulate(counts, mask, weight, ~nonzero.any(axis=0))
 
-    _box_sum(columns, len(mods), free, k, k ** len(free), add)
+    _box_sum(expr, lambda v: (v // weights % factors, 0 * v), free, k, k ** len(free), add)
     return int(counts[supports(counts)].sum())
 
 
@@ -336,6 +353,19 @@ def _accumulate(hist, index, weight, keep, times: int = 1) -> None:
         np.add.at(hist, index, times if weight is None else times * weight[keep])
 
 
+@lru_cache(maxsize=16)
+def _digits(radix: int, n: int) -> np.ndarray:
+    """The box {0, ..., radix-1}^n as an n x radix^n int64 grid: column i
+    holds the digits of i in base radix, the first coordinate leading, so
+    the columns list itertools.product(range(radix), repeat=n) in order.
+    Read-only and cached, for grids of at most _CHUNK points; the walker
+    builds a larger one uncached through _digits.__wrapped__.
+    """
+    grid = np.indices((radix,) * n, dtype=np.int64).reshape(n, radix**n)
+    grid.flags.writeable = False
+    return grid
+
+
 def _product(high, low):
     """The box of all pairs (x, y), x from high (the leading coordinates)
     and y from low, in mixed-radix order.  A box is a tuple (scaled, mask,
@@ -382,90 +412,115 @@ def _merge(box, lows, spans, bits, levels: int):
     return scaled[:, pick], mask[pick], height[pick], total[states]
 
 
-def _fold(axes, count: int, unit):
-    """The box of the axes, the first leading, and its first `count`
-    points, as two boxes in which rows of equal state may be merged.
+def _fold(axes, count: int, seed, bits):
+    """The box of the axes (one coordinate each, the first leading) times
+    the seed box of the trailing coordinates, and its first `count`
+    points, as two boxes in which rows of equal state may be merged; bits
+    lists the support bit of every coordinate, the seed's last.
 
     From the last axis to the first, each axis is multiplied onto the box
     so far.  A product of more than _FOLD_ROWS rows is merged when its
     state-space bound is smaller: the values each scaled row can take
-    (one plus the sum of its ranges over the axes), times 2 per support
-    bit, times the heights.  A merged box no longer lists its points in
-    order, so from then on the prefix is built apart: the first `digit`
-    values of an axis times the box, then its next value times the prefix
-    so far.  With no merge both are exactly the unweighted product and its
-    first `count` points.
+    (one plus its range over the box, the sum of its ranges over the
+    axes and the seed), times 2 per support bit, times the heights.  A merged box
+    no longer lists its points in order, so from then on the prefix is
+    built apart: the first `digit` values of an axis times the box, then
+    its next value times the prefix so far.  With no merge both are
+    exactly the unweighted product and its first `count` points.
     """
-    n = len(axes)
-    radix = len(axes[0][1]) if axes else 1
-    box, head = unit, None
-    for i in reversed(range(n)):
+    box, head, points = seed, None, len(seed[1])
+    for i in reversed(range(len(axes))):
         axis = axes[i]
+        radix = len(axis[1])
         if head is not None:
-            digit = count // radix ** (n - 1 - i) % radix
+            digit = count // points % radix
             below = _product(_points(axis, 0, digit), box)
             at = _product(_points(axis, digit, digit + 1), head)
             head = tuple(np.concatenate(pair, axis=-1) for pair in zip(below, at))
         box = _product(axis, box)
+        points *= radix
         rows = len(box[1])
         if rows <= _FOLD_ROWS:
             continue
-        lows = sum(a[0].min(axis=1) for a in axes[i:]).tolist()
-        spans = (1 + sum(np.ptp(a[0], axis=1) for a in axes[i:])).tolist()
-        levels = 1 + max(int(a[2].max()) for a in axes[i:])
-        if (prod(spans) * levels << (n - i)) >= rows:
+        parts = [*axes[i:], seed]
+        lows = sum(a[0].min(axis=1) for a in parts).tolist()
+        spans = (1 + sum(np.ptp(a[0], axis=1) for a in parts)).tolist()
+        levels = 1 + max(int(a[2].max()) for a in parts)
+        if (prod(spans) * levels << (len(bits) - i)) >= rows:
             continue
-        bits = [int(a[1].max()) for a in axes[i:]]  # each axis's support bit
         if head is None:
-            head = _points(box, 0, count % radix ** (n - i))
-        box, head = (_merge(b, lows, spans, bits, levels) for b in (box, head))
+            head = _points(box, 0, count % points)
+        box, head = (_merge(b, lows, spans, bits[i:], levels) for b in (box, head))
     return box, _points(box, 0, count) if head is None else head
 
 
-def _box_sum(columns, nrows: int, free, radix: int, end: int, add) -> None:
+def _box_sum(expr, coords, free, radix: int, end: int, add) -> None:
     """Pass the first `end` points of the cotree box, in mixed-radix
     order with the first free coordinate leading, to add(box) batch by
-    batch.  Each coordinate j (column free[j]) takes the same radix
-    values; columns(lo, hi) gives (table, values, heights) for the values
-    lo..hi-1, where values[i] adds table[:, j, i] to the nrows scaled
-    rows, is in the support when nonzero, and has height heights[i].
+    batch.  Each coordinate j (column free[j]) takes the value indices 0
+    .. radix-1; coords(v) gives, for an int64 array v of them, their
+    values, one array per group factor (or one for the integers), and
+    their heights.  A point x adds expr @ x to the rows of its box (one
+    block per factor), has the support bit of each coordinate whose value
+    is nonzero, and the largest height.
 
-    The trailing coordinates form one low block of at most _CHUNK
-    points, folded (see _fold) so that points of equal state are one
-    weighted row; a single coordinate of more values is walked in slices
-    of _CHUNK, each built from its own values, whose first points make up
-    the cut prefix.  The leading prefixes are taken in batches, each
-    broadcast with the block, and the prefix that `end` cuts takes the
-    block's first points only.
+    Every block the fold cannot shrink is one product expr @ x over the
+    values x of the digit grid of its coordinates (_digits): the whole box when it has
+    at most min(_FOLD_ROWS, _CHUNK) points, added in one batch.  Otherwise
+    the trailing coordinates form a low block of at most _CHUNK points,
+    whose last coordinates up to _FOLD_ROWS points are one product that
+    seeds the fold of the others (see _fold), so that points of equal
+    state are one weighted row; a single coordinate of more values is
+    walked in slices of _CHUNK, each built from its own values, whose
+    first points make up the cut prefix.  The leading coordinates form
+    the high block, one product too, whose prefixes are taken in batches,
+    each broadcast with the low block; the prefix that `end` cuts takes
+    the block's first points only.  With no high block the low block is
+    added as it is.
     """
     n = len(free)
+    bits = np.array([1 << c for c in free], dtype=np.int64)
 
-    def axis(j, cols):
-        table, values, heights = cols
-        return table[:, j], (values != 0) * (1 << free[j]), heights, None
+    def block(first, grid):
+        # The points of the digit grid of the coordinates first, first+1, ...
+        values, heights = coords(grid)
+        last = first + len(grid)
+        scaled = (expr[:, first:last] @ values).reshape(-1, grid.shape[1])
+        return scaled, bits[first:last] @ values.any(axis=0), heights.max(axis=0, initial=0), None
 
+    if radix**n <= min(_FOLD_ROWS, _CHUNK):
+        if end:
+            add(block(0, _digits(radix, n)[:, :end]))
+        return
     n_low = min(n, 1)
     while n_low < n and radix ** (n_low + 1) <= _CHUNK:
         n_low += 1
     size = radix**n_low
     full, tail = divmod(end, size)
-    # Every value of every coordinate, unless a lone coordinate is sliced.
-    whole = columns(0, radix) if size <= _CHUNK or n > 1 else None
-    zero = np.zeros(1, dtype=np.int64)
-    unit = (np.zeros((nrows, 1), dtype=np.int64), zero, zero, None)
-    high = reduce(_product, [axis(j, whole) for j in range(n - n_low)], unit)
     if size > _CHUNK:
         slices = (
-            (lo, axis(n - 1, columns(lo, min(lo + _CHUNK, size)))) for lo in range(0, size, _CHUNK)
+            (lo, block(n - 1, np.arange(lo, min(lo + _CHUNK, size))[None])) for lo in range(0, size, _CHUNK)
         )
         blocks = ((low, _points(low, 0, max(0, tail - lo))) for lo, low in slices)
     else:
-        blocks = [_fold([axis(j, whole) for j in range(n - n_low, n)], tail, unit)]
+        n_seed = 0
+        while n_seed < n_low and radix ** (n_seed + 1) <= _FOLD_ROWS:
+            n_seed += 1
+        axes = [block(j, _digits(radix, 1)) for j in range(n - n_low, n - n_seed)]
+        seed = block(n - n_seed, _digits(radix, n_seed))
+        blocks = [_fold(axes, tail, seed, bits[n - n_low :].tolist())]
+    n_high = n - n_low
+    high = block(0, (_digits if radix**n_high <= _CHUNK else _digits.__wrapped__)(radix, n_high))
+
+    def times(lo, hi, box):
+        return box if n_high == 0 else _product(_points(high, lo, hi), box)
+
     for low, head in blocks:
-        add(_product(_points(high, full, full + 1), head))
+        if len(head[1]):
+            add(times(full, full + 1, head))
         step = max(1, _CHUNK // len(low[1]))
         for start in range(0, full, step):
-            add(_product(_points(high, start, min(start + step, full)), low))
+            add(times(start, min(start + step, full), low))
 
 
 def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_BUDGET):
@@ -475,7 +530,8 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
     One pass over the cotree box {-(kmax-1), ..., kmax-1}^nullity, which
     is symmetric about its centre, the zero flow: in mixed-radix order the
     points i and total-1-i are x and -x.  So only the points below the
-    centre are walked, each added twice.  Points of the low block with
+    centre are walked, each added twice; value index v of a coordinate is
+    v - (kmax-1), of height |v - (kmax-1)|.  Points of the low block with
     equal partial sums, support and height are counted once with their
     multiplicity (see _fold), and every batch is added into one int64
     histogram; cells that no point reaches are never written, so a wide
@@ -491,14 +547,15 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
     if base**nullity > budget:
         raise BudgetExceededError(f"(2k-1)^nullity = {base}^{nullity} exceeds budget {budget}")
     check_histogram_budget(kmax, ncols, budget)
+    check_walk_width(base, nullity, expr)
 
     expr = np.array(expr, dtype=np.int64).reshape(len(pivots), nullity)
-    bits_piv = np.array([1 << c for c in pivots], dtype=np.int64)[:, None]
+    bits = np.array([1 << c for c in pivots], dtype=np.int64)
     hist = np.zeros(kmax << ncols, dtype=np.int64)
 
-    def columns(lo, hi):
-        values = np.arange(lo + 1 - kmax, hi + 1 - kmax, dtype=np.int64)
-        return expr[:, :, None] * values, values, np.abs(values)
+    def coords(v):
+        values = v - (kmax - 1)
+        return values[None], np.abs(values)
 
     def add(box):
         scaled, mask, height, weight = box
@@ -507,10 +564,10 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
         if denom > 1:
             ok &= (scaled % denom == 0).all(axis=0)
         height = np.maximum(height, size.max(axis=0, initial=0) // denom)
-        mask = mask + ((scaled != 0) * bits_piv).sum(axis=0)
+        mask = mask + bits @ (scaled != 0)
         _accumulate(hist, mask * kmax + height, weight, ok, times=2)
 
-    _box_sum(columns, len(pivots), free, base, base**nullity // 2, add)
+    _box_sum(expr, coords, free, base, base**nullity // 2, add)
     hist[0] += 1
     return hist.reshape(1 << ncols, kmax)
 
@@ -548,8 +605,12 @@ def _acyclic_subsets(d: Digraph) -> bytearray:
     acyclic without them.  The sinks of S follow in O(1) from those of S
     less its highest vertex h: in-neighbours of h stop being sinks, and h
     is one when it has no out-neighbour below it.  The sinks are vertex
-    bitmasks in a typed array of the narrowest width that holds n bits.
+    bitmasks in a typed array of the narrowest width that holds n bits,
+    so more than 64 vertices are refused whatever the budget, before
+    anything is allocated.
     """
+    if d.n > 64:
+        raise BudgetExceededError(f"vertex bitmasks of {d.n} vertices exceed 64 bits")
     out = [0] * d.n
     into = [0] * d.n
     for t, h in d.arcs:

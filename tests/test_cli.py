@@ -234,6 +234,35 @@ class TestErrors:
         assert err.startswith("error: budget:")
 
     @pytest.mark.parametrize(
+        "command, message",
+        [
+            (
+                ["count", "--group", f"z{10**20}"],
+                f"cotree sums of {10**20} values times 1*1 exceed int64",
+            ),
+            (
+                ["count-int", "-k", str(10**19)],
+                f"support histogram of {10**19}*2^3 cells exceeds int64 indices",
+            ),
+        ],
+    )
+    def test_walks_beyond_int64_are_budget_errors(self, capsys, cycle_path, command, message):
+        # The budget admits the walk, but its values or its histogram's
+        # cells would leave int64: refused before anything is allocated.
+        argv = ["--budget", str(10**40), command[0], cycle_path, *command[1:]]
+        assert run(capsys, argv) == (1, "", f"error: budget: {message}\n")
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_colorings_of_more_than_64_vertices_are_budget_errors(self, capsys, tmp_path, k):
+        # The budget admits min(k, 3)^65, but the subset table's sink
+        # bitmasks hold at most 64 vertices.
+        p = tmp_path / "path65.dg"
+        p.write_text(write_digraph(directed_cycle(65, closed=False)))
+        assert run(capsys, ["--budget", str(10**32), "colorings", str(p), "-k", str(k)]) == (
+            1, "", "error: budget: vertex bitmasks of 65 vertices exceed 64 bits\n"
+        )
+
+    @pytest.mark.parametrize(
         "command",
         [
             ["count-int", "{dg}", "-k", "2"],

@@ -543,12 +543,13 @@ class TestGroupCountsAgainstNaive:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_r10_rows_shuffled_and_signed(self, seed):
-        # Another row order and signs give another row reduction of the
+        # Another row order and row signs give another row reduction of the
         # same matroid; the dense |G|^q reference walks G^10 at |G| = 4.
         rng = Random(seed)
         rows = list(R10.rows)
         rng.shuffle(rows)
-        m = TUMatrix(tuple(tuple(rng.choice((1, -1)) * x for x in row) for row in rows))
+        m = TUMatrix(tuple(tuple(sign * x for x in row) for row, sign in zip(rows, rng.choices((1, -1), k=5))))
+        assert is_totally_unimodular(m, max_dim=5)
         assert oracles._cotree_expression(m.rows, m.q)[4]
         for g in (cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2))):
             dense = dense_group_flow_count(

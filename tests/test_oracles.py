@@ -6,6 +6,7 @@ polynomiality fits.
 
 import tracemalloc
 from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -390,6 +391,92 @@ class TestFoldedWalk:
         assert merges
         for k in (2, 3):
             assert count_nl_integer_kflows(d, k) == count_nl_integer_kflows_naive(d, k), k
+
+
+class TestDigitGridBaseCase:
+    # Blocks the fold cannot shrink are one product over a cached digit
+    # grid (oracles._digits); a box of at most _FOLD_ROWS points is one.
+    @pytest.mark.parametrize("radix, n", [(1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (4, 3), (5, 2)])
+    def test_digits_list_the_box_in_order_read_only(self, radix, n):
+        grid = oracles._digits(radix, n)
+        assert grid.dtype == np.int64 and not grid.flags.writeable
+        assert grid.shape == (n, radix**n)
+        assert list(map(tuple, grid.T)) == list(product(range(radix), repeat=n))
+        assert oracles._digits(radix, n) is grid
+
+    @staticmethod
+    def spy_batches(monkeypatch):
+        # The sizes of the batches the counters add; _product and _merge
+        # must not run.
+        def refuse(*args):
+            raise AssertionError("a small box was built from products or merged")
+
+        batches = []
+        accumulate = oracles._accumulate
+
+        def spy(hist, index, *args, **kwargs):
+            batches.append(len(index))
+            accumulate(hist, index, *args, **kwargs)
+
+        monkeypatch.setattr(oracles, "_product", refuse)
+        monkeypatch.setattr(oracles, "_merge", refuse)
+        monkeypatch.setattr(oracles, "_accumulate", spy)
+        return batches
+
+    def test_small_boxes_are_one_batch(self, monkeypatch, catalog_small):
+        # Every group and integer box of a digraph with m <= 4 at |G| <= 4
+        # and k <= 3 has at most 4^4 points: one batch, one product.
+        batches = self.spy_batches(monkeypatch)
+        for d in catalog_small:
+            if d.m > 4:
+                continue
+            nullity = kernel_nullity(incidence_matrix(d), d.m)
+            for g in (cyclic(3), cyclic(4), AbelianGroup((2, 2))):
+                del batches[:]
+                assert count_nl_group_flows(d, g) == count_nl_group_flows_naive(
+                    TUMatrix.from_digraph(d), g, partial(_support_cyclic, d)
+                ), (d, g.spec())
+                assert batches == [g.order**nullity], (d, g.spec())
+            for k in (2, 3):
+                del batches[:]
+                assert count_nl_integer_kflows(d, k) == count_nl_integer_kflows_naive(d, k), (d, k)
+                half = (2 * k - 1) ** nullity // 2
+                assert batches == ([half] if half else []), (d, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_half_of_an_odd_small_box_is_a_grid_prefix(self, monkeypatch, catalog_small, k):
+        # (2k-1)^nullity is odd: the walk adds its first half, a prefix of
+        # the digit grid, and the histogram doubles it around the zero flow.
+        batches = self.spy_batches(monkeypatch)
+        for d in catalog_small[::4]:
+            inc = incidence_matrix(d)
+            if (2 * k - 1) ** kernel_nullity(inc, d.m) > oracles._FOLD_ROWS:
+                continue
+            assert (kernel_height_histogram(inc, d.m, k) == full_box_histogram(inc, d.m, k)).all(), (d, k)
+        assert batches
+
+    def test_no_cached_grid_exceeds_a_batch(self, monkeypatch):
+        # Without merges and with small batches, the high block of a
+        # nullity-6 walk outgrows _CHUNK; its grid is built, not cached.
+        cached = []
+        build = oracles._digits.__wrapped__
+
+        def record(radix, n):
+            cached.append(radix**n)
+            return build(radix, n)
+
+        grids = lru_cache(maxsize=16)(record)
+        grids.__wrapped__ = build
+        monkeypatch.setattr(oracles, "_digits", grids)
+        monkeypatch.setattr(oracles, "_FOLD_ROWS", 1 << 62)
+        monkeypatch.setattr(oracles, "_CHUNK", 8)
+        d = Digraph(2, ((0, 1),) * 4 + ((1, 0),) * 3)
+        inc = incidence_matrix(d)
+        for g in (cyclic(2), cyclic(3)):
+            dense = dense_group_flow_count(inc, d.m, g, partial(_support_cyclic, d))
+            assert count_nl_group_flows(d, g) == dense, g.spec()
+        assert (kernel_height_histogram(inc, d.m, 2) == full_box_histogram(inc, d.m, 2)).all()
+        assert cached and max(cached) <= 8
 
 
 class TestMonotoneSupportSkip:
