@@ -32,6 +32,7 @@ from .oracles import (
     _CHUNK,
     DEFAULT_BUDGET,
     _cotree_expression,
+    _digits,
     _hitting_table,
     cyclic_supports,
     fit_nl_integer_polynomial,
@@ -239,7 +240,7 @@ def _cocircuit_table(m: TUMatrix) -> np.ndarray:
     rows[range(r), pivots] = denom
     rows[:, free] = np.array(expr, dtype=np.int64).reshape(r, len(free))
     bits = 1 << np.arange(q, dtype=np.int64)
-    seeds = (np.arange(3**r)[:, None] // 3 ** np.arange(r) % 3 - 1) @ rows
+    seeds = (_digits(3, r).T - 1) @ rows
     supports = (seeds != 0) @ bits
     positive = [supports[(seeds >= 0).all(axis=1) & (supports != 0)]]
     if r:

@@ -35,13 +35,15 @@ at a time, and where the states they can reach are fewer than their
 points, points of equal state become one row with an exact int64
 multiplicity: the 17^4 points of a nullity-5 digraph's low block at k = 9
 fold to about a thousand rows.  No merge fires below _FOLD_ROWS rows, so
-every block the fold cannot shrink is built as one integer product
-expr @ x over the values x of a cached digit grid of its coordinates:
-a box of at most _FOLD_ROWS points whole, in one batch; else the leading
-(high) coordinates, and the trailing ones up to _FOLD_ROWS points that
-seed the fold.  Boxes that could hold more states than points (R10) are
-walked point by point.  Every batch is added into one int64 histogram
-per call.
+only a box of more than _FOLD_ROWS points has a low block: its trailing
+coordinates, at most _CHUNK points, whose last ones up to _FOLD_ROWS
+points seed the fold.  Every block is one integer product expr @ x over
+the values x of a digit grid of its coordinates, and the leading (high)
+coordinates are built per batch from their indices, so there is one
+batch loop, and no walker array is wider than one batch (_CHUNK points)
+whatever the budget.  Boxes that could hold more states than points
+(R10) are walked point by point.  Every batch is added into one int64
+histogram per call.
 - fit_nl_integer_polynomial interpolates those counts to a polynomial of
   degree at most the kernel nullity, with held-out witnesses.
 
@@ -53,7 +55,8 @@ The budget bounds, before anything is allocated, both the points walked
 (|G|^nullity or |G|^ncols, or (2K-1)^nullity) and the cells of the
 support histogram (2^m, or K * 2^m); support masks are int64, so more
 than 62 arcs or columns are refused whatever the budget, before any
-elimination, and so are walks whose sums or histogram would leave int64.
+elimination, and so are walks whose sums, point indices or histogram
+cells would leave int64, and histograms of 2^63 bytes or more.
 The support filter runs only after those checks, so no table of an
 over-budget input is ever built.  The digraph filter's work
 is the cheaper of the table's, at most a few passes per arc over 2^m
@@ -257,15 +260,30 @@ def check_histogram_budget(kmax: int, ncols: int, budget: int) -> None:
         )
 
 
+def check_histogram_bytes(kmax: int, ncols: int) -> None:
+    """Refuse a support histogram of kmax * 2^ncols int64 cells that takes
+    2^63 bytes or more, which numpy cannot allocate as one array.
+    """
+    if kmax << ncols + 3 >= 1 << 63:
+        raise BudgetExceededError(
+            f"support histogram of {kmax}*2^{ncols} cells exceeds 2^63 bytes"
+        )
+
+
 def check_walk_width(radix: int, nullity: int, expr) -> None:
     """Refuse a walk whose values could leave int64: the value indices of
     its nullity coordinates are below radix, and a row's sum is at most
-    nullity * max|expr| times that.  Run before the histogram is allocated.
+    nullity * max|expr| times that; and the box's radix^nullity point
+    indices must stay below 2^63.  Run before the histogram is allocated.
     """
     top = max(map(abs, chain.from_iterable(expr)), default=0)
     if nullity and radix * nullity * max(top, 1) >= 1 << 63:
         raise BudgetExceededError(
             f"cotree sums of {radix} values times {nullity}*{top} exceed int64"
+        )
+    if radix**nullity >= 1 << 63:
+        raise BudgetExceededError(
+            f"a box of {radix}^{nullity} points exceeds int64 indices"
         )
 
 
@@ -286,6 +304,7 @@ def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, supports, budget: int
     if k ** len(free) > budget:
         raise BudgetExceededError(f"|G|^{walked} = {k}^{len(free)} exceeds budget {budget}")
     check_histogram_budget(1, ncols, budget)
+    check_histogram_bytes(1, ncols)
     check_walk_width(k, len(free), expr)
 
     expr = np.array(expr, dtype=np.int64).reshape(len(expr), len(free))
@@ -358,12 +377,23 @@ def _digits(radix: int, n: int) -> np.ndarray:
     """The box {0, ..., radix-1}^n as an n x radix^n int64 grid: column i
     holds the digits of i in base radix, the first coordinate leading, so
     the columns list itertools.product(range(radix), repeat=n) in order.
-    Read-only and cached, for grids of at most _CHUNK points; the walker
-    builds a larger one uncached through _digits.__wrapped__.
+    Read-only and cached; asked only for grids of at most _CHUNK points.
     """
     grid = np.indices((radix,) * n, dtype=np.int64).reshape(n, radix**n)
     grid.flags.writeable = False
     return grid
+
+
+def _grid(radix: int, n: int, lo: int, hi: int) -> np.ndarray:
+    """Columns lo .. hi-1 of the digit grid of {0, ..., radix-1}^n: a view
+    of the cached _digits when the grid has at most _CHUNK points, else
+    the digits of np.arange(lo, hi), computed in int64 (the counters
+    refuse a box of 2^63 points or more).
+    """
+    if radix**n <= _CHUNK:
+        return _digits(radix, n)[:, lo:hi]
+    places = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.arange(lo, hi, dtype=np.int64) // places[:, None] % radix
 
 
 def _product(high, low):
@@ -464,19 +494,16 @@ def _box_sum(expr, coords, free, radix: int, end: int, add) -> None:
     block per factor), has the support bit of each coordinate whose value
     is nonzero, and the largest height.
 
-    Every block the fold cannot shrink is one product expr @ x over the
-    values x of the digit grid of its coordinates (_digits): the whole box when it has
-    at most min(_FOLD_ROWS, _CHUNK) points, added in one batch.  Otherwise
-    the trailing coordinates form a low block of at most _CHUNK points,
-    whose last coordinates up to _FOLD_ROWS points are one product that
-    seeds the fold of the others (see _fold), so that points of equal
-    state are one weighted row; a single coordinate of more values is
-    walked in slices of _CHUNK, each built from its own values, whose
-    first points make up the cut prefix.  The leading coordinates form
-    the high block, one product too, whose prefixes are taken in batches,
-    each broadcast with the low block; the prefix that `end` cuts takes
-    the block's first points only.  With no high block the low block is
-    added as it is.
+    Every block is one product expr @ x over the values x of a digit grid
+    of its coordinates.  A box of more than _FOLD_ROWS points has a low
+    block: its trailing coordinates, at most _CHUNK points, whose last
+    ones up to _FOLD_ROWS points are one product that seeds the fold of
+    the others (see _fold), so that points of equal state are one
+    weighted row.  The leading coordinates give the high rows, built per
+    batch from their indices (_grid), each batch broadcast with the low
+    block; the prefix that `end` cuts is one high row times the fold's
+    head.  With no low block the high rows are added as they are, _CHUNK
+    at a time; with no high coordinate the low block is.
     """
     n = len(free)
     bits = np.array([1 << c for c in free], dtype=np.int64)
@@ -488,39 +515,34 @@ def _box_sum(expr, coords, free, radix: int, end: int, add) -> None:
         scaled = (expr[:, first:last] @ values).reshape(-1, grid.shape[1])
         return scaled, bits[first:last] @ values.any(axis=0), heights.max(axis=0, initial=0), None
 
-    if radix**n <= min(_FOLD_ROWS, _CHUNK):
-        if end:
-            add(block(0, _digits(radix, n)[:, :end]))
-        return
-    n_low = min(n, 1)
-    while n_low < n and radix ** (n_low + 1) <= _CHUNK:
-        n_low += 1
-    size = radix**n_low
-    full, tail = divmod(end, size)
-    if size > _CHUNK:
-        slices = (
-            (lo, block(n - 1, np.arange(lo, min(lo + _CHUNK, size))[None])) for lo in range(0, size, _CHUNK)
-        )
-        blocks = ((low, _points(low, 0, max(0, tail - lo))) for lo, low in slices)
-    else:
+    n_low = 0
+    if radix**n > _FOLD_ROWS:
+        while n_low < n and radix ** (n_low + 1) <= _CHUNK:
+            n_low += 1
+    n_high = n - n_low
+    full, tail = divmod(end, radix**n_low)
+    low = head = None
+    if n_low:
         n_seed = 0
         while n_seed < n_low and radix ** (n_seed + 1) <= _FOLD_ROWS:
             n_seed += 1
-        axes = [block(j, _digits(radix, 1)) for j in range(n - n_low, n - n_seed)]
+        axes = [block(j, _digits(radix, 1)) for j in range(n_high, n - n_seed)]
         seed = block(n - n_seed, _digits(radix, n_seed))
-        blocks = [_fold(axes, tail, seed, bits[n - n_low :].tolist())]
-    n_high = n - n_low
-    high = block(0, (_digits if radix**n_high <= _CHUNK else _digits.__wrapped__)(radix, n_high))
+        low, head = _fold(axes, tail, seed, bits[n_high:].tolist())
 
-    def times(lo, hi, box):
-        return box if n_high == 0 else _product(_points(high, lo, hi), box)
+    def times(lo, hi, low):
+        # The high rows lo .. hi-1 times the low box, if there is one.
+        if low is None:
+            return block(0, _grid(radix, n_high, lo, hi))
+        if n_high == 0:
+            return low
+        return _product(block(0, _grid(radix, n_high, lo, hi)), low)
 
-    for low, head in blocks:
-        if len(head[1]):
-            add(times(full, full + 1, head))
-        step = max(1, _CHUNK // len(low[1]))
-        for start in range(0, full, step):
-            add(times(start, min(start + step, full), low))
+    if tail:
+        add(times(full, full + 1, head))
+    step = _CHUNK // (1 if low is None else len(low[1]))
+    for start in range(0, full, step):
+        add(times(start, min(start + step, full), low))
 
 
 def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_BUDGET):
@@ -547,6 +569,7 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
     if base**nullity > budget:
         raise BudgetExceededError(f"(2k-1)^nullity = {base}^{nullity} exceeds budget {budget}")
     check_histogram_budget(kmax, ncols, budget)
+    check_histogram_bytes(kmax, ncols)
     check_walk_width(base, nullity, expr)
 
     expr = np.array(expr, dtype=np.int64).reshape(len(pivots), nullity)

@@ -252,6 +252,35 @@ class TestErrors:
         argv = ["--budget", str(10**40), command[0], cycle_path, *command[1:]]
         assert run(capsys, argv) == (1, "", f"error: budget: {message}\n")
 
+    @pytest.mark.parametrize(
+        "text, command, message",
+        [
+            (
+                CYCLE_FILE,
+                ["count-int", "-k", str(10**18)],
+                f"support histogram of {10**18}*2^3 cells exceeds 2^63 bytes",
+            ),
+            (
+                write_digraph(directed_cycle(61, closed=False)),
+                ["count", "--group", "z1"],
+                "support histogram of 1*2^60 cells exceeds 2^63 bytes",
+            ),
+            (
+                "2 3\n0 1\n1 0\n0 1\n",
+                ["count", "--group", f"z{4 * 10**9}"],
+                f"a box of {4 * 10**9}^2 points exceeds int64 indices",
+            ),
+        ],
+    )
+    def test_arrays_of_2_63_bytes_or_points_are_budget_errors(self, capsys, tmp_path, text, command, message):
+        # The budget admits the walk and the histogram's cells, but the
+        # histogram cannot be one numpy array, or the box's point indices
+        # would leave int64: refused before anything is allocated.
+        p = tmp_path / "wide.dg"
+        p.write_text(text)
+        argv = ["--budget", str(10**40), command[0], str(p), *command[1:]]
+        assert run(capsys, argv) == (1, "", f"error: budget: {message}\n")
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_colorings_of_more_than_64_vertices_are_budget_errors(self, capsys, tmp_path, k):
         # The budget admits min(k, 3)^65, but the subset table's sink

@@ -456,27 +456,59 @@ class TestDigitGridBaseCase:
         assert batches
 
     def test_no_cached_grid_exceeds_a_batch(self, monkeypatch):
-        # Without merges and with small batches, the high block of a
-        # nullity-6 walk outgrows _CHUNK; its grid is built, not cached.
-        cached = []
+        # Without merges and with small batches, a nullity-6 walk is high
+        # rows alone, built per batch: no grid, cached or computed, is
+        # wider than _CHUNK columns, and none of its 729 points is built
+        # whole.
+        cached, widths = [], []
         build = oracles._digits.__wrapped__
+        grid = oracles._grid
 
         def record(radix, n):
             cached.append(radix**n)
             return build(radix, n)
 
-        grids = lru_cache(maxsize=16)(record)
-        grids.__wrapped__ = build
-        monkeypatch.setattr(oracles, "_digits", grids)
+        def spy(*args):
+            columns = grid(*args)
+            widths.append(columns.shape[1])
+            return columns
+
+        monkeypatch.setattr(oracles, "_digits", lru_cache(maxsize=16)(record))
+        monkeypatch.setattr(oracles, "_grid", spy)
         monkeypatch.setattr(oracles, "_FOLD_ROWS", 1 << 62)
         monkeypatch.setattr(oracles, "_CHUNK", 8)
         d = Digraph(2, ((0, 1),) * 4 + ((1, 0),) * 3)
         inc = incidence_matrix(d)
         for g in (cyclic(2), cyclic(3)):
+            del widths[:]
             dense = dense_group_flow_count(inc, d.m, g, partial(_support_cyclic, d))
             assert count_nl_group_flows(d, g) == dense, g.spec()
+            assert widths and max(widths) <= 8, g.spec()
+        del widths[:]
         assert (kernel_height_histogram(inc, d.m, 2) == full_box_histogram(inc, d.m, 2)).all()
-        assert cached and max(cached) <= 8
+        assert widths and max(widths) <= 8
+        assert max(cached, default=0) <= 8
+
+    @pytest.mark.parametrize("chunk", [1 << 18, 0])
+    @pytest.mark.parametrize(
+        "radix, n, lo, hi",
+        [(1, 0, 0, 1), (2, 0, 0, 1), (5, 0, 1, 1), (3, 3, 0, 27), (3, 3, 5, 27), (4, 2, 3, 9), (2, 4, 15, 16), (7, 1, 2, 7)],
+    )
+    def test_grid_lists_a_range_of_the_box(self, monkeypatch, chunk, radix, n, lo, hi):
+        # Cached (a view of _digits) or, over _CHUNK points, computed from
+        # the point indices; either way columns lo .. hi-1 of the box.
+        monkeypatch.setattr(oracles, "_CHUNK", chunk)
+        if not chunk:
+            monkeypatch.setattr(oracles, "_digits", None)
+        columns = oracles._grid(radix, n, lo, hi)
+        assert columns.dtype == np.int64 and columns.shape == (n, hi - lo)
+        assert list(map(tuple, columns.T)) == list(product(range(radix), repeat=n))[lo:hi]
+
+    def test_grid_of_a_wide_box_ends_at_its_last_point(self):
+        # 3*10^9 values per coordinate: 2^62 < radix^2 < 2^63 points.
+        radix = 3 * 10**9
+        columns = oracles._grid(radix, 2, radix**2 - 3, radix**2)
+        assert columns.tolist() == [[radix - 1] * 3, [radix - 3, radix - 2, radix - 1]]
 
 
 class TestMonotoneSupportSkip:
