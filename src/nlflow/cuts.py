@@ -100,14 +100,20 @@ def enumerate_directed_cycles(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> lis
     DFS rooted at the smallest vertex of each cycle, on an explicit stack
     of the remaining out-arcs of each vertex on the path, so a long path
     cannot exhaust the interpreter's recursion limit; parallel arcs give
-    distinct cycles because arcs are tracked by index.
+    distinct cycles because arcs are tracked by index.  Every cycle lies in
+    one strong component, so the arcs between components are dropped
+    first, and an acyclic digraph is listed in linear time.
     """
+    label, _ = condensation_labels(d)
     out = [[] for _ in range(d.n)]
     for j, (t, h) in enumerate(d.arcs):
-        out[t].append((j, h))
+        if label[t] == label[h]:
+            out[t].append((j, h))
 
     cycles = set()
     for root in range(d.n):
+        if not out[root]:
+            continue
         path = []  # the arcs from root to the top of the stack
         on_path = {root}
         stack = [iter(out[root])]

@@ -94,13 +94,18 @@ def _arc_components(d: Digraph) -> tuple:
     is left out.  One slot: the counts of one digraph run back to back.
     """
     labels = weak_components(d)
-    parts = []
-    for c in dict.fromkeys(labels):
-        local = {v: i for i, v in enumerate(v for v in range(d.n) if labels[v] == c)}
-        arcs = [(j, local[t], local[h]) for j, (t, h) in enumerate(d.arcs) if t != h and labels[t] == c]
-        if arcs:
-            parts.append((len(local), *(np.array(col, dtype=np.int64) for col in zip(*arcs))))
-    return tuple(parts)
+    size = [0] * (max(labels, default=-1) + 1)
+    local = []  # each vertex's index within its component
+    for c in labels:
+        local.append(size[c])
+        size[c] += 1
+    arcs = {}
+    for j, (t, h) in enumerate(d.arcs):
+        if t != h:
+            arcs.setdefault(labels[t], []).append((j, local[t], local[h]))
+    return tuple(
+        (size[c], *(np.array(col, dtype=np.int64) for col in zip(*arcs[c]))) for c in sorted(arcs)
+    )
 
 
 @lru_cache(maxsize=1)

@@ -3,6 +3,7 @@ run report.
 """
 
 import json
+import time
 from functools import partial
 
 import pytest
@@ -101,6 +102,21 @@ class TestCountingCommands:
     def test_colorings(self, capsys, cycle_path):
         status, out, _ = run(capsys, ["colorings", cycle_path, "-k", "2"])
         assert status == 0 and out == "6\n"
+
+    @pytest.mark.parametrize(
+        "command, option, count", [("count", ["--group", "z2"], "2\n"), ("count-int", ["-k", "2"], "3\n")]
+    )
+    def test_isolated_vertices_split_in_linear_time(self, capsys, tmp_path, command, option, count):
+        # A 3-cycle and 9997 isolated vertices, each a weak component.
+        p = tmp_path / "sparse.dg"
+        p.write_text(write_digraph(Digraph(10_000, directed_cycle(3).arcs)))
+        times = []
+        for _ in range(3):
+            oracles._arc_components.cache_clear()
+            start = time.perf_counter()
+            assert run(capsys, [command, str(p), *option]) == (0, count, "")
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1, times
 
 
 class TestStructureCommands:

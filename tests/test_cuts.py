@@ -3,6 +3,7 @@ union-closed lattices they generate (built by the test-side reference in
 reference_lattice).
 """
 
+import time
 import tracemalloc
 from itertools import chain, combinations
 
@@ -181,6 +182,20 @@ class TestCycles:
         cycle = Digraph(n, tuple((i, (i + 1) % n) for i in range(n)))
         assert enumerate_directed_cycles(cycle) == [frozenset(range(n))]
         assert enumerate_directed_cycles(Digraph(n, cycle.arcs[:-1])) == []
+
+    def test_layered_dag_in_linear_time(self):
+        # 30 layers of 3 vertices, each joined to the next by all 9 arcs:
+        # 3^29 paths from the first layer, and no cycle.
+        w, layers = 3, 30
+        d = Digraph(w * layers, tuple(
+            (i * w + a, (i + 1) * w + b) for i in range(layers - 1) for a in range(w) for b in range(w)
+        ))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert enumerate_directed_cycles(d) == []
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05, times
 
     def test_cap_is_exact(self):
         # The complete symmetric digraph on 4 vertices has 6 + 8 + 6 = 20

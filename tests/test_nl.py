@@ -3,6 +3,9 @@ identities on the small catalog (the full sweeps live in the acceptance
 suite), and the crosscut engine against the explicit-lattice reference.
 """
 
+import random
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_lattice import (
@@ -24,7 +27,7 @@ from nlflow import (
 )
 from nlflow import nl
 from nlflow.cuts import enumerate_dicuts, enumerate_directed_cycles
-from nlflow.digraphs import arc_mask, num_weak_components
+from nlflow.digraphs import arc_mask, num_weak_components, rank
 from nlflow.errors import LatticeSizeError
 
 
@@ -179,6 +182,85 @@ class TestCrosscutEngine:
         assert nl_coflow_polynomial(d) == reference_coflow_polynomial(d)
 
 
+class TestBatchedRanks:
+    """nl._batch_ranks, which ranks large lattices, against digraphs.rank,
+    the union-find that ranks the small ones and stays as its oracle.
+    """
+
+    @staticmethod
+    def nonzero_unions(d, flow):
+        family = enumerate_dicuts(d) if flow else enumerate_directed_cycles(d)
+        mu = nl._signed_unions([arc_mask(c) for c in family], cap=10**6)
+        flip = (1 << d.m) - 1 if flow else 0
+        return [u ^ flip for u, s in mu.items() if s]
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The mask counts of the _batch_ranks calls from here on."""
+        calls = []
+        batch = nl._batch_ranks
+        monkeypatch.setattr(nl, "_batch_ranks", lambda d, masks: calls.append(len(masks)) or batch(d, masks))
+        return calls
+
+    def test_catalog_unions(self, catalog_full):
+        for d in catalog_full:
+            for flow in (True, False):
+                masks = self.nonzero_unions(d, flow)
+                assert nl._batch_ranks(d, masks) == [rank(d, b) for b in masks], (d, flow)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_one_batch_and_one_more_mask(self, extra):
+        # Loops, parallel and antiparallel arcs, and an isolated vertex.
+        d = Digraph(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 4), (0, 1), (1, 0), (3, 2)))
+        rng = random.Random(extra)
+        masks = [rng.getrandbits(d.m) for _ in range(nl._RANK_BATCH + extra)]
+        assert nl._batch_ranks(d, masks) == [rank(d, b) for b in masks]
+
+    @pytest.mark.parametrize(
+        "d, polynomial, reference, batched",
+        [
+            (complete_symmetric(3), nl_coflow_polynomial, reference_coflow_polynomial, False),  # 22 unions
+            (grid(2, 3), nl_flow_polynomial, reference_flow_polynomial, False),  # 52
+            (grid(2, 4), nl_flow_polynomial, reference_flow_polynomial, True),  # 272
+            (complete_symmetric(4), nl_coflow_polynomial, reference_coflow_polynomial, True),  # 1688
+        ],
+    )
+    def test_default_cutoff(self, monkeypatch, d, polynomial, reference, batched):
+        calls = self.spy(monkeypatch)
+        assert polynomial(d) == reference(d)
+        assert bool(calls) == batched
+
+    @pytest.mark.parametrize("above, batched", [(0, True), (1, False)])
+    def test_cutoff_boundary(self, monkeypatch, above, batched):
+        d = grid(2, 3)
+        unions = len(self.nonzero_unions(d, flow=True))
+        expected = nl_flow_polynomial(d)
+        monkeypatch.setattr(nl, "_BATCH_MIN_UNIONS", unions + above)
+        calls = self.spy(monkeypatch)
+        assert nl_flow_polynomial(d) == expected
+        assert calls == ([unions] if batched else [])
+
+    @pytest.mark.parametrize("n, batched", [(63, True), (64, True), (65, False)])
+    def test_vertex_width(self, monkeypatch, n, batched):
+        # K*4 on the last four of n vertices: 1688 unions, the top vertex
+        # bit in every row.
+        d = Digraph(n, tuple((n - 4 + a, n - 4 + b) for a, b in complete_symmetric(4).arcs))
+        calls = self.spy(monkeypatch)
+        assert nl_coflow_polynomial(d) == IntPolynomial({3: 1, 2: -6, 1: 11, 0: -6})
+        assert bool(calls) == batched
+
+    @pytest.mark.parametrize("m, batched", [(63, True), (64, True), (65, False)])
+    def test_arc_width(self, monkeypatch, m, batched):
+        # m - 10 loops, then the 2x4 grid's 10 arcs in the top bits: 272
+        # unions.  Each loop adds one to every exponent.
+        loops = m - 10
+        d = Digraph(8, ((0, 0),) * loops + grid(2, 4).arcs)
+        expected = nl_flow_polynomial(grid(2, 4)) * IntPolynomial({loops: 1})
+        calls = self.spy(monkeypatch)
+        assert nl_flow_polynomial(d) == expected
+        assert bool(calls) == batched
+
+
 @st.composite
 def digraphs(draw):
     """Small digraphs with loops and parallel arcs allowed."""
@@ -191,5 +273,16 @@ def digraphs(draw):
 @settings(max_examples=80, deadline=None)
 @given(digraphs())
 def test_random_digraphs_match_reference(d):
-    assert nl_flow_polynomial(d) == reference_flow_polynomial(d)
-    assert nl_coflow_polynomial(d) == reference_coflow_polynomial(d)
+    phi, psi = nl_flow_polynomial(d), nl_coflow_polynomial(d)
+    assert phi == reference_flow_polynomial(d)
+    assert psi == reference_coflow_polynomial(d)
+    # Every lattice ranked in one batch as well.
+    with patch.object(nl, "_BATCH_MIN_UNIONS", 0):
+        assert (nl_flow_polynomial(d), nl_coflow_polynomial(d)) == (phi, psi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(digraphs(), st.data())
+def test_random_batched_ranks(d, data):
+    masks = data.draw(st.lists(st.integers(0, (1 << d.m) - 1), max_size=20))
+    assert nl._batch_ranks(d, masks) == [rank(d, b) for b in masks]
