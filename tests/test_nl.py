@@ -232,6 +232,8 @@ class TestBatchedRanks:
 
     @pytest.mark.parametrize("above, batched", [(0, True), (1, False)])
     def test_cutoff_boundary(self, monkeypatch, above, batched):
+        # The cutoff counts the lattice's unions; all 52 of grid(2, 3) have
+        # a nonzero Moebius value, so each is ranked.
         d = grid(2, 3)
         unions = len(self.nonzero_unions(d, flow=True))
         expected = nl_flow_polynomial(d)
