@@ -12,8 +12,10 @@ other: the parent first at odd seeds, the change first at even ones.
 The summary is written to BENCH_<label>.json in the current directory.  Each run keeps the '# ' info line and the result line
 that run.py prints.  'pairs' gives, per workload, the first quartile,
 median and third quartile of each end-to-end metric on each side
-(statistics.quantiles, n=4) and in how many pairs the change read better,
-by the direction BENCHMARK.json gives the metric; ties count for neither.
+(statistics.quantiles, n=4), in how many pairs the change read better,
+by the direction BENCHMARK.json gives the metric (ties count for neither),
+and whether the change's median is worse than the parent's by more than
+the metric's relative bound there.  Those metrics are printed at the end.
 The file is rewritten after every pair, so an interrupted series keeps the
 pairs it finished.
 """
@@ -51,10 +53,12 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q, 4) for q in qs]
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
+def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: the seeds run on both sides, the failed jobs of each
-    run, and for each metric in `better` ("higher" or "lower") both sides'
-    quartiles and the change's wins over the pairs.
+    run, and for each metric of end_to_end (BENCHMARK.json's entries, with
+    "better" either "higher" or "lower" and a relative "bound") both sides'
+    quartiles, the change's wins over the pairs, and whether the change's
+    median is worse than the parent's by more than the bound.
     """
     by_key = {(r["workload"], r["seed"], r["side"]): r["result"] for r in runs}
     pairs = {}
@@ -69,17 +73,32 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
             "seeds": seeds,
             "failed": {side: [r["failed"] for r in results[side]] for side in SIDES},
         }
-        for metric, direction in better.items():
+        for entry in end_to_end:
+            metric = entry["name"]
             values = {side: [r["metrics"][metric]["value"] for r in results[side]] for side in SIDES}
-            sign = 1 if direction == "higher" else -1
+            sign = 1 if entry["better"] == "higher" else -1
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+            parent, change = (statistics.median(values[side]) for side in SIDES)
             summary[metric] = {
                 "parent_q1_median_q3": quartiles(values["parent"]),
                 "change_q1_median_q3": quartiles(values["change"]),
                 "change_wins": f"{wins}/{len(seeds)}",
+                "worse_than_bound": sign * (parent - change) > entry["bound"] * parent,
             }
         pairs[workload] = summary
     return pairs
+
+
+def over_bound(pairs: dict) -> list[str]:
+    """The "workload metric" pairs whose change median is worse than the
+    parent's by more than the metric's bound.
+    """
+    return [
+        f"{workload} {metric}"
+        for workload, summary in pairs.items()
+        for metric, stats in summary.items()
+        if isinstance(stats, dict) and stats.get("worse_than_bound")
+    ]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int, side: str) -> dict:
@@ -100,7 +119,7 @@ def main() -> int:
     args = parser.parse_args()
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = bench["end_to_end"]
     seconds = bench["run_seconds"]
     out = Path(f"BENCH_{args.label}.json")
     checkouts = {"parent": args.parent, "change": args.change}
@@ -117,10 +136,12 @@ def main() -> int:
             order = SIDES if seed % 2 else SIDES[::-1]
             for side in order:
                 record["runs"].append(run_once(checkouts[side], workload, seed, seconds, side))
-            record["pairs"] = summarise(record["runs"], better)
+            record["pairs"] = summarise(record["runs"], end_to_end)
             out.write_text(json.dumps(record, indent=1) + "\n")
             summary = record["pairs"][workload]["jobs_per_s"]
             print(f"{workload} seed {seed}: jobs_per_s change wins {summary['change_wins']}", flush=True)
+    worse = over_bound(record["pairs"])
+    print("worse than bound: " + (", ".join(worse) if worse else "none"))
     return 0
 
 

@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="enumeration budget of counts, fits, colorings and verify; "
+        help="enumeration budget of counts, fits, colorings and verify, and the "
+        "prefix steps times terms of complete-acyclic and tournament; "
         "poly, copoly and dicuts are bounded by the fixed 10^6 lattice cap instead",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -171,11 +172,11 @@ def _run(args, out) -> tuple[int, dict]:
         print("true" if result else "false", file=out)
         return 0, {"input": _digest(text, args.arcs), "outputs": {"dijoin": result}}
     if cmd == "complete-acyclic":
-        poly = complete_acyclic_nl_poly(args.n)
+        poly = complete_acyclic_nl_poly(args.n, args.budget)
         return 0, {"input": _digest(str(args.n)), "outputs": _emit_poly(poly, args, out)}
     if cmd == "tournament":
         sizes = tuple(int(x) for x in args.sizes.split(","))
-        poly = complete_digraph_nl_poly(sizes)
+        poly = complete_digraph_nl_poly(sizes, args.budget)
         return 0, {"input": _digest(args.sizes), "outputs": _emit_poly(poly, args, out)}
     if cmd == "matroid":
         text = _read_file(args.matrix)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the default work budget, shared across the package."""
+
+DEFAULT_BUDGET = 10**8
 
 
 class NLFlowError(Exception):

@@ -77,15 +77,6 @@ def int_det(rows) -> int:
     return sign * d
 
 
-def solve_upper(b_mat, rhs):
-    """Solve the square system b_mat x = rhs by Gaussian elimination."""
-    n = len(rhs)
-    rows, pivots = rref([list(row) + [rhs[i]] for i, row in enumerate(b_mat)])
-    if pivots != list(range(n)):
-        raise ValueError("singular basis matrix")
-    return [rows[i][n] for i in range(n)]
-
-
 def farkas_nonneg_solve(a_mat, b_vec):
     """Decide {z >= 0 : A z = b} exactly.
 

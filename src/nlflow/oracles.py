@@ -24,9 +24,11 @@ one integer counter, and one polynomial fit:
 
 - nl_group_flow_count walks G^nullity, exact when a pivot block has
   determinant +-1, as in every TU matrix; other matrices walk G^ncols.
-- nl_integer_kflow_counts walks half of {-(K-1), ..., K-1}^nullity (x
-  and -x share support and height) into a histogram by support and max
-  |x_j|; the count for every k <= K is a cumulative sum of it.
+- nl_integer_kflow_counts walks half of {-(K-1), ..., K-1}^nullity into
+  a histogram by support and max |x_j|: x and -x share support and
+  height, so the rows of the leading coordinates below the centre count
+  twice and the centre row once.  The count for every k <= K is a
+  cumulative sum of it.
 
 The walker folds.  A point's histogram cell depends only on its state:
 the partial sums of the basic coordinates (or checked rows), the support
@@ -36,12 +38,12 @@ points, points of equal state become one row with an exact int64
 multiplicity: the 17^4 points of a nullity-5 digraph's low block at k = 9
 fold to about a thousand rows.  No merge fires below _FOLD_ROWS rows, so
 only a box of more than _FOLD_ROWS points has a low block: its trailing
-coordinates, at most _CHUNK points, whose last ones up to _FOLD_ROWS
-points seed the fold.  Every block is one integer product expr @ x over
-the values x of a digit grid of its coordinates, and the leading (high)
-coordinates are built per batch from their indices, so there is one
-batch loop, and no walker array is wider than one batch (_CHUNK points)
-whatever the budget.  Boxes that could hold more states than points
+coordinates (never the leading one in the integer walk), at most _CHUNK
+points, whose last ones up to _FOLD_ROWS points seed the fold.  Every
+block is one integer product expr @ x over the values x of a digit grid
+of its coordinates, and the leading (high) coordinates are built per
+batch from their indices, so there is one batch loop, and no walker
+array is wider than one batch (_CHUNK points) whatever the budget.  Boxes that could hold more states than points
 (R10) are walked point by point.  Every batch is added into one int64
 histogram per call.
 - fit_nl_integer_polynomial interpolates those counts to a polynomial of
@@ -75,12 +77,11 @@ from math import gcd, prod
 import numpy as np
 
 from .digraphs import Digraph, incidence_matrix, is_acyclic, weak_components
-from .errors import BudgetExceededError, WitnessMismatchError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, WitnessMismatchError
 from .groups import AbelianGroup, abelian_groups_of_order, cyclic
 from .linalg import int_rref
 from .polynomials import interpolate_rational
 
-DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 18
 _FOLD_ROWS = 1 << 10
 MAX_MASK_BITS = 62
@@ -326,7 +327,7 @@ def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, supports, budget: int
         else:
             _accumulate(counts, mask, weight, ~nonzero.any(axis=0))
 
-    _box_sum(expr, lambda v: (v // weights % factors, 0 * v), free, k, k ** len(free), add)
+    _box_sum(expr, lambda v: (v // weights % factors, 0 * v), free, k, False, add)
     return int(counts[supports(counts)].sum())
 
 
@@ -363,18 +364,17 @@ def kernel_nullity(rows, ncols: int) -> int:
     return len(_cotree_expression(tuple(map(tuple, rows)), ncols)[1])
 
 
-def _accumulate(hist, index, weight, keep, times: int = 1) -> None:
-    """hist[index[keep]] += times * weight[keep], or += times with no
-    weight column, in place.  An unweighted batch into a histogram of at
-    most _CHUNK cells is counted by bincount; any other by np.add.at,
-    which allocates nothing of the histogram's size and writes only the
-    cells it adds to.
+def _accumulate(hist, index, weight, keep) -> None:
+    """hist[index[keep]] += weight[keep], or += 1 with no weight column, in
+    place.  An unweighted batch into a histogram of at most _CHUNK cells is
+    counted by bincount; any other by np.add.at, which allocates nothing of
+    the histogram's size and writes only the cells it adds to.
     """
     index = index[keep]
     if weight is None and len(hist) <= _CHUNK:
-        hist += times * np.bincount(index, minlength=len(hist))
+        hist += np.bincount(index, minlength=len(hist))
     else:
-        np.add.at(hist, index, times if weight is None else times * weight[keep])
+        np.add.at(hist, index, 1 if weight is None else weight[keep])
 
 
 @lru_cache(maxsize=16)
@@ -407,18 +407,16 @@ def _product(high, low):
     height, weight) of per-point columns: the free coordinates' sums in
     each basic coordinate or checked row, the free support bits, max
     |x_free|, and the number of points each row stands for (None: one
-    each).  Only the low box may carry weights.
+    each).  A pair stands for the product of its rows' weights.
     """
-    (s_hi, m_hi, h_hi, _), (s_lo, m_lo, h_lo, w_lo) = high, low
+    (s_hi, m_hi, h_hi, w_hi), (s_lo, m_lo, h_lo, w_lo) = high, low
     mask = np.add.outer(m_hi, m_lo).ravel()
     scaled = (s_hi[:, :, None] + s_lo[:, None, :]).reshape(len(s_hi), len(mask))
-    weight = None if w_lo is None else np.tile(w_lo, len(m_hi))
+    if w_lo is None:
+        weight = None if w_hi is None else np.repeat(w_hi, len(m_lo))
+    else:
+        weight = np.tile(w_lo, len(m_hi)) if w_hi is None else np.multiply.outer(w_hi, w_lo).ravel()
     return scaled, mask, np.maximum.outer(h_hi, h_lo).ravel(), weight
-
-
-def _points(box, lo: int, hi: int):
-    scaled, mask, height, weight = box
-    return scaled[:, lo:hi], mask[lo:hi], height[lo:hi], None if weight is None else weight[lo:hi]
 
 
 def _merge(box, lows, spans, bits, levels: int):
@@ -447,33 +445,21 @@ def _merge(box, lows, spans, bits, levels: int):
     return scaled[:, pick], mask[pick], height[pick], total[states]
 
 
-def _fold(axes, count: int, seed, bits):
+def _fold(axes, seed, bits):
     """The box of the axes (one coordinate each, the first leading) times
-    the seed box of the trailing coordinates, and its first `count`
-    points, as two boxes in which rows of equal state may be merged; bits
-    lists the support bit of every coordinate, the seed's last.
+    the seed box of the trailing coordinates, with rows of equal state
+    merged where that shrinks it; bits lists the support bit of every
+    coordinate, the seed's last.
 
     From the last axis to the first, each axis is multiplied onto the box
     so far.  A product of more than _FOLD_ROWS rows is merged when its
     state-space bound is smaller: the values each scaled row can take
     (one plus its range over the box, the sum of its ranges over the
-    axes and the seed), times 2 per support bit, times the heights.  A merged box
-    no longer lists its points in order, so from then on the prefix is
-    built apart: the first `digit` values of an axis times the box, then
-    its next value times the prefix so far.  With no merge both are
-    exactly the unweighted product and its first `count` points.
+    axes and the seed), times 2 per support bit, times the heights.
     """
-    box, head, points = seed, None, len(seed[1])
+    box = seed
     for i in reversed(range(len(axes))):
-        axis = axes[i]
-        radix = len(axis[1])
-        if head is not None:
-            digit = count // points % radix
-            below = _product(_points(axis, 0, digit), box)
-            at = _product(_points(axis, digit, digit + 1), head)
-            head = tuple(np.concatenate(pair, axis=-1) for pair in zip(below, at))
-        box = _product(axis, box)
-        points *= radix
+        box = _product(axes[i], box)
         rows = len(box[1])
         if rows <= _FOLD_ROWS:
             continue
@@ -481,23 +467,20 @@ def _fold(axes, count: int, seed, bits):
         lows = sum(a[0].min(axis=1) for a in parts).tolist()
         spans = (1 + sum(np.ptp(a[0], axis=1) for a in parts)).tolist()
         levels = 1 + max(int(a[2].max()) for a in parts)
-        if (prod(spans) * levels << (len(bits) - i)) >= rows:
-            continue
-        if head is None:
-            head = _points(box, 0, count % points)
-        box, head = (_merge(b, lows, spans, bits[i:], levels) for b in (box, head))
-    return box, _points(box, 0, count) if head is None else head
+        if (prod(spans) * levels << (len(bits) - i)) < rows:
+            box = _merge(box, lows, spans, bits[i:], levels)
+    return box
 
 
-def _box_sum(expr, coords, free, radix: int, end: int, add) -> None:
-    """Pass the first `end` points of the cotree box, in mixed-radix
-    order with the first free coordinate leading, to add(box) batch by
-    batch.  Each coordinate j (column free[j]) takes the value indices 0
-    .. radix-1; coords(v) gives, for an int64 array v of them, their
-    values, one array per group factor (or one for the integers), and
-    their heights.  A point x adds expr @ x to the rows of its box (one
-    block per factor), has the support bit of each coordinate whose value
-    is nonzero, and the largest height.
+def _box_sum(expr, coords, free, radix: int, half: bool, add) -> None:
+    """Pass the cotree box, in mixed-radix order with the first free
+    coordinate leading, to add(box) batch by batch.  Each coordinate j
+    (column free[j]) takes the value indices 0 .. radix-1; coords(v)
+    gives, for an int64 array v of them, their values, one array per group
+    factor (or one for the integers), and their heights.  A point x adds
+    expr @ x to the rows of its box (one block per factor), has the
+    support bit of each coordinate whose value is nonzero, and the largest
+    height.
 
     Every block is one product expr @ x over the values x of a digit grid
     of its coordinates.  A box of more than _FOLD_ROWS points has a low
@@ -506,48 +489,53 @@ def _box_sum(expr, coords, free, radix: int, end: int, add) -> None:
     the others (see _fold), so that points of equal state are one
     weighted row.  The leading coordinates give the high rows, built per
     batch from their indices (_grid), each batch broadcast with the low
-    block; the prefix that `end` cuts is one high row times the fold's
-    head.  With no low block the high rows are added as they are, _CHUNK
+    block.  With no low block the high rows are added as they are, _CHUNK
     at a time; with no high coordinate the low block is.
+
+    With half, value index radix-1-v is the negative of v, so high row
+    radix^n_high - 1 - i negates row i, and only the rows up to the
+    centre row (every high index in the middle) are walked: those below
+    it weigh 2, the centre row 1.  The leading coordinate is then always
+    a high one, so that the rows halve every box.
     """
     n = len(free)
     bits = np.array([1 << c for c in free], dtype=np.int64)
 
-    def block(first, grid):
+    def block(first, grid, weight=None):
         # The points of the digit grid of the coordinates first, first+1, ...
         values, heights = coords(grid)
         last = first + len(grid)
         scaled = (expr[:, first:last] @ values).reshape(-1, grid.shape[1])
-        return scaled, bits[first:last] @ values.any(axis=0), heights.max(axis=0, initial=0), None
+        return scaled, bits[first:last] @ values.any(axis=0), heights.max(axis=0, initial=0), weight
 
     n_low = 0
     if radix**n > _FOLD_ROWS:
-        while n_low < n and radix ** (n_low + 1) <= _CHUNK:
+        while n_low < n - half and radix ** (n_low + 1) <= _CHUNK:
             n_low += 1
     n_high = n - n_low
-    full, tail = divmod(end, radix**n_low)
-    low = head = None
+    low = None
     if n_low:
         n_seed = 0
         while n_seed < n_low and radix ** (n_seed + 1) <= _FOLD_ROWS:
             n_seed += 1
         axes = [block(j, _digits(radix, 1)) for j in range(n_high, n - n_seed)]
         seed = block(n - n_seed, _digits(radix, n_seed))
-        low, head = _fold(axes, tail, seed, bits[n_high:].tolist())
-
-    def times(lo, hi, low):
-        # The high rows lo .. hi-1 times the low box, if there is one.
-        if low is None:
-            return block(0, _grid(radix, n_high, lo, hi))
+        low = _fold(axes, seed, bits[n_high:].tolist())
         if n_high == 0:
-            return low
-        return _product(block(0, _grid(radix, n_high, lo, hi)), low)
+            add(low)
+            return
 
-    if tail:
-        add(times(full, full + 1, head))
+    centre = radix**n_high // 2
+    stop = centre + 1 if half else radix**n_high
     step = _CHUNK // (1 if low is None else len(low[1]))
-    for start in range(0, full, step):
-        add(times(start, min(start + step, full), low))
+    for lo in range(0, stop, step):
+        hi = min(lo + step, stop)
+        weight = None
+        if half:
+            weight = np.full(hi - lo, 2, dtype=np.int64)
+            weight[centre - lo :] = 1  # the centre row, if in this batch
+        high = block(0, _grid(radix, n_high, lo, hi), weight)
+        add(high if low is None else _product(high, low))
 
 
 def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_BUDGET):
@@ -555,10 +543,10 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
     support bitmask is mask and whose max_j |x_j| is h, for h < kmax.
 
     One pass over the cotree box {-(kmax-1), ..., kmax-1}^nullity, which
-    is symmetric about its centre, the zero flow: in mixed-radix order the
-    points i and total-1-i are x and -x.  So only the points below the
-    centre are walked, each added twice; value index v of a coordinate is
-    v - (kmax-1), of height |v - (kmax-1)|.  Points of the low block with
+    is symmetric about its centre, the zero flow, so the rows of its
+    leading coordinates below the centre row count twice and the centre
+    row once (see _box_sum); value index v of a coordinate is v -
+    (kmax-1), of height |v - (kmax-1)|.  Points of the low block with
     equal partial sums, support and height are counted once with their
     multiplicity (see _fold), and every batch is added into one int64
     histogram; cells that no point reaches are never written, so a wide
@@ -593,10 +581,9 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
             ok &= (scaled % denom == 0).all(axis=0)
         height = np.maximum(height, size.max(axis=0, initial=0) // denom)
         mask = mask + bits @ (scaled != 0)
-        _accumulate(hist, mask * kmax + height, weight, ok, times=2)
+        _accumulate(hist, mask * kmax + height, weight, ok)
 
-    _box_sum(expr, coords, free, base, base**nullity // 2, add)
-    hist[0] += 1
+    _box_sum(expr, coords, free, base, True, add)
     return hist.reshape(1 << ncols, kmax)
 
 

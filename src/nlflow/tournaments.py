@@ -1,6 +1,9 @@
 """Closed-form NL-flow polynomials for complete (acyclic) digraphs, the
 condensation formula for general complete digraphs, and the term-level
 shortcuts (leading, constant, linear coefficients).
+
+The condensation formula's prefix recursion is charged against the
+budget before it starts (check_closed_form_budget).
 """
 
 from __future__ import annotations
@@ -8,6 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from .digraphs import Digraph
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .polynomials import IntPolynomial
 
 
@@ -29,17 +33,35 @@ def compositions(n: int, p: int):
     return gen(n, p)
 
 
-def complete_acyclic_nl_poly(n: int) -> IntPolynomial:
+def check_closed_form_budget(blocks: int, vertices: int, budget: int) -> None:
+    """Refuse the prefix recursion over `blocks` components of `vertices`
+    vertices in all when its blocks * (blocks + 1) / 2 steps times its term
+    bound exceed the budget.  A step runs over the terms of one prefix sum:
+    at most C(vertices - 1, 2) + 1 exponents, and at most 2^(blocks - 1),
+    one per composition.
+    """
+    terms = comb(vertices - 1, 2) + 1
+    terms = min(terms, 1 << min(blocks - 1, terms.bit_length()))
+    steps = blocks * (blocks + 1) // 2
+    if steps * terms > budget:
+        raise BudgetExceededError(
+            f"closed form of {blocks} components: {steps} prefix steps of up to "
+            f"{terms} terms exceed budget {budget}"
+        )
+
+
+def complete_acyclic_nl_poly(n: int, budget: int = DEFAULT_BUDGET) -> IntPolynomial:
     """NL-flow polynomial of the complete acyclic digraph on n vertices:
     the condensation formula with n singleton components.  n = 1 gives 1
     (the empty flow).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return complete_digraph_nl_poly((1,) * n)
+    check_closed_form_budget(n, n, budget)
+    return complete_digraph_nl_poly((1,) * n, budget)
 
 
-def complete_digraph_nl_poly(sizes) -> IntPolynomial:
+def complete_digraph_nl_poly(sizes, budget: int = DEFAULT_BUDGET) -> IntPolynomial:
     """NL-flow polynomial of a complete digraph whose condensation has
     strong components of the given sizes, listed in topological order.
 
@@ -56,6 +78,7 @@ def complete_digraph_nl_poly(sizes) -> IntPolynomial:
         raise ValueError("sizes must be a nonempty tuple of component sizes")
     if any(k < 1 for k in sizes):
         raise ValueError("component sizes must be >= 1")
+    check_closed_form_budget(len(sizes), sum(sizes), budget)
     prefix = [0]
     for k in sizes:
         prefix.append(prefix[-1] + k)

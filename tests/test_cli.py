@@ -347,6 +347,30 @@ class TestErrors:
         assert got == status
         assert (out, err[:14]) == (("", "error: budget:") if status else ("60\n", ""))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["complete-acyclic", "-n", "400"],
+            ["complete-acyclic", "-n", str(10**9)],
+            ["tournament", "--sizes", ",".join(["1"] * 400)],
+            ["--budget", "5", "tournament", "--sizes", "1,4,1"],
+        ],
+    )
+    def test_closed_forms_are_charged_before_the_recursion(self, capsys, argv):
+        # d(d+1)/2 prefix steps times min(C(n-1, 2) + 1, 2^(d-1)) terms: n =
+        # 400 is 80200 * 79402 > 10^8, and 1,4,1 is 6 * 4 > 5.  The closed
+        # form of 400 took over 100 s; no (1,) * 10^9 tuple is built.
+        start = time.perf_counter()
+        status, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (status, out) == (1, "") and err.startswith("error: budget: closed form of ")
+
+    def test_closed_forms_within_the_budget_still_answer(self, capsys):
+        # 5050 steps of up to 4852 terms; 6 steps of 4 terms at a budget of 24.
+        status, out, _ = run(capsys, ["complete-acyclic", "-n", "100"])
+        assert status == 0 and out.startswith("x^4851-2x^4753+") and out.endswith("x+1\n")
+        assert run(capsys, ["--budget", "24", "tournament", "--sizes", "1,4,1"]) == (0, "x^10-2x^6+x^3\n", "")
+
     def test_dicut_cap(self, capsys, tmp_path):
         # 21 disjoint three-vertex paths: 3^21 - 1 dicuts.
         p = tmp_path / "paths.dg"

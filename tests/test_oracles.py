@@ -149,8 +149,8 @@ class TestGroupCountsAgainstNaive:
 
     @pytest.mark.parametrize("chunk", [1, 4, 20])
     def test_chunks(self, monkeypatch, catalog_small, chunk):
-        # Small chunks cut both walks into batches of leading prefixes; the
-        # integer one also ends in a partial prefix at the centre.
+        # Small chunks cut both walks into batches of leading rows; the
+        # integer one ends in the batch that holds the centre row.
         monkeypatch.setattr(oracles, "_CHUNK", chunk)
         for d in catalog_small[::50]:
             for g in (cyclic(3), AbelianGroup((2, 2))):
@@ -207,8 +207,8 @@ class TestCountIntegerFlows:
 
 
 class TestKernelHeightHistogram:
-    # The doubled half box plus the zero flow must reproduce the full box
-    # exactly, by support mask and height.
+    # The half box, rows below the centre twice and the centre row once,
+    # must reproduce the full box exactly, by support mask and height.
     EDGE_CASES = (
         Digraph(1, ()),  # m = 0
         Digraph(3, ()),
@@ -246,6 +246,48 @@ class TestKernelHeightHistogram:
                 assert (
                     kernel_height_histogram(inc, d.m, k) == full_box_histogram(inc, d.m, k)
                 ).all(), (d, k)
+
+    PATH = ((1, -1, 0), (0, 1, -1))  # nullity 1
+    TRIANGLE = ((1, 1, -1),)  # nullity 2
+
+    @pytest.mark.parametrize(
+        "rows, k, chunk, fold_rows, batches",
+        [
+            # Nullity 0: the box is the zero flow, which is its centre row.
+            (((1, 0), (0, 1)), 3, 1, 1 << 62, [(0, 1)]),
+            # No low block: rows 0 .. centre in batches of _CHUNK.
+            (PATH, 3, 1, 1 << 62, [(0, 1), (1, 2), (2, 3)]),
+            (PATH, 3, 2, 1 << 62, [(0, 2), (2, 3)]),
+            (PATH, 4, 2, 1 << 62, [(0, 2), (2, 4)]),
+            (PATH, 3, 8, 1 << 62, [(0, 3)]),
+            # A low block of the trailing coordinate, 2k-1 rows, broadcast
+            # with _CHUNK // (2k-1) high rows per batch.
+            (TRIANGLE, 2, 3, 0, [(0, 1), (1, 2)]),
+            (TRIANGLE, 2, 6, 0, [(0, 2)]),
+            (TRIANGLE, 3, 10, 0, [(0, 2), (2, 3)]),
+            (TRIANGLE, 4, 14, 0, [(0, 2), (2, 4)]),
+            # _CHUNK would hold the whole box, but the leading coordinate
+            # stays high, so the walk still halves.
+            (TRIANGLE, 2, 9, 0, [(0, 2)]),
+        ],
+    )
+    def test_centre_row_anywhere_in_a_batch(self, monkeypatch, rows, k, chunk, fold_rows, batches):
+        # The centre row ends the walk, so it is last in its batch: alone
+        # in it, after other rows, or in the one batch; with a low block or
+        # without.  Its weight 1 against 2 below it must hold wherever.
+        seen = []
+        grid = oracles._grid
+
+        def spy(radix, n, lo, hi):
+            seen.append((lo, hi))
+            return grid(radix, n, lo, hi)
+
+        monkeypatch.setattr(oracles, "_grid", spy)
+        monkeypatch.setattr(oracles, "_CHUNK", chunk)
+        monkeypatch.setattr(oracles, "_FOLD_ROWS", fold_rows)
+        ncols = len(rows[0])
+        assert (kernel_height_histogram(rows, ncols, k) == full_box_histogram(rows, ncols, k)).all()
+        assert seen == batches
 
     def test_non_unimodular_matrix_is_exact(self):
         # The cotree expression of this matrix has denominator 2, so only
@@ -335,7 +377,7 @@ class TestFoldedWalk:
             if d.m <= 4:
                 assert (hist == full_box_histogram(inc, d.m, k)).all(), (d, k)
             folded.append((inc, d, k, hist))
-        assert len(merges) > 2000 and all(states < rows for rows, states in merges)
+        assert len(merges) > 1200 and all(states < rows for rows, states in merges)
         monkeypatch.setattr(oracles, "_FOLD_ROWS", self.PLAIN)
         for inc, d, k, hist in folded:
             assert (kernel_height_histogram(inc, d.m, k) == hist).all(), (d, k)
@@ -356,11 +398,12 @@ class TestFoldedWalk:
     def test_divisibility_filter_after_a_merge(self, monkeypatch, merges):
         # 2 x_0 = -(x_1 + x_2 + x_3 + x_4): denom 2, and merged rows are
         # still tested for divisibility when their histogram cell is taken.
-        # From k = 5 the 4-coordinate box outgrows its state-space bound.
+        # The leading coordinate is a high one, and from k = 7 the low
+        # block of the other 3 outgrows its state-space bound.
         rows = ((2, 1, 1, 1, 1),)
         assert oracles._cotree_expression(rows, 5)[3] == 2
         monkeypatch.setattr(oracles, "_FOLD_ROWS", 0)
-        for k in (1, 2, 3, 4, 5, 6):
+        for k in range(1, 9):
             assert (kernel_height_histogram(rows, 5, k) == full_box_histogram(rows, 5, k)).all(), k
         assert merges
 
@@ -441,12 +484,13 @@ class TestDigitGridBaseCase:
                 del batches[:]
                 assert count_nl_integer_kflows(d, k) == count_nl_integer_kflows_naive(d, k), (d, k)
                 half = (2 * k - 1) ** nullity // 2
-                assert batches == ([half] if half else []), (d, k)
+                assert batches == [half + 1], (d, k)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_half_of_an_odd_small_box_is_a_grid_prefix(self, monkeypatch, catalog_small, k):
-        # (2k-1)^nullity is odd: the walk adds its first half, a prefix of
-        # the digit grid, and the histogram doubles it around the zero flow.
+        # (2k-1)^nullity is odd: the walk adds the points up to and
+        # including the centre, the zero flow, a prefix of the digit grid;
+        # those below it weigh 2 and the centre 1.
         batches = self.spy_batches(monkeypatch)
         for d in catalog_small[::4]:
             inc = incidence_matrix(d)

@@ -57,7 +57,7 @@ def canned_run(workload, seed, jobs_per_s, p50_ms, failed=0):
 
 def test_bench_pairs_summarises_canned_runs():
     bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
-    parse, summarise = bench["parse_run"], bench["summarise"]
+    parse, summarise, over_bound = bench["parse_run"], bench["summarise"], bench["over_bound"]
     parent = [(100, 2.0), (110, 2.0), (120, 2.0), (130, 2.0)]
     change = [(120, 1.0), (110, 2.0), (150, 3.0), (140, 1.5)]
     runs = []
@@ -66,7 +66,11 @@ def test_bench_pairs_summarises_canned_runs():
         runs.append(parse("change", canned_run("sweep", seed, *c)))
     runs.append(parse("parent", canned_run("sweep", 5, 999, 9.0)))  # no change run: unpaired
     assert runs[0]["info"]["seed"] == 1 and runs[0]["result"]["failed"] == 0
-    pairs = summarise(runs, {"jobs_per_s": "higher", "job_p50_ms": "lower"})
+    end_to_end = [
+        {"name": "jobs_per_s", "better": "higher", "bound": 0.25},
+        {"name": "job_p50_ms", "better": "lower", "bound": 0.25},
+    ]
+    pairs = summarise(runs, end_to_end)
     assert pairs == {
         "sweep": {
             "seeds": [1, 2, 3, 4],
@@ -76,11 +80,29 @@ def test_bench_pairs_summarises_canned_runs():
                 "parent_q1_median_q3": [102.5, 115.0, 127.5],
                 "change_q1_median_q3": [112.5, 130.0, 147.5],
                 "change_wins": "3/4",
+                "worse_than_bound": False,
             },
             "job_p50_ms": {
                 "parent_q1_median_q3": [2.0, 2.0, 2.0],
                 "change_q1_median_q3": [1.125, 1.75, 2.75],
                 "change_wins": "2/4",
+                "worse_than_bound": False,
             },
         }
     }
+    assert over_bound(pairs) == []
+    # Medians 2.0 against 2.5 (25% worse, at the bound) and 2.55 (past it).
+    for slow, worse in ((2.5, False), (2.55, True)):
+        runs = [
+            parse(side, canned_run("intfit", seed, 100, p50))
+            for seed in (1, 2, 3)
+            for side, p50 in (("parent", 2.0), ("change", slow))
+        ]
+        pairs = summarise(runs, end_to_end)
+        assert pairs["intfit"]["job_p50_ms"]["worse_than_bound"] is worse
+        assert pairs["intfit"]["jobs_per_s"]["worse_than_bound"] is False
+        assert over_bound(pairs) == (["intfit job_p50_ms"] if worse else [])
+    # Throughput 100 against 75 (at the bound) and 74 (past it).
+    for slow, worse in ((75, False), (74, True)):
+        runs = [parse(side, canned_run("sweep", 1, jobs, 2.0)) for side, jobs in (("parent", 100), ("change", slow))]
+        assert over_bound(summarise(runs, end_to_end)) == (["sweep jobs_per_s"] if worse else [])

@@ -2,12 +2,16 @@
 witness constructions.
 """
 
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from nlflow import (
+    BudgetExceededError,
     IntPolynomial,
     complete_acyclic_digraph,
     complete_acyclic_nl_poly,
@@ -20,6 +24,7 @@ from nlflow import (
     nl_flow_polynomial,
     strong_tournament,
 )
+from nlflow import tournaments
 from nlflow.digraphs import is_totally_cyclic, strongly_connected_components
 
 def composition_sum(sizes) -> IntPolynomial:
@@ -132,6 +137,38 @@ class TestCondensationFormula:
             complete_digraph_nl_poly(())
         with pytest.raises(ValueError):
             complete_digraph_nl_poly((0, 2))
+
+
+class TestClosedFormBudget:
+    @pytest.mark.parametrize(
+        "blocks, vertices, charge",
+        [(1, 1, 1), (1, 10**6, 1), (2, 200000, 6), (3, 6, 24), (100, 100, 5050 * 4852), (64, 64, 2080 * 1954)],
+    )
+    def test_charge_is_steps_times_terms(self, blocks, vertices, charge):
+        # min(C(n-1, 2) + 1, 2^(d-1)) terms in each of d(d+1)/2 steps.
+        tournaments.check_closed_form_budget(blocks, vertices, charge)
+        with pytest.raises(BudgetExceededError):
+            tournaments.check_closed_form_budget(blocks, vertices, charge - 1)
+
+    def test_both_closed_forms_refuse_over_the_budget(self):
+        with pytest.raises(BudgetExceededError):
+            complete_acyclic_nl_poly(4, budget=39)
+        assert complete_acyclic_nl_poly(4, budget=40) == IntPolynomial({3: 1, 1: -2, 0: 1})
+        with pytest.raises(BudgetExceededError):
+            complete_digraph_nl_poly((1, 4, 1), budget=23)
+
+    def test_imports_no_numpy(self):
+        # The closed forms stay pure Python: the module loads, without the
+        # package's __init__, while numpy cannot be imported.
+        src = Path(tournaments.__file__).parent
+        code = (
+            "import sys, types; sys.modules['numpy'] = None; "
+            f"pkg = types.ModuleType('nlflow'); pkg.__path__ = [{str(src)!r}]; "
+            "sys.modules['nlflow'] = pkg; import nlflow.tournaments as t; "
+            "print(t.complete_acyclic_nl_poly(4).to_text())"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout == "x^3-2x+1\n"
 
 
 class TestTermPropositions:
