@@ -9,15 +9,18 @@ Usage:
 For each workload and seed, `perfbench/run.py --trace 0` runs once in each
 checkout for the run_seconds that BENCHMARK.json fixes, one after the
 other: the parent first at odd seeds, the change first at even ones.
-The summary is written to BENCH_<label>.json in the current directory.  Each run keeps the '# ' info line and the result line
-that run.py prints.  'pairs' gives, per workload, the first quartile,
-median and third quartile of each end-to-end metric on each side
-(statistics.quantiles, n=4), in how many pairs the change read better,
-by the direction BENCHMARK.json gives the metric (ties count for neither),
-and whether the change's median is worse than the parent's by more than
-the metric's relative bound there.  Those metrics are printed at the end.
-The file is rewritten after every pair, so an interrupted series keeps the
-pairs it finished.
+The summary is written to BENCH_<label>.json in the current directory.
+Each run keeps the '# ' info line and the result line that run.py prints.
+'pairs' gives, per workload, the first quartile, median and third
+quartile of each end-to-end metric on each side (statistics.quantiles,
+n=4), in how many pairs the change read better, by the direction
+BENCHMARK.json gives the metric (ties count for neither), whether the
+change's median is worse than the parent's by more than the metric's
+relative bound there, and whether a gain is shown: the change read better
+in at least 9 of 10 pairs and its median is better than the parent's by
+more than the parent's interquartile range.  The metrics worse than their
+bound are printed at the end.  The file is rewritten after every pair, so
+an interrupted series keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -57,8 +60,10 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: the seeds run on both sides, the failed jobs of each
     run, and for each metric of end_to_end (BENCHMARK.json's entries, with
     "better" either "higher" or "lower" and a relative "bound") both sides'
-    quartiles, the change's wins over the pairs, and whether the change's
-    median is worse than the parent's by more than the bound.
+    quartiles, the change's wins over the pairs, whether the change's
+    median is worse than the parent's by more than the bound, and whether
+    it shows a gain: wins in at least 9 of 10 pairs and a median better
+    than the parent's by more than the parent's interquartile range.
     """
     by_key = {(r["workload"], r["seed"], r["side"]): r["result"] for r in runs}
     pairs = {}
@@ -79,11 +84,13 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             sign = 1 if entry["better"] == "higher" else -1
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
             parent, change = (statistics.median(values[side]) for side in SIDES)
+            q1, _, q3 = parent_q = quartiles(values["parent"])
             summary[metric] = {
-                "parent_q1_median_q3": quartiles(values["parent"]),
+                "parent_q1_median_q3": parent_q,
                 "change_q1_median_q3": quartiles(values["change"]),
                 "change_wins": f"{wins}/{len(seeds)}",
                 "worse_than_bound": sign * (parent - change) > entry["bound"] * parent,
+                "gain_shown": 10 * wins >= 9 * len(seeds) and sign * (change - parent) > q3 - q1,
             }
         pairs[workload] = summary
     return pairs

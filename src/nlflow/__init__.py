@@ -2,9 +2,6 @@
 polynomials as crosscut Moebius sums over the unions of dicuts and of
 directed cycles, closed forms for complete digraphs, the regular-matroid
 generalization, and exhaustive brute-force oracles validating all of it.
-
-FinitePoset (nlflow.posets) is exported for reference use; the polynomial
-formulas do not go through it.
 """
 
 from .digraphs import (
@@ -50,7 +47,6 @@ from .polynomials import (
     interpolate_exact,
     interpolate_rational,
 )
-from .posets import FinitePoset, mobius_inversion_check
 from .tournaments import (
     complete_acyclic_digraph,
     complete_acyclic_nl_poly,

@@ -137,15 +137,13 @@ def verify_flow_counts(
     max_k: int,
     max_m: int = 6,
     budget: int = DEFAULT_BUDGET,
-    progress=None,
 ) -> VerificationReport:
     """Theorem check: the NL-flow polynomial at k equals the brute-force
     NL-Z_k-flow count for every catalog digraph; for k >= 4 the count must
     also agree across non-isomorphic groups of order k.
     """
     report = VerificationReport()
-    graphs = _sweep_catalog(max_n, max_k, max_m, budget)
-    for i, d in enumerate(graphs):
+    for d in _sweep_catalog(max_n, max_k, max_m, budget):
         phi = nl_flow_polynomial(d)
         for k in range(1, max_k + 1):
             expected = count_nl_group_flows(d, cyclic(k), budget)
@@ -159,8 +157,6 @@ def verify_flow_counts(
             report.checked += 1
             if z4 != klein:
                 report.mismatches.append(Mismatch("group-independence", d, 4, z4, klein))
-        if progress is not None:
-            progress(i + 1, len(graphs))
     return report
 
 
@@ -169,7 +165,6 @@ def verify_coloring_identity(
     max_k: int,
     max_m: int = 6,
     budget: int = DEFAULT_BUDGET,
-    progress=None,
 ) -> VerificationReport:
     """Acyclic-coloring identity: for loopless digraphs with c weak
     components, k^c * psi(k) equals the brute-force coloring count.
@@ -177,8 +172,7 @@ def verify_coloring_identity(
     from .digraphs import num_weak_components
 
     report = VerificationReport()
-    graphs = loopless(_sweep_catalog(max_n, max_k, max_m, budget))
-    for i, d in enumerate(graphs):
+    for d in loopless(_sweep_catalog(max_n, max_k, max_m, budget)):
         psi = nl_coflow_polynomial(d)
         c = num_weak_components(d)
         for k in range(1, max_k + 1):
@@ -187,6 +181,4 @@ def verify_coloring_identity(
             report.checked += 1
             if got != expected:
                 report.mismatches.append(Mismatch("coflow-coloring", d, k, expected, got))
-        if progress is not None:
-            progress(i + 1, len(graphs))
     return report

@@ -29,7 +29,6 @@ from .matroids import (
 from .nl import nl_coflow_polynomial, nl_flow_polynomial
 from .oracles import (
     DEFAULT_BUDGET,
-    check_mask_width,
     count_acyclic_colorings,
     count_nl_group_flows,
     count_nl_integer_kflows,
@@ -193,7 +192,6 @@ def _run(args, out) -> tuple[int, dict]:
             print(n, file=out)
             return 0, {"input": _digest(text), "outputs": {"count": n}}
         if args.matroid_command == "poly-fit":
-            check_mask_width(m.q)
             if args.k_range is not None:
                 ks = [int(x) for x in args.k_range.split(",")]
             else:

@@ -92,16 +92,14 @@ def _polynomial(d: Digraph, mu: dict[int, int], flip: int, exponent) -> IntPolyn
     """The sum of mu[u] * x^exponent(b, rk(b)), with b = u ^ flip, over
     the unions u with a nonzero Moebius value.
     """
-    coeffs = defaultdict(int)
+    terms = [(u ^ flip, s) for u, s in mu.items() if s]
     if len(mu) >= _BATCH_MIN_UNIONS and max(d.n, d.m) <= _BATCH_WIDTH:
-        terms = [(u ^ flip, s) for u, s in mu.items() if s]
-        for (b, s), r in zip(terms, _batch_ranks(d, [b for b, _ in terms])):
-            coeffs[exponent(b, r)] += s
+        ranks = _batch_ranks(d, [b for b, _ in terms])
     else:
-        for u, s in mu.items():
-            if s:
-                b = u ^ flip
-                coeffs[exponent(b, rank(d, b))] += s
+        ranks = [rank(d, b) for b, _ in terms]
+    coeffs = defaultdict(int)
+    for (b, s), r in zip(terms, ranks):
+        coeffs[exponent(b, r)] += s
     return IntPolynomial(coeffs)
 
 

@@ -43,9 +43,9 @@ points, whose last ones up to _FOLD_ROWS points seed the fold.  Every
 block is one integer product expr @ x over the values x of a digit grid
 of its coordinates, and the leading (high) coordinates are built per
 batch from their indices, so there is one batch loop, and no walker
-array is wider than one batch (_CHUNK points) whatever the budget.  Boxes that could hold more states than points
-(R10) are walked point by point.  Every batch is added into one int64
-histogram per call.
+array is wider than one batch (_CHUNK points) whatever the budget.
+Boxes that could hold more states than points (R10) are walked point by
+point.  Every batch is added into one int64 histogram per call.
 - fit_nl_integer_polynomial interpolates those counts to a polynomial of
   degree at most the kernel nullity, with held-out witnesses.
 
@@ -53,17 +53,19 @@ Acyclic colorings are counted apart from the kernel, by a DP over vertex
 subsets (count_acyclic_colorings) that shares no code with the coflow
 formula it checks.
 
-The budget bounds, before anything is allocated, both the points walked
-(|G|^nullity or |G|^ncols, or (2K-1)^nullity) and the cells of the
-support histogram (2^m, or K * 2^m); support masks are int64, so more
-than 62 arcs or columns are refused whatever the budget, before any
-elimination, and so are walks whose sums, point indices or histogram
-cells would leave int64, and histograms of 2^63 bytes or more.
-The support filter runs only after those checks, so no table of an
-over-budget input is ever built.  The digraph filter's work
-is the cheaper of the table's, at most a few passes per arc over 2^m
-bytes, and a reachability test per mask with a count, so it is bounded by
-the histogram cells and the points walked times the digraph's size.  The
+The counters, and kernel_nullity, which the fit asks first, get the
+cotree expression through _cotree.  It refuses more than 62 arcs or
+columns, whose support masks would not fit in int64, whatever the budget
+and before any elimination.  After it one check, _walk_matrix, runs every
+refusal of the walk before anything is allocated: the points walked
+(|G|^nullity or |G|^ncols, or (2K-1)^nullity) or the cells of the support
+histogram (2^m, or K * 2^m) over the budget, and walks whose histogram
+cells, sums or point indices would leave int64, or whose histogram takes
+2^63 bytes or more.  The support filter runs only after it, so no table
+of an over-budget input is ever built.  The digraph filter's work is the
+cheaper of the table's, at most a few passes per arc over 2^m bytes, and
+a reachability test per mask with a count, so it is bounded by the
+histogram cells and the points walked times the digraph's size.  The
 matroid filter builds its table only within one batch of work.
 """
 
@@ -241,8 +243,8 @@ def cyclic_supports(counts, predicate) -> list[int]:
 
 def check_mask_width(ncols: int) -> None:
     """Refuse more than MAX_MASK_BITS columns, whose support masks would
-    not fit in int64.  It needs only ncols, so the counters run it before
-    any elimination.
+    not fit in int64.  It needs only ncols, so _cotree runs it before any
+    elimination.
     """
     if ncols > MAX_MASK_BITS:
         raise BudgetExceededError(
@@ -250,47 +252,43 @@ def check_mask_width(ncols: int) -> None:
         )
 
 
-def check_histogram_budget(kmax: int, ncols: int, budget: int) -> None:
-    """Refuse a support histogram of kmax * 2^ncols cells over the budget,
-    before it is allocated, and any over more than MAX_MASK_BITS columns
-    or of 2^63 cells or more, whose indices would leave int64.
+def _cotree(rows, ncols: int):
+    """_cotree_expression of an integer matrix, after check_mask_width, so
+    that no matrix of more than MAX_MASK_BITS columns is ever row-reduced.
     """
     check_mask_width(ncols)
-    if kmax << ncols > budget:
-        raise BudgetExceededError(
-            f"support histogram of {kmax}*2^{ncols} cells exceeds budget {budget}"
-        )
-    if kmax << ncols >= 1 << 63:
-        raise BudgetExceededError(
-            f"support histogram of {kmax}*2^{ncols} cells exceeds int64 indices"
-        )
+    return _cotree_expression(tuple(map(tuple, rows)), ncols)
 
 
-def check_histogram_bytes(kmax: int, ncols: int) -> None:
-    """Refuse a support histogram of kmax * 2^ncols int64 cells that takes
-    2^63 bytes or more, which numpy cannot allocate as one array.
+def _walk_matrix(box: str, radix: int, nullity: int, expr, kmax: int, ncols: int, budget: int) -> np.ndarray:
+    """The one refusal check of a kernel walk: radix^nullity points, named
+    box in the message, into a support histogram of kmax * 2^ncols int64
+    cells.  Refused, in this order and before anything is allocated:
+
+    - more points, or more cells, than the budget;
+    - 2^63 cells or more, whose indices would leave int64, and 2^63
+      bytes or more, which numpy cannot allocate as one array;
+    - row sums that could leave int64: the value indices are below radix,
+      so a sum is at most radix * nullity * max|expr|;
+    - 2^63 points or more, whose indices would leave int64.
+
+    Then expr, as the int64 array of nullity columns the walk multiplies.
     """
-    if kmax << ncols + 3 >= 1 << 63:
-        raise BudgetExceededError(
-            f"support histogram of {kmax}*2^{ncols} cells exceeds 2^63 bytes"
-        )
-
-
-def check_walk_width(radix: int, nullity: int, expr) -> None:
-    """Refuse a walk whose values could leave int64: the value indices of
-    its nullity coordinates are below radix, and a row's sum is at most
-    nullity * max|expr| times that; and the box's radix^nullity point
-    indices must stay below 2^63.  Run before the histogram is allocated.
-    """
+    points, cells = radix**nullity, kmax << ncols
+    if points > budget:
+        raise BudgetExceededError(f"{box} = {radix}^{nullity} exceeds budget {budget}")
+    if cells > budget:
+        raise BudgetExceededError(f"support histogram of {kmax}*2^{ncols} cells exceeds budget {budget}")
+    if cells >= 1 << 63:
+        raise BudgetExceededError(f"support histogram of {kmax}*2^{ncols} cells exceeds int64 indices")
+    if 8 * cells >= 1 << 63:
+        raise BudgetExceededError(f"support histogram of {kmax}*2^{ncols} cells exceeds 2^63 bytes")
     top = max(map(abs, chain.from_iterable(expr)), default=0)
     if nullity and radix * nullity * max(top, 1) >= 1 << 63:
-        raise BudgetExceededError(
-            f"cotree sums of {radix} values times {nullity}*{top} exceed int64"
-        )
-    if radix**nullity >= 1 << 63:
-        raise BudgetExceededError(
-            f"a box of {radix}^{nullity} points exceeds int64 indices"
-        )
+        raise BudgetExceededError(f"cotree sums of {radix} values times {nullity}*{top} exceed int64")
+    if points >= 1 << 63:
+        raise BudgetExceededError(f"a box of {radix}^{nullity} points exceeds int64 indices")
+    return np.array(expr, dtype=np.int64).reshape(len(expr), nullity)
 
 
 def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, supports, budget: int = DEFAULT_BUDGET) -> int:
@@ -302,18 +300,11 @@ def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, supports, budget: int
     _cotree_expression every column is free and every row is checked mod
     each factor.
     """
-    check_mask_width(ncols)
-    pivots, free, expr, _, unimodular = _cotree_expression(tuple(map(tuple, rows)), ncols)
+    pivots, free, expr, _, unimodular = _cotree(rows, ncols)
     if not unimodular:
         pivots, free, expr = [], range(ncols), rows
-    k, walked = g.order, "nullity" if unimodular else "m"
-    if k ** len(free) > budget:
-        raise BudgetExceededError(f"|G|^{walked} = {k}^{len(free)} exceeds budget {budget}")
-    check_histogram_budget(1, ncols, budget)
-    check_histogram_bytes(1, ncols)
-    check_walk_width(k, len(free), expr)
-
-    expr = np.array(expr, dtype=np.int64).reshape(len(expr), len(free))
+    k, box = g.order, "|G|^nullity" if unimodular else "|G|^m"
+    expr = _walk_matrix(box, k, len(free), expr, 1, ncols, budget)
     factors = np.array(g.factors, dtype=np.int64)[:, None, None]
     weights = k // np.cumprod(factors).reshape(factors.shape)
     bits = np.array([1 << c for c in pivots], dtype=np.int64)
@@ -361,7 +352,7 @@ def kernel_nullity(rows, ncols: int) -> int:
     """Dimension of the rational kernel of an integer matrix: the number
     of its free (cotree) columns, and the degree bound of the fit.
     """
-    return len(_cotree_expression(tuple(map(tuple, rows)), ncols)[1])
+    return len(_cotree(rows, ncols)[1])
 
 
 def _accumulate(hist, index, weight, keep) -> None:
@@ -555,17 +546,9 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
     """
     if kmax < 1:
         raise ValueError("k must be >= 1")
-    check_mask_width(ncols)
-    pivots, free, expr, denom, _ = _cotree_expression(tuple(map(tuple, rows)), ncols)
-    nullity = len(free)
+    pivots, free, expr, denom, _ = _cotree(rows, ncols)
     base = 2 * kmax - 1
-    if base**nullity > budget:
-        raise BudgetExceededError(f"(2k-1)^nullity = {base}^{nullity} exceeds budget {budget}")
-    check_histogram_budget(kmax, ncols, budget)
-    check_histogram_bytes(kmax, ncols)
-    check_walk_width(base, nullity, expr)
-
-    expr = np.array(expr, dtype=np.int64).reshape(len(pivots), nullity)
+    expr = _walk_matrix("(2k-1)^nullity", base, len(free), expr, kmax, ncols, budget)
     bits = np.array([1 << c for c in pivots], dtype=np.int64)
     hist = np.zeros(kmax << ncols, dtype=np.int64)
 
@@ -721,7 +704,6 @@ def fit_nl_integer_polynomial(rows, ncols: int, k_range, supports, budget: int =
     always integer-valued, not always integer-coefficient).
     """
     k_range = list(k_range)
-    check_mask_width(ncols)
     bound = kernel_nullity(rows, ncols)
     if len(k_range) < bound + 2:
         raise ValueError(

@@ -66,20 +66,3 @@ class FinitePoset:
         yi = self._index[y]
         return self._row(xi).get(yi, 0)
 
-
-def mobius_inversion_check(p: FinitePoset, f, g) -> bool:
-    """Test utility for inversion from above: evaluates both
-
-        f(x) = sum_{y >= x} g(y)          for all x
-        g(x) = sum_{y >= x} mu(x, y) f(y)  for all x
-
-    and reports whether the two statements agree (both hold or both fail).
-    """
-    direct = all(
-        f(x) == sum(g(y) for y in p.elements if p.leq(x, y)) for x in p.elements
-    )
-    inverted = all(
-        g(x) == sum(p.mobius(x, y) * f(y) for y in p.elements if p.leq(x, y))
-        for x in p.elements
-    )
-    return direct == inverted

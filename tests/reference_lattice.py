@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from nlflow import FinitePoset, IntPolynomial
+from nlflow import IntPolynomial
 from nlflow.cuts import DEFAULT_LATTICE_CAP, enumerate_dicuts, enumerate_directed_cycles
 from nlflow.digraphs import ArcSet, Digraph, rank
 from nlflow.errors import LatticeSizeError
+from nlflow.posets import FinitePoset
 
 
 @dataclass

@@ -16,7 +16,6 @@ from reference_lattice import (
 
 from nlflow import (
     Digraph,
-    FinitePoset,
     IntPolynomial,
     cyclic,
     count_acyclic_colorings,
@@ -29,6 +28,7 @@ from nlflow import nl
 from nlflow.cuts import enumerate_dicuts, enumerate_directed_cycles
 from nlflow.digraphs import arc_mask, num_weak_components, rank
 from nlflow.errors import LatticeSizeError
+from nlflow.posets import FinitePoset
 
 
 def grid(a: int, b: int) -> Digraph:

@@ -4,6 +4,7 @@ state merged) vs the plain one, acyclic colorings, equivalence, and
 polynomiality fits.
 """
 
+import re
 import tracemalloc
 from functools import lru_cache, partial
 from itertools import product
@@ -39,9 +40,11 @@ from nlflow.groups import AbelianGroup
 from nlflow.matroids import (
     TUMatrix,
     _support_contraction_cyclic,
+    count_nl_group_flows_matroid,
     fit_integer_flow_polynomial_matroid,
+    write_matrix,
 )
-from nlflow import oracles
+from nlflow import cli, oracles
 from nlflow.oracles import kernel_height_histogram, kernel_nullity
 
 
@@ -334,14 +337,14 @@ class TestKernelHeightHistogram:
         assert peak < 2.5 * 8 * (k << cycle3.m), peak
 
     def test_masks_wider_than_62_bits_are_refused(self):
-        # int64 support masks: no budget admits a histogram over 63 columns.
-        oracles.check_histogram_budget(1, 62, 1 << 62)
-        with pytest.raises(BudgetExceededError):
-            oracles.check_histogram_budget(1, 63, 10**30)
+        # int64 support masks: no budget admits more than 62 columns.
+        oracles.check_mask_width(62)
+        with pytest.raises(BudgetExceededError, match="support masks of 63 columns exceed 62 bits"):
+            oracles.check_mask_width(63)
 
-    def test_wide_supports_are_refused_before_any_elimination(self, monkeypatch):
+    def test_wide_supports_are_refused_before_any_elimination(self, monkeypatch, tmp_path, capsys):
         # The width needs only ncols: the 300 x 300 incidence matrix of a
-        # directed 300-cycle is never row-reduced.
+        # directed 300-cycle is never row-reduced, whoever asks.
         def refuse(mat):
             raise AssertionError("int_rref ran before the width check")
 
@@ -350,11 +353,67 @@ class TestKernelHeightHistogram:
         counts = [
             partial(count_nl_group_flows, d, cyclic(2)),
             partial(count_nl_integer_kflows, d, 2),
+            partial(kernel_nullity, incidence_matrix(d), d.m),
             partial(fit_integer_flow_polynomial, d, range(2, 5)),
+            partial(fit_integer_flow_polynomial_matroid, TUMatrix.from_digraph(d), range(2, 5)),
         ]
         for count in counts:
             with pytest.raises(BudgetExceededError, match="support masks of 300 columns exceed 62 bits"):
                 count()
+        path = tmp_path / "c300.tu"
+        path.write_text(write_matrix(TUMatrix.from_digraph(d)))
+        for k_range in ([], ["--k-range", "2,3,4"]):
+            assert cli.main(["matroid", "poly-fit", "--matrix", str(path), *k_range]) == 1
+            assert capsys.readouterr().err == "error: budget: support masks of 300 columns exceed 62 bits\n"
+
+
+class TestWalkRefusals:
+    # oracles._walk_matrix runs every refusal of a kernel walk, in order,
+    # before anything is allocated.  Each is tried at its bound and just
+    # inside it, where the next refusal, if any, fires instead.
+    LOOPS3 = Digraph(1, ((0, 0),) * 3)  # nullity 3: 3^3 points at |G| = 3 or k = 2
+    NON_TU = TUMatrix(((1, 1, 0), (1, -1, 1)))  # pivot block of determinant -2
+    BIG = 1 << 200  # a budget that admits every box and histogram below
+
+    @pytest.mark.parametrize(
+        "count, box",
+        [
+            (partial(count_nl_group_flows, LOOPS3, cyclic(3)), "|G|^nullity"),
+            (partial(count_nl_integer_kflows, LOOPS3, 2), "(2k-1)^nullity"),
+            (partial(count_nl_group_flows_matroid, NON_TU, cyclic(3)), "|G|^m"),
+        ],
+    )
+    def test_box_over_the_budget(self, count, box):
+        with pytest.raises(BudgetExceededError, match=re.escape(f"{box} = 3^3 exceeds budget 26")):
+            count(budget=26)
+        assert count(budget=27) == count() > 0
+
+    @pytest.mark.parametrize(
+        "radix, nullity, top, kmax, ncols, budget, message",
+        [
+            (3, 2, 1, 1, 0, 8, "box = 3^2 exceeds budget 8"),
+            (3, 2, 1, 1, 0, 9, None),
+            (2, 1, 1, 2, 3, 15, "support histogram of 2*2^3 cells exceeds budget 15"),
+            (2, 1, 1, 2, 3, 16, None),
+            (2, 1, 1, 2, 62, BIG, "support histogram of 2*2^62 cells exceeds int64 indices"),
+            (2, 1, 1, (1 << 63) - 1, 0, BIG, f"support histogram of {(1 << 63) - 1}*2^0 cells exceeds 2^63 bytes"),
+            (2, 1, 1, 1, 60, BIG, "support histogram of 1*2^60 cells exceeds 2^63 bytes"),
+            (2, 1, 1, 1, 59, BIG, None),
+            (2, 1, 1 << 62, 1, 0, BIG, f"cotree sums of 2 values times 1*{1 << 62} exceed int64"),
+            (2, 1, (1 << 62) - 1, 1, 0, BIG, None),
+            (2, 63, 1, 1, 0, BIG, "a box of 2^63 points exceeds int64 indices"),
+            (2, 62, 1, 1, 0, BIG, None),
+        ],
+    )
+    def test_each_refusal_at_its_bound(self, radix, nullity, top, kmax, ncols, budget, message):
+        expr = [[top] * nullity]
+        walk = partial(oracles._walk_matrix, "box", radix, nullity, expr, kmax, ncols, budget)
+        if message is None:
+            matrix = walk()
+            assert matrix.dtype == np.int64 and matrix.tolist() == expr
+        else:
+            with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+                walk()
 
 
 class TestFoldedWalk:

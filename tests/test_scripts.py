@@ -32,13 +32,6 @@ def test_print_table(monkeypatch, capsys):
     ]
 
 
-def test_run_verification(monkeypatch, capsys):
-    lines = run_script(
-        monkeypatch, capsys, "run_verification.py", "--max-n", "2", "--max-k", "3", "--max-m", "3"
-    )
-    assert re.fullmatch(r"checked 90 counts in \d+\.\d s, 0 mismatches", lines[-1])
-
-
 def test_fit_flow_polynomials(monkeypatch, capsys):
     lines = run_script(monkeypatch, capsys, "fit_flow_polynomials.py", "--max-n", "2", "--max-m", "3")
     assert re.fullmatch(
@@ -81,12 +74,14 @@ def test_bench_pairs_summarises_canned_runs():
                 "change_q1_median_q3": [112.5, 130.0, 147.5],
                 "change_wins": "3/4",
                 "worse_than_bound": False,
+                "gain_shown": False,
             },
             "job_p50_ms": {
                 "parent_q1_median_q3": [2.0, 2.0, 2.0],
                 "change_q1_median_q3": [1.125, 1.75, 2.75],
                 "change_wins": "2/4",
                 "worse_than_bound": False,
+                "gain_shown": False,
             },
         }
     }
@@ -106,3 +101,26 @@ def test_bench_pairs_summarises_canned_runs():
     for slow, worse in ((75, False), (74, True)):
         runs = [parse(side, canned_run("sweep", 1, jobs, 2.0)) for side, jobs in (("parent", 100), ("change", slow))]
         assert over_bound(summarise(runs, end_to_end)) == (["sweep jobs_per_s"] if worse else [])
+    # A gain is shown when the change wins at least 9 of 10 pairs and its
+    # median beats the parent's by more than the parent's interquartile
+    # range.  Parent: quartiles 90, 100, 110, so the range is 20.
+    parent = [90, 90, 90, 100, 100, 100, 100, 110, 110, 110]
+    cases = [
+        ([p + 20 for p in parent], "10/10", False),  # median gap 20: at the range
+        ([p + 21 for p in parent], "10/10", True),  # gap 21: past it
+        ([89] + [p + 30 for p in parent[1:]], "9/10", True),  # gap 30, 9 wins
+        ([89, 89] + [p + 30 for p in parent[2:]], "8/10", False),  # gap 30, 8 wins
+    ]
+    for change, wins, shown in cases:
+        runs = [
+            parse(side, canned_run("lattice", seed, jobs, 2.0))
+            for seed, pair in enumerate(zip(parent, change), start=1)
+            for side, jobs in zip(("parent", "change"), pair)
+        ]
+        stats = summarise(runs, end_to_end)["lattice"]
+        assert stats["jobs_per_s"]["parent_q1_median_q3"] == [90, 100, 110]
+        assert (stats["jobs_per_s"]["change_wins"], stats["jobs_per_s"]["gain_shown"]) == (wins, shown)
+        assert stats["job_p50_ms"]["gain_shown"] is False
+    # The same rule for a metric where lower is better: p50 2.0 against 1.0.
+    runs = [parse(side, canned_run("lattice", 1, 100, p50)) for side, p50 in (("parent", 2.0), ("change", 1.0))]
+    assert summarise(runs, end_to_end)["lattice"]["job_p50_ms"]["gain_shown"] is True
