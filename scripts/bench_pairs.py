@@ -16,11 +16,15 @@ quartile of each end-to-end metric on each side (statistics.quantiles,
 n=4), in how many pairs the change read better, by the direction
 BENCHMARK.json gives the metric (ties count for neither), whether the
 change's median is worse than the parent's by more than the metric's
-relative bound there, and whether a gain is shown: the change read better
+relative bound there, whether a gain is shown: the change read better
 in at least 9 of 10 pairs and its median is better than the parent's by
-more than the parent's interquartile range.  The metrics worse than their
-bound are printed at the end.  The file is rewritten after every pair, so
-an interrupted series keeps the pairs it finished.
+more than the parent's interquartile range, and whether the metric is
+unresolved: the parent's interquartile range is wider than the bound
+times the parent's median, so a median within the bound shows nothing,
+unless every change run reads better than every parent run.  The metrics
+worse than their bound are printed at the end, then the unresolved ones.
+The file is rewritten after every pair, so an interrupted series keeps
+the pairs it finished.
 """
 
 from __future__ import annotations
@@ -61,9 +65,11 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     run, and for each metric of end_to_end (BENCHMARK.json's entries, with
     "better" either "higher" or "lower" and a relative "bound") both sides'
     quartiles, the change's wins over the pairs, whether the change's
-    median is worse than the parent's by more than the bound, and whether
-    it shows a gain: wins in at least 9 of 10 pairs and a median better
-    than the parent's by more than the parent's interquartile range.
+    median is worse than the parent's by more than the bound, whether it
+    shows a gain: wins in at least 9 of 10 pairs and a median better than
+    the parent's by more than the parent's interquartile range, and
+    whether it is unresolved: that range is wider than the bound times the
+    parent's median, and not every change run beats every parent run.
     """
     by_key = {(r["workload"], r["seed"], r["side"]): r["result"] for r in runs}
     pairs = {}
@@ -85,26 +91,29 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
             parent, change = (statistics.median(values[side]) for side in SIDES)
             q1, _, q3 = parent_q = quartiles(values["parent"])
+            best_parent = max(sign * p for p in values["parent"])
+            every_run_better = all(sign * c > best_parent for c in values["change"])
             summary[metric] = {
                 "parent_q1_median_q3": parent_q,
                 "change_q1_median_q3": quartiles(values["change"]),
                 "change_wins": f"{wins}/{len(seeds)}",
                 "worse_than_bound": sign * (parent - change) > entry["bound"] * parent,
                 "gain_shown": 10 * wins >= 9 * len(seeds) and sign * (change - parent) > q3 - q1,
+                "unresolved": q3 - q1 > entry["bound"] * parent and not every_run_better,
             }
         pairs[workload] = summary
     return pairs
 
 
-def over_bound(pairs: dict) -> list[str]:
-    """The "workload metric" pairs whose change median is worse than the
-    parent's by more than the metric's bound.
+def flagged(pairs: dict, key: str) -> list[str]:
+    """The "workload metric" pairs whose summary sets key, such as
+    "worse_than_bound" or "unresolved".
     """
     return [
         f"{workload} {metric}"
         for workload, summary in pairs.items()
         for metric, stats in summary.items()
-        if isinstance(stats, dict) and stats.get("worse_than_bound")
+        if isinstance(stats, dict) and stats.get(key)
     ]
 
 
@@ -147,8 +156,9 @@ def main() -> int:
             out.write_text(json.dumps(record, indent=1) + "\n")
             summary = record["pairs"][workload]["jobs_per_s"]
             print(f"{workload} seed {seed}: jobs_per_s change wins {summary['change_wins']}", flush=True)
-    worse = over_bound(record["pairs"])
-    print("worse than bound: " + (", ".join(worse) if worse else "none"))
+    for key in ("worse_than_bound", "unresolved"):
+        names = flagged(record["pairs"], key)
+        print(f"{key.replace('_', ' ')}: " + (", ".join(names) if names else "none"))
     return 0
 
 

@@ -8,7 +8,6 @@ from .digraphs import (
     ArcSet,
     Digraph,
     contract,
-    delete,
     incidence_matrix,
     is_acyclic,
     is_totally_cyclic,
@@ -23,7 +22,6 @@ from .cuts import (
     enumerate_dicuts,
     enumerate_directed_cycles,
     is_dijoin,
-    is_feedback_arc_set,
 )
 from .errors import (
     BudgetExceededError,
@@ -44,7 +42,6 @@ from .oracles import (
 from .polynomials import (
     IntPolynomial,
     RationalPolynomial,
-    interpolate_exact,
     interpolate_rational,
 )
 from .tournaments import (
@@ -52,7 +49,6 @@ from .tournaments import (
     complete_acyclic_nl_poly,
     complete_digraph_nl_poly,
     complete_digraph_witness,
-    compositions,
     constant_term,
     leading_terms,
     linear_term,
@@ -60,7 +56,6 @@ from .tournaments import (
 )
 from .matroids import (
     TUMatrix,
-    contract_matroid,
     count_nl_group_flows_matroid,
     count_nl_integer_kflows_matroid,
     farkas_certificate,

@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 
 from .cuts import enumerate_dicuts, is_dijoin
 from .digraphs import read_digraph
@@ -53,6 +54,20 @@ def _emit_poly(poly: IntPolynomial, args, out) -> dict:
         text = poly.to_text()
     print(text, file=out)
     return {"text": poly.to_text(), "json": poly.to_json_dict()}
+
+
+def _int_list(text: str, skip_blank: bool = False) -> list[int]:
+    """argparse type of a comma-separated integer list, so that a bad item
+    is a usage error, as a bad -k is.  skip_blank drops empty items.
+    """
+    values = []
+    for x in text.split(","):
+        if x.strip() or not skip_blank:
+            try:
+                values.append(int(x))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"invalid int value: {x!r}") from None
+    return values
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,11 +115,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p = sub.add_parser("dijoin", help="test whether an arc set is a dijoin")
     p.add_argument("file")
-    p.add_argument("--arcs", required=True, help="comma-separated arc indices")
+    arcs = partial(_int_list, skip_blank=True)
+    p.add_argument("--arcs", type=arcs, required=True, help="comma-separated arc indices")
     p = sub.add_parser("complete-acyclic", help="closed-form polynomial, acyclic case")
     p.add_argument("-n", type=int, required=True)
     p = sub.add_parser("tournament", help="closed form from condensation sizes")
-    p.add_argument("--sizes", required=True, help="comma-separated component sizes")
+    p.add_argument("--sizes", type=_int_list, required=True, help="comma-separated component sizes")
     p = sub.add_parser("matroid", help="regular-matroid operations")
     msub = p.add_subparsers(dest="matroid_command", required=True)
     mc = msub.add_parser("count", help="NL-flow count in a TU-matrix matroid")
@@ -116,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mt.add_argument("--matrix", required=True)
     mp = msub.add_parser("poly-fit", help="interpolate integer NL-k-flow counts")
     mp.add_argument("--matrix", required=True)
-    mp.add_argument("--k-range", default=None, help="comma-separated k values")
+    mp.add_argument("--k-range", type=_int_list, help="comma-separated k values")
     p = sub.add_parser("verify", help="oracle-vs-formula sweep; exit 2 on mismatch")
     p.add_argument("--max-n", type=int, default=3)
     p.add_argument("--max-k", type=int, default=3)
@@ -166,17 +182,17 @@ def _run(args, out) -> tuple[int, dict]:
     if cmd == "dijoin":
         text = _read_file(args.file)
         d = read_digraph(text)
-        arcs = frozenset(int(x) for x in args.arcs.split(",") if x.strip() != "")
-        result = is_dijoin(d, arcs)
+        result = is_dijoin(d, frozenset(args.arcs))
         print("true" if result else "false", file=out)
-        return 0, {"input": _digest(text, args.arcs), "outputs": {"dijoin": result}}
+        digest = _digest(text, ",".join(map(str, args.arcs)))
+        return 0, {"input": digest, "outputs": {"dijoin": result}}
     if cmd == "complete-acyclic":
         poly = complete_acyclic_nl_poly(args.n, args.budget)
         return 0, {"input": _digest(str(args.n)), "outputs": _emit_poly(poly, args, out)}
     if cmd == "tournament":
-        sizes = tuple(int(x) for x in args.sizes.split(","))
-        poly = complete_digraph_nl_poly(sizes, args.budget)
-        return 0, {"input": _digest(args.sizes), "outputs": _emit_poly(poly, args, out)}
+        poly = complete_digraph_nl_poly(args.sizes, args.budget)
+        digest = _digest(",".join(map(str, args.sizes)))
+        return 0, {"input": digest, "outputs": _emit_poly(poly, args, out)}
     if cmd == "matroid":
         text = _read_file(args.matrix)
         m = read_matrix(text)
@@ -192,10 +208,7 @@ def _run(args, out) -> tuple[int, dict]:
             print(n, file=out)
             return 0, {"input": _digest(text), "outputs": {"count": n}}
         if args.matroid_command == "poly-fit":
-            if args.k_range is not None:
-                ks = [int(x) for x in args.k_range.split(",")]
-            else:
-                ks = list(range(2, 2 + kernel_nullity(m.rows, m.q) + 2))
+            ks = args.k_range or list(range(2, 2 + kernel_nullity(m.rows, m.q) + 2))
             poly = fit_integer_flow_polynomial_matroid(m, ks, args.budget)
             return 0, {"input": _digest(text), "outputs": _emit_poly(poly, args, out)}
     if cmd == "verify":

@@ -1,6 +1,6 @@
-"""Directed cuts, directed cycles, dijoins and feedback arc sets.  The
-dicuts and the directed cycles are the families whose unions carry the
-Moebius sums of the NL polynomials (see nlflow.nl).
+"""Directed cuts, directed cycles and dijoins.  The dicuts and the
+directed cycles are the families whose unions carry the Moebius sums of
+the NL polynomials (see nlflow.nl).
 
 A dicut is delta(U) for a vertex set U with no arcs entering U; no dicut
 can separate a strongly connected component, so U is an order ideal
@@ -18,8 +18,6 @@ from .digraphs import (
     Digraph,
     condensation_labels,
     contract,
-    delete,
-    is_acyclic,
     is_totally_cyclic,
     mask_arcs,
     weak_components,
@@ -142,6 +140,3 @@ def is_dijoin(d: Digraph, s: ArcSet) -> bool:
     """
     return is_totally_cyclic(contract(d, s))
 
-
-def is_feedback_arc_set(d: Digraph, s: ArcSet) -> bool:
-    return is_acyclic(delete(d, s))

@@ -226,12 +226,6 @@ def contract(d: Digraph, s: ArcSet) -> Digraph:
     return Digraph(new_n, tuple(new_arcs))
 
 
-def delete(d: Digraph, s: ArcSet) -> Digraph:
-    """Remove the arcs of s, keeping all vertices."""
-    s = d.check_arc_subset(s)
-    return Digraph(d.n, tuple(a for j, a in enumerate(d.arcs) if j not in s))
-
-
 def topological_order(d: Digraph) -> list[int] | None:
     """A vertex order with all arcs pointing forward, or None if d has a
     directed cycle (loops count as cycles).  Ties broken by vertex index,

@@ -1,8 +1,8 @@
 """Exact linear algebra on integers: one fraction-free pivot step
 (Bareiss 1968) behind an integer Gauss-Jordan, rref as its view over
-fractions.Fraction, a determinant, and a phase-1 simplex deciding Farkas
-alternatives on one integer tableau.  nlflow.oracles builds a matrix's
-cotree expression from one int_rref.
+fractions.Fraction, and a phase-1 simplex deciding Farkas alternatives
+on one integer tableau.  nlflow.oracles builds a matrix's cotree
+expression from one int_rref.
 
 No floating point anywhere.  Matrices are lists of row lists.
 """
@@ -57,24 +57,6 @@ def rref(mat):
     scales = (lcm(*(x.denominator for x in row)) for row in mat)
     rows, pivots, d = int_rref([[int(x * s) for x in row] for row, s in zip(mat, scales)])
     return [[Fraction(x, d) for x in row] for row in rows], pivots
-
-
-def int_det(rows) -> int:
-    """Fraction-free Bareiss determinant of a small integer matrix, or of
-    the rows it pivots on when there are more rows than columns.
-    """
-    a = [list(r) for r in rows]
-    n = len(a[0]) if a else 0
-    sign, d = 1, 1
-    for c in range(n):
-        i = next((i for i in range(c, len(a)) if a[i][c]), None)
-        if i is None:
-            return 0
-        if i > c:
-            a[c], a[i], sign = a[i], a[c], -sign
-        _pivot(a[c + 1 :], a[c], c, d)
-        d = a[c][c]
-    return sign * d
 
 
 def farkas_nonneg_solve(a_mat, b_vec):

@@ -1,7 +1,7 @@
 """NL-flow theory over regular oriented matroids given by totally
 unimodular matrices: TU-matrix I/O, the TU check, total cyclicity via
-exact Farkas certificates, and contraction, which gives the support
-predicate of the counting oracles.
+exact Farkas certificates, and the contraction predicate (is M/S
+totally cyclic?), which is the support predicate of the counting oracles.
 
 The oriented matroid is represented linear-algebraically: flows are the
 rational kernel of the matrix, coflows its row space.  All feasibility
@@ -10,7 +10,7 @@ the polynomial fit are the shared ones of nlflow.oracles, called with the
 matrix and its support filter: a table of the masks that meet every
 positive cocircuit, or, where that table would cost more than one batch,
 the up-set walk over the Farkas contraction predicate.  The integer
-kernel basis behind the Farkas certificates and contractions, and the
+kernel basis behind the Farkas certificates and that predicate, and the
 rows the table combines, are read off the same cached cotree expression
 those counters walk, so each matrix is row-reduced once.
 """
@@ -27,7 +27,7 @@ import numpy as np
 from .digraphs import Digraph, incidence_matrix
 from .errors import BudgetExceededError
 from .groups import AbelianGroup
-from .linalg import farkas_nonneg_solve, int_det, int_rref
+from .linalg import farkas_nonneg_solve, int_rref
 from .oracles import (
     _CHUNK,
     DEFAULT_BUDGET,
@@ -111,7 +111,8 @@ def write_matrix(m: TUMatrix) -> str:
 
 def is_totally_unimodular(m: TUMatrix, max_dim: int = DEFAULT_TU_CHECK_BOUND) -> bool:
     """Brute-force certificate: every square submatrix determinant is in
-    {0, +-1}.  Refuses matrices with min(p, q) beyond max_dim.
+    {0, +-1}, read off int_rref: fewer pivots than rows is singular, and
+    otherwise d is the determinant up to sign.  Refuses min(p, q) > max_dim.
     """
     if min(m.p, m.q) > max_dim:
         raise BudgetExceededError(
@@ -120,8 +121,8 @@ def is_totally_unimodular(m: TUMatrix, max_dim: int = DEFAULT_TU_CHECK_BOUND) ->
     for size in range(1, min(m.p, m.q) + 1):
         for rsel in combinations(range(m.p), size):
             for csel in combinations(range(m.q), size):
-                sub = [[m.rows[i][j] for j in csel] for i in rsel]
-                if int_det(sub) not in (-1, 0, 1):
+                _, pivots, d = int_rref([[m.rows[i][j] for j in csel] for i in rsel])
+                if len(pivots) == size and abs(d) != 1:
                     return False
     return True
 
@@ -182,35 +183,12 @@ def is_totally_cyclic_matroid(m: TUMatrix) -> bool:
     return farkas_certificate(m)[0] == "positive"
 
 
-@dataclass(frozen=True)
-class ContractedFlowSpace:
-    """Flow space of a matroid contraction: the kernel projected onto the
-    surviving coordinates, kept as an exact integer spanning set.
-    """
-
-    columns: tuple[int, ...]
-    vectors: tuple[tuple[int, ...], ...]
-
-    def is_totally_cyclic(self) -> bool:
-        kind, _ = positive_span_certificate(list(self.vectors), len(self.columns))
-        return kind == "positive"
-
-
-def contract_matroid(m: TUMatrix, s) -> ContractedFlowSpace:
-    s = frozenset(s)
-    if not s <= set(range(m.q)):
-        raise ValueError("contraction set outside column range")
-    keep = tuple(c for c in range(m.q) if c not in s)
-    vectors = tuple(
-        tuple(v[c] for c in keep) for v in _kernel_basis(m)
-    )
-    return ContractedFlowSpace(columns=keep, vectors=vectors)
-
-
 @lru_cache(maxsize=500_000)
 def _support_contraction_cyclic(m: TUMatrix, mask: int) -> bool:
-    supp = frozenset(j for j in range(m.q) if mask >> j & 1)
-    return contract_matroid(m, supp).is_totally_cyclic()
+    """Is M/S totally cyclic, S the support of mask?  Its flows are M's off S."""
+    keep = [c for c in range(m.q) if not mask >> c & 1]
+    vectors = [[v[c] for c in keep] for v in _kernel_basis(m)]
+    return positive_span_certificate(vectors, len(keep))[0] == "positive"
 
 
 @lru_cache(maxsize=1)

@@ -329,7 +329,7 @@ def count_nl_group_flows(d: Digraph, g: AbelianGroup, budget: int = DEFAULT_BUDG
     return nl_group_flow_count(incidence_matrix(d), d.m, g, partial(_dijoins, d), budget)
 
 
-@lru_cache(maxsize=100_000)
+@lru_cache(maxsize=1)
 def _cotree_expression(rows: tuple[tuple[int, ...], ...], ncols: int):
     """Basic (pivot) and free (cotree) columns of an integer matrix, the
     integer matrix expr with denom * x_basic = -expr @ x_free on its
@@ -340,6 +340,7 @@ def _cotree_expression(rows: tuple[tuple[int, ...], ...], ncols: int):
     unimodularity makes denom 1; other matrices keep exact counts through
     the divisibility test in kernel_height_histogram.  It holds over Z_f
     when |d| = 1, d being up to sign the determinant of the pivot block.
+    One slot: the counts of one matrix run back to back.
     """
     reduced, pivots, d = int_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]

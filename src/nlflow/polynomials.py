@@ -81,9 +81,6 @@ class IntPolynomial:
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __eq__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -105,14 +102,6 @@ class IntPolynomial:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, factor: int):
-        return IntPolynomial({e: factor * c for e, c in self._coeffs.items()})
-
-    def mul_monomial(self, exponent: int, coefficient: int = 1):
-        return IntPolynomial(
-            {e + exponent: coefficient * c for e, c in self._coeffs.items()}
-        )
 
     def __mul__(self, other):
         out = {}
@@ -223,9 +212,9 @@ def _newton_coeffs(points):
     return coeffs
 
 
-def _interpolate(points, degree_bound: int, build):
-    """build(coefficients) on the interpolant of the first
-    degree_bound+1 points, checked against the remaining (held-out) points.
+def interpolate_rational(points, degree_bound: int) -> RationalPolynomial:
+    """Unique rational polynomial of degree <= degree_bound through the
+    first degree_bound+1 points; remaining points are held-out witnesses.
     """
     points = [(int(k), int(v)) for k, v in points]
     if degree_bound < 0:
@@ -235,7 +224,7 @@ def _interpolate(points, degree_bound: int, build):
         raise ValueError(f"need at least {need} points, got {len(points)}")
     if len({k for k, _ in points}) != len(points):
         raise ValueError("interpolation points must have distinct abscissae")
-    poly = build(_newton_coeffs(points[:need]))
+    poly = RationalPolynomial(dict(enumerate(_newton_coeffs(points[:need]))))
     for k, v in points[need:]:
         got = poly(k)
         if got != v:
@@ -243,32 +232,3 @@ def _interpolate(points, degree_bound: int, build):
                 f"held-out point k={k}: interpolant gives {got}, expected {v}"
             )
     return poly
-
-
-def _integer_polynomial(coeffs) -> IntPolynomial:
-    for e, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise NonIntegerPolynomialError(
-                f"not an integer polynomial: coefficient of x^{e} is {c}"
-            )
-    return IntPolynomial({e: int(c) for e, c in enumerate(coeffs)})
-
-
-def interpolate_rational(points, degree_bound: int) -> RationalPolynomial:
-    """Unique rational polynomial of degree <= degree_bound through the
-    first degree_bound+1 points; remaining points are held-out witnesses.
-    """
-    return _interpolate(
-        points, degree_bound, lambda coeffs: RationalPolynomial(dict(enumerate(coeffs)))
-    )
-
-
-def interpolate_exact(points, degree_bound: int) -> IntPolynomial:
-    """Unique integer polynomial of degree <= degree_bound through the
-    first degree_bound+1 points; any remaining points are checked as
-    held-out witnesses.
-
-    Raises NonIntegerPolynomialError if a coefficient comes out
-    non-integral and WitnessMismatchError if a witness disagrees.
-    """
-    return _interpolate(points, degree_bound, _integer_polynomial)

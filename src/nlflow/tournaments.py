@@ -15,24 +15,6 @@ from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .polynomials import IntPolynomial
 
 
-def compositions(n: int, p: int):
-    """All C(n-1, p-1) compositions of n into p positive parts, in
-    lexicographic order.
-    """
-    if not 1 <= p <= n:
-        raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-
-    def gen(rest, parts):
-        if parts == 1:
-            yield (rest,)
-            return
-        for first in range(1, rest - parts + 2):
-            for tail in gen(rest - first, parts - 1):
-                yield (first,) + tail
-
-    return gen(n, p)
-
-
 def check_closed_form_budget(blocks: int, vertices: int, budget: int) -> None:
     """Refuse the prefix recursion over `blocks` components of `vertices`
     vertices in all when its blocks * (blocks + 1) / 2 steps times its term

@@ -130,6 +130,9 @@ class TestStructureCommands:
         assert status == 0 and out == "true\n"
         status, out, _ = run(capsys, ["dijoin", k3_path, "--arcs", ""])
         assert status == 0 and out == "false\n"
+        # Blank items are skipped.
+        status, out, _ = run(capsys, ["dijoin", k3_path, "--arcs", ",1, ,"])
+        assert status == 0 and out == "true\n"
 
 
 class TestMatroidCommands:
@@ -396,6 +399,27 @@ class TestErrors:
             main(["no-such-command"])
         assert exc.value.code == 1
         assert capsys.readouterr().err.startswith("error: usage: argument command: invalid choice")
+
+    @pytest.mark.parametrize(
+        "argv, option, item, usage",
+        [
+            (["matroid", "poly-fit", "--matrix", "{tu}", "--k-range", "2,,3"], "--k-range", "",
+             "matroid poly-fit [-h] --matrix MATRIX [--k-range K_RANGE]"),
+            (["tournament", "--sizes", "1,x"], "--sizes", "x", "tournament [-h] --sizes SIZES"),
+            (["tournament", "--sizes", ","], "--sizes", "", "tournament [-h] --sizes SIZES"),
+            (["dijoin", "{dg}", "--arcs", "1,x"], "--arcs", "x", "dijoin [-h] --arcs ARCS file"),
+        ],
+    )
+    def test_malformed_int_lists_are_usage_errors(
+        self, capsys, k3_path, matrix_path, argv, option, item, usage
+    ):
+        # As a bad -k is: argparse reports the option, then the usage line.
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(dg=k3_path, tu=matrix_path) for arg in argv])
+        assert exc.value.code == 1
+        assert capsys.readouterr() == (
+            "", f"error: usage: argument {option}: invalid int value: {item!r}\nusage: nlflow {usage}\n"
+        )
 
     def test_usage_errors_exit_1_and_help_exits_0(self, capsys, k3_path):
         # Exit 2 is kept for a verify mismatch.

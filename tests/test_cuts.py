@@ -1,6 +1,5 @@
-"""Dicuts, directed cycles, dijoins, feedback arc sets, and the
-union-closed lattices they generate (built by the test-side reference in
-reference_lattice).
+"""Dicuts, directed cycles, dijoins, and the union-closed lattices they
+generate (built by the test-side reference in reference_lattice).
 """
 
 import time
@@ -17,7 +16,6 @@ from nlflow import (
     enumerate_dicuts,
     enumerate_directed_cycles,
     is_dijoin,
-    is_feedback_arc_set,
     nl_flow_polynomial,
 )
 from nlflow.errors import LatticeSizeError
@@ -225,15 +223,6 @@ class TestDijoin:
                 s = frozenset(sub)
                 meets = all(s & c for c in cuts)
                 assert is_dijoin(d, s) == meets
-
-
-class TestFeedbackArcSet:
-    def test_cycle(self, cycle3):
-        assert is_feedback_arc_set(cycle3, frozenset({0}))
-        assert not is_feedback_arc_set(cycle3, frozenset())
-
-    def test_acyclic_empty(self, k3_acyclic):
-        assert is_feedback_arc_set(k3_acyclic, frozenset())
 
 
 class TestLattices:

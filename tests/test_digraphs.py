@@ -1,4 +1,4 @@
-"""Structural primitives: components, rank, SCCs, contraction, deletion,
+"""Structural primitives: components, rank, SCCs, contraction,
 topological order, and the text format.
 """
 
@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from nlflow import (
     Digraph,
     contract,
-    delete,
     incidence_matrix,
     is_acyclic,
     is_totally_cyclic,
@@ -187,11 +186,6 @@ class TestContractDelete:
         d = Digraph(2, ((0, 1), (0, 1)))
         c = contract(d, frozenset({0}))
         assert c.n == 1 and c.arcs == ((0, 0),)
-
-    def test_delete(self, k3_acyclic):
-        left = delete(k3_acyclic, frozenset({0, 1}))
-        assert left.n == 3
-        assert left.arcs == ((1, 2),)
 
 
 class TestTopologicalOrder:

@@ -1,11 +1,11 @@
 """Exact linear algebra: the fraction-free int_rref and its rref view
-against the dense Fraction reference, the determinant, the reference
-kernel bases of tests/reference_linalg.py, and the Farkas feasibility
-solver.
+against the dense Fraction reference, the TU check's determinants
+against the Leibniz expansion, the reference kernel bases of
+tests/reference_linalg.py, and the Farkas feasibility solver.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
@@ -16,10 +16,10 @@ from reference_linalg import det, kernel_basis, matrix_rank, rref_dense
 from nlflow import linalg
 from nlflow.linalg import (
     farkas_nonneg_solve,
-    int_det,
     int_rref,
     rref,
 )
+from nlflow.matroids import TUMatrix, is_totally_unimodular
 
 
 class TestRref:
@@ -97,30 +97,51 @@ class TestKernel:
                 assert sum(Fraction(a) * x for a, x in zip(row, v)) == 0
 
 
+def leibniz_det(a) -> int:
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+def abs_det(a) -> int:
+    """|det a| as the TU check reads it off int_rref: a square matrix left
+    with fewer pivots than rows is singular, and otherwise |d| = |det|.
+    """
+    _, pivots, d = int_rref(a)
+    return abs(d) if len(pivots) == len(a) else 0
+
+
 class TestIntDet:
     def test_small(self):
-        assert int_det([]) == 1
-        assert int_det([[5]]) == 5
-        assert int_det([[1, 1], [1, -1]]) == -2
-        assert int_det([[0, 1], [1, 0]]) == -1
-        assert int_det([[1, 2], [2, 4]]) == 0
-
-    def test_more_rows_than_columns(self):
-        # Each column pivots on the first remaining row nonzero in it.
-        assert int_det([[1, 1], [1, -1], [1, 0]]) == -2
-        assert abs(int_det([[0, 0], [1, 0], [0, 1]])) == 1
-        assert int_det([[1, 1], [2, 2], [1, 1]]) == 0
-        assert int_det([(), ()]) == 1
+        assert abs_det([[5]]) == 5
+        assert abs_det([[1, 1], [1, -1]]) == 2
+        assert abs_det([[0, 1], [1, 0]]) == 1
+        assert abs_det([[1, 2], [2, 4]]) == 0
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4), st.data())
     def test_equals_leibniz(self, n, data):
         a = [[data.draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
-        leibniz = 0
-        for perm in permutations(range(n)):
-            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-            leibniz += (-1) ** inversions * prod(a[i][perm[i]] for i in range(n))
-        assert int_det(a) == leibniz
+        assert abs_det(a) == abs(leibniz_det(a))
+
+
+class TestTotalUnimodularity:
+    # is_totally_unimodular reads the determinant of each square submatrix
+    # off int_rref; the Leibniz expansion shares nothing with it.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_equals_leibniz_on_every_square_submatrix(self, p, q, data):
+        rows = [[data.draw(st.integers(-1, 1)) for _ in range(q)] for _ in range(p)]
+        want = all(
+            leibniz_det([[rows[i][j] for j in csel] for i in rsel]) in (-1, 0, 1)
+            for size in range(1, min(p, q) + 1)
+            for rsel in combinations(range(p), size)
+            for csel in combinations(range(q), size)
+        )
+        assert is_totally_unimodular(TUMatrix(tuple(map(tuple, rows)))) == want
 
 
 class TestSolveUpper:

@@ -1,6 +1,6 @@
 """Regular-matroid (TU matrix) side: TU certificates, kernel counting,
-total cyclicity with Farkas certificates, contraction, and agreement with
-the graph oracles.
+total cyclicity with Farkas certificates, the contraction predicate, and
+agreement with the graph oracles.
 """
 
 import time
@@ -25,7 +25,6 @@ from nlflow import (
     BudgetExceededError,
     Digraph,
     TUMatrix,
-    contract_matroid,
     count_nl_group_flows,
     count_nl_group_flows_matroid,
     count_nl_integer_kflows,
@@ -215,7 +214,7 @@ class TestFarkasAgainstReference:
 
     def test_r10_contractions(self, checked):
         for mask in range(1 << R10.q):
-            contract_matroid(R10, {j for j in range(R10.q) if mask >> j & 1}).is_totally_cyclic()
+            _support_contraction_cyclic.__wrapped__(R10, mask)
         assert len(checked) == (1 << R10.q) - 1  # contracting everything leaves no LP
 
 
@@ -255,13 +254,12 @@ class TestKernelBasisFromCotree:
         m = TUMatrix(
             tuple(tuple(data.draw(st.integers(-1, 1)) for _ in range(q)) for _ in range(p))
         )
-        _, reference = scaled_reference_basis(m)
+        derived, reference = scaled_reference_basis(m)
         assert farkas_certificate(m) == positive_span_certificate(reference, q)
         for mask in range(1 << q):
             keep = [c for c in range(q) if not mask >> c & 1]
             want = positive_span_certificate([[v[c] for c in keep] for v in reference], len(keep))
-            flows = contract_matroid(m, {c for c in range(q) if mask >> c & 1})
-            got = positive_span_certificate(list(flows.vectors), len(keep))
+            got = positive_span_certificate([[v[c] for c in keep] for v in derived], len(keep))
             assert got == want, (m, mask)
             assert _support_contraction_cyclic(m, mask) == (want[0] == "positive")
 
@@ -276,7 +274,8 @@ class TestKernelBasisFromCotree:
 
     def test_one_rref_per_matrix(self, monkeypatch):
         # Counts, fit, certificate and every contraction predicate of a
-        # fresh matrix share one row reduction.
+        # fresh matrix share one row reduction, kept in the one slot.
+        assert oracles._cotree_expression.cache_info().maxsize == 1
         m = cographic(Digraph(3, ((0, 1), (1, 2), (2, 0), (0, 2), (1, 0))))
         calls = []
 
@@ -294,7 +293,7 @@ class TestKernelBasisFromCotree:
         is_totally_cyclic_matroid(m)
         for mask in range(1 << m.q):
             _support_contraction_cyclic(m, mask)
-            contract_matroid(m, {c for c in range(m.q) if mask >> c & 1}).is_totally_cyclic()
+            _support_contraction_cyclic.__wrapped__(m, mask)
         assert len(calls) == 1
 
 
@@ -328,15 +327,12 @@ class TestCotreeExpressionAgainstReference:
 
 class TestContraction:
     def test_contract_all_columns(self, single_arc):
-        c = contract_matroid(inc(single_arc), {0})
-        assert c.is_totally_cyclic()
+        assert _support_contraction_cyclic(inc(single_arc), 0b1)
 
     def test_contract_nothing(self, catalog_small):
         for d in catalog_small[:50]:
             m = inc(d)
-            assert contract_matroid(m, frozenset()).is_totally_cyclic() == (
-                is_totally_cyclic_matroid(m)
-            )
+            assert _support_contraction_cyclic(m, 0) == is_totally_cyclic_matroid(m)
 
     def test_matches_graph_contraction(self, catalog_small):
         for d in catalog_small:
@@ -345,14 +341,10 @@ class TestContraction:
             m = inc(d)
             for r in range(d.m + 1):
                 for sub in combinations(range(d.m), r):
-                    s = frozenset(sub)
-                    assert contract_matroid(m, s).is_totally_cyclic() == (
-                        is_totally_cyclic(contract(d, s))
-                    ), (d, s)
-
-    def test_bad_columns(self, single_arc):
-        with pytest.raises(ValueError):
-            contract_matroid(inc(single_arc), {5})
+                    mask = sum(1 << c for c in sub)
+                    assert _support_contraction_cyclic(m, mask) == (
+                        is_totally_cyclic(contract(d, frozenset(sub)))
+                    ), (d, sub)
 
 
 def every_mask(m: TUMatrix) -> list[bool]:

@@ -14,7 +14,6 @@ from nlflow import (
     NonIntegerPolynomialError,
     RationalPolynomial,
     WitnessMismatchError,
-    interpolate_exact,
     interpolate_rational,
 )
 from nlflow.polynomials import _newton_coeffs
@@ -58,14 +57,6 @@ class TestArithmetic:
         assert (a + b)(k) == a(k) + b(k)
         assert (a * b)(k) == a(k) * b(k)
 
-    @given(polys, st.integers(0, 4), st.integers(-9, 9))
-    def test_mul_monomial_matches_mul(self, a, e, c):
-        assert a.mul_monomial(e, c) == a * IntPolynomial.monomial(e, c)
-
-    @given(polys, st.integers(-9, 9))
-    def test_scale(self, a, c):
-        assert a.scale(c) == a * IntPolynomial({0: c})
-
 
 class TestRendering:
     def test_table_style(self):
@@ -91,56 +82,57 @@ class TestRendering:
 
 
 class TestInterpolateExact:
+    # Integer interpolation: interpolate_rational, then to_int_polynomial.
     def test_linear_flow_count(self):
-        assert interpolate_exact([(2, 3), (3, 5), (4, 7)], 1) == IntPolynomial(
-            {1: 2, 0: -1}
-        )
+        poly = interpolate_rational([(2, 3), (3, 5), (4, 7)], 1)
+        assert poly.to_int_polynomial() == IntPolynomial({1: 2, 0: -1})
 
     def test_constant(self):
-        assert interpolate_exact([(2, 5), (3, 5)], 1) == IntPolynomial({0: 5})
+        poly = interpolate_rational([(2, 5), (3, 5)], 1)
+        assert poly.to_int_polynomial() == IntPolynomial({0: 5})
 
     def test_square(self):
-        assert interpolate_exact([(1, 1), (2, 4), (3, 9)], 2) == IntPolynomial({2: 1})
+        poly = interpolate_rational([(1, 1), (2, 4), (3, 9)], 2)
+        assert poly.to_int_polynomial() == IntPolynomial({2: 1})
 
     def test_non_integral_rejected(self):
         # k(k+1)/2 has coefficient 1/2.
         with pytest.raises(NonIntegerPolynomialError):
-            interpolate_exact([(1, 1), (2, 3), (3, 6)], 2)
+            interpolate_rational([(1, 1), (2, 3), (3, 6)], 2).to_int_polynomial()
 
     def test_witness_mismatch(self):
         with pytest.raises(WitnessMismatchError):
-            interpolate_exact([(1, 1), (2, 2), (3, 99)], 1)
+            interpolate_rational([(1, 1), (2, 2), (3, 99)], 1)
 
     def test_error_messages(self):
         with pytest.raises(
-            NonIntegerPolynomialError,
-            match=r"^not an integer polynomial: coefficient of x\^1 is 1/2$",
+            NonIntegerPolynomialError, match=r"^non-integral coefficients in 1/2x\^2\+1/2x$"
         ):
-            interpolate_exact([(1, 1), (2, 3), (3, 6)], 2)
+            interpolate_rational([(1, 1), (2, 3), (3, 6)], 2).to_int_polynomial()
         with pytest.raises(
             NonIntegerPolynomialError,
-            match=r"^not an integer polynomial: coefficient of x\^1 is -1201/360$",
+            match=r"^non-integral coefficients in -149/1080x\^3\+221/135x\^2-1201/360x$",
         ):
-            interpolate_exact([(0, 0), (3, 1), (5, 7), (9, 2)], 3)
+            interpolate_rational([(0, 0), (3, 1), (5, 7), (9, 2)], 3).to_int_polynomial()
         with pytest.raises(
             WitnessMismatchError, match=r"^held-out point k=3: interpolant gives 3, expected 99$"
         ):
-            interpolate_exact([(1, 1), (2, 2), (3, 99)], 1)
+            interpolate_rational([(1, 1), (2, 2), (3, 99)], 1)
 
     def test_insufficient_points(self):
         with pytest.raises(ValueError):
-            interpolate_exact([(1, 1)], 1)
+            interpolate_rational([(1, 1)], 1)
 
     def test_duplicate_abscissae(self):
         with pytest.raises(ValueError):
-            interpolate_exact([(1, 1), (1, 2)], 1)
+            interpolate_rational([(1, 1), (1, 2)], 1)
 
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=4))
     def test_reproduces_all_points(self, coeffs):
         p = IntPolynomial(dict(enumerate(coeffs)))
         bound = len(coeffs) - 1
         points = [(k, p(k)) for k in range(bound + 3)]
-        assert interpolate_exact(points, bound) == p
+        assert interpolate_rational(points, bound).to_int_polynomial() == p
 
 
 class TestNewtonAgainstLagrange:

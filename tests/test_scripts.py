@@ -50,7 +50,7 @@ def canned_run(workload, seed, jobs_per_s, p50_ms, failed=0):
 
 def test_bench_pairs_summarises_canned_runs():
     bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
-    parse, summarise, over_bound = bench["parse_run"], bench["summarise"], bench["over_bound"]
+    parse, summarise, flagged = bench["parse_run"], bench["summarise"], bench["flagged"]
     parent = [(100, 2.0), (110, 2.0), (120, 2.0), (130, 2.0)]
     change = [(120, 1.0), (110, 2.0), (150, 3.0), (140, 1.5)]
     runs = []
@@ -75,6 +75,7 @@ def test_bench_pairs_summarises_canned_runs():
                 "change_wins": "3/4",
                 "worse_than_bound": False,
                 "gain_shown": False,
+                "unresolved": False,
             },
             "job_p50_ms": {
                 "parent_q1_median_q3": [2.0, 2.0, 2.0],
@@ -82,10 +83,11 @@ def test_bench_pairs_summarises_canned_runs():
                 "change_wins": "2/4",
                 "worse_than_bound": False,
                 "gain_shown": False,
+                "unresolved": False,
             },
         }
     }
-    assert over_bound(pairs) == []
+    assert flagged(pairs, "worse_than_bound") == flagged(pairs, "unresolved") == []
     # Medians 2.0 against 2.5 (25% worse, at the bound) and 2.55 (past it).
     for slow, worse in ((2.5, False), (2.55, True)):
         runs = [
@@ -96,11 +98,12 @@ def test_bench_pairs_summarises_canned_runs():
         pairs = summarise(runs, end_to_end)
         assert pairs["intfit"]["job_p50_ms"]["worse_than_bound"] is worse
         assert pairs["intfit"]["jobs_per_s"]["worse_than_bound"] is False
-        assert over_bound(pairs) == (["intfit job_p50_ms"] if worse else [])
+        assert flagged(pairs, "worse_than_bound") == (["intfit job_p50_ms"] if worse else [])
     # Throughput 100 against 75 (at the bound) and 74 (past it).
     for slow, worse in ((75, False), (74, True)):
         runs = [parse(side, canned_run("sweep", 1, jobs, 2.0)) for side, jobs in (("parent", 100), ("change", slow))]
-        assert over_bound(summarise(runs, end_to_end)) == (["sweep jobs_per_s"] if worse else [])
+        worse_names = flagged(summarise(runs, end_to_end), "worse_than_bound")
+        assert worse_names == (["sweep jobs_per_s"] if worse else [])
     # A gain is shown when the change wins at least 9 of 10 pairs and its
     # median beats the parent's by more than the parent's interquartile
     # range.  Parent: quartiles 90, 100, 110, so the range is 20.
@@ -124,3 +127,29 @@ def test_bench_pairs_summarises_canned_runs():
     # The same rule for a metric where lower is better: p50 2.0 against 1.0.
     runs = [parse(side, canned_run("lattice", 1, 100, p50)) for side, p50 in (("parent", 2.0), ("change", 1.0))]
     assert summarise(runs, end_to_end)["lattice"]["job_p50_ms"]["gain_shown"] is True
+    # Unresolved: the parent's interquartile range is wider than the bound
+    # times its median (25 at a median of 100), unless every change run
+    # reads better than every parent run.
+    cases = [
+        ([87.5, 100, 112.5], [100, 100, 100], False),  # range 25: at the bound
+        ([87, 100, 113], [100, 100, 100], True),  # range 26: past it
+        ([87, 100, 113], [114, 120, 130], False),  # every change run better
+        ([87, 100, 113], [113, 120, 130], True),  # one tie with the best parent run
+    ]
+    for parent, change, unresolved in cases:
+        runs = [
+            parse(side, canned_run("matroid", seed, jobs, 2.0))
+            for seed, pair in enumerate(zip(parent, change), start=1)
+            for side, jobs in zip(("parent", "change"), pair)
+        ]
+        pairs = summarise(runs, end_to_end)
+        assert pairs["matroid"]["jobs_per_s"]["unresolved"] is unresolved
+        assert flagged(pairs, "unresolved") == (["matroid jobs_per_s"] if unresolved else [])
+    # Lower is better: p50 quartiles 1.6 and 2.4 against a bound of 0.5.
+    for change, unresolved in (([2.0, 2.0, 2.0], True), ([1.5, 1.5, 1.5], False)):
+        runs = [
+            parse(side, canned_run("matroid", seed, 100, p50))
+            for seed, pair in enumerate(zip([1.6, 2.0, 2.4], change), start=1)
+            for side, p50 in zip(("parent", "change"), pair)
+        ]
+        assert summarise(runs, end_to_end)["matroid"]["job_p50_ms"]["unresolved"] is unresolved

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from reference_tournaments import compositions
 
 from nlflow import (
     BudgetExceededError,
@@ -17,7 +18,6 @@ from nlflow import (
     complete_acyclic_nl_poly,
     complete_digraph_nl_poly,
     complete_digraph_witness,
-    compositions,
     constant_term,
     leading_terms,
     linear_term,
