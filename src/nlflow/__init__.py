@@ -33,7 +33,6 @@ from .errors import (
 from .groups import AbelianGroup, abelian_groups_of_order, cyclic, parse_group_spec
 from .nl import nl_coflow_polynomial, nl_flow_polynomial
 from .oracles import (
-    check_equivalence_theorem,
     count_acyclic_colorings,
     count_nl_group_flows,
     count_nl_integer_kflows,
@@ -49,9 +48,6 @@ from .tournaments import (
     complete_acyclic_nl_poly,
     complete_digraph_nl_poly,
     complete_digraph_witness,
-    constant_term,
-    leading_terms,
-    linear_term,
     strong_tournament,
 )
 from .matroids import (

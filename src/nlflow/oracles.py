@@ -1,5 +1,5 @@
 """Exhaustive ground-truth counters: group flows, integer flows, acyclic
-colorings, the equivalence theorem, and polynomiality fits.
+colorings, and polynomiality fits.
 
 These stay independent of the Moebius-inversion formulas they validate.
 A digraph's NL-flows are those of its incidence matrix, so every count
@@ -80,7 +80,7 @@ import numpy as np
 
 from .digraphs import Digraph, incidence_matrix, is_acyclic, weak_components
 from .errors import DEFAULT_BUDGET, BudgetExceededError, WitnessMismatchError
-from .groups import AbelianGroup, abelian_groups_of_order, cyclic
+from .groups import AbelianGroup
 from .linalg import int_rref
 from .polynomials import interpolate_rational
 
@@ -681,17 +681,6 @@ def count_acyclic_colorings(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) ->
         falling *= k - j + 1
         count += (packed >> j * width & field) * falling
     return count
-
-
-def check_equivalence_theorem(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """Existence must agree across Z_k, every abelian group of order k,
-    and integer flows with entries bounded by k-1.  Z_k is one of those
-    groups whenever k is a prime power, and is counted once.
-    """
-    groups = dict.fromkeys([cyclic(k), *abelian_groups_of_order(k)])
-    flags = [count_nl_group_flows(d, g, budget) > 0 for g in groups]
-    flags.append(count_nl_integer_kflows(d, k, budget) > 0)
-    return len(set(flags)) == 1
 
 
 def fit_nl_integer_polynomial(rows, ncols: int, k_range, supports, budget: int = DEFAULT_BUDGET):

@@ -1,6 +1,5 @@
-"""Closed-form NL-flow polynomials for complete (acyclic) digraphs, the
-condensation formula for general complete digraphs, and the term-level
-shortcuts (leading, constant, linear coefficients).
+"""Closed-form NL-flow polynomials for complete (acyclic) digraphs and the
+condensation formula for general complete digraphs.
 
 The condensation formula's prefix recursion is charged against the
 budget before it starts (check_closed_form_budget).
@@ -73,37 +72,6 @@ def complete_digraph_nl_poly(sizes, budget: int = DEFAULT_BUDGET) -> IntPolynomi
                 coeffs[a + e] = coeffs.get(a + e, 0) - c
         sums.append(coeffs)
     return IntPolynomial(sums[-1])
-
-
-def constant_term(n: int) -> int:
-    """phi(0) for the complete acyclic digraph on n vertices; periodic in
-    n mod 3 and satisfies c(n) = -(c(n-1) + c(n-2)).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return {0: -1, 1: 1, 2: 0}[n % 3]
-
-
-def linear_term(n: int) -> int:
-    """Coefficient of x in the complete acyclic polynomial, n >= 4."""
-    if n < 4:
-        raise ValueError("linear_term is defined for n >= 4")
-    r = n % 3
-    if r == 0:
-        num = n
-    elif r == 1:
-        num = -2 * (n - 1)
-    else:
-        num = n - 2
-    assert num % 3 == 0
-    return num // 3
-
-
-def leading_terms(n: int) -> list[tuple[int, int]]:
-    """The two highest terms, as (exponent, coefficient), n >= 4."""
-    if n < 4:
-        raise ValueError("leading_terms is defined for n >= 4")
-    return [(comb(n - 1, 2), 1), (comb(n - 2, 2), -2)]
 
 
 def complete_acyclic_digraph(n: int) -> Digraph:

@@ -7,16 +7,17 @@ in any run.
 
 import sys
 
+from reference_equivalence import check_equivalence_theorem
+from reference_tournaments import constant_term, leading_terms, linear_term
+
 from nlflow import (
     Digraph,
     IntPolynomial,
     TUMatrix,
-    check_equivalence_theorem,
     complete_acyclic_digraph,
     complete_acyclic_nl_poly,
     complete_digraph_nl_poly,
     complete_digraph_witness,
-    constant_term,
     count_nl_group_flows,
     count_nl_integer_kflows,
     count_nl_group_flows_matroid,
@@ -24,8 +25,6 @@ from nlflow import (
     cyclic,
     farkas_certificate,
     fit_integer_flow_polynomial,
-    leading_terms,
-    linear_term,
     nl_flow_polynomial,
 )
 from nlflow.catalog import verify_coloring_identity, verify_flow_counts

@@ -1,6 +1,7 @@
 """NL-flow and NL-coflow polynomials: worked small cases, the oracle
 identities on the small catalog (the full sweeps live in the acceptance
-suite), and the crosscut engine against the explicit-lattice reference.
+suite), the crosscut engine against the explicit-lattice reference, and
+its two ways to compute the Moebius values against each other.
 """
 
 import random
@@ -206,7 +207,7 @@ class TestBatchedRanks:
         for d in catalog_full:
             for flow in (True, False):
                 masks = self.nonzero_unions(d, flow)
-                assert nl._batch_ranks(d, masks) == [rank(d, b) for b in masks], (d, flow)
+                assert nl._batch_ranks(d, masks).tolist() == [rank(d, b) for b in masks], (d, flow)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_one_batch_and_one_more_mask(self, extra):
@@ -214,7 +215,7 @@ class TestBatchedRanks:
         d = Digraph(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 4), (0, 1), (1, 0), (3, 2)))
         rng = random.Random(extra)
         masks = [rng.getrandbits(d.m) for _ in range(nl._RANK_BATCH + extra)]
-        assert nl._batch_ranks(d, masks) == [rank(d, b) for b in masks]
+        assert nl._batch_ranks(d, masks).tolist() == [rank(d, b) for b in masks]
 
     @pytest.mark.parametrize(
         "d, polynomial, reference, batched",
@@ -263,6 +264,189 @@ class TestBatchedRanks:
         assert bool(calls) == batched
 
 
+def tournament6() -> Digraph:
+    """The transitive tournament on 6 vertices with 0 -> 3 and 0 -> 4
+    reversed: 9 dicycles over 10 arcs, like the benchmark's tournament psi
+    jobs.
+    """
+    arcs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    return Digraph(6, tuple((j, i) if (i, j) in ((0, 3), (0, 4)) else (i, j) for i, j in arcs))
+
+
+def family_of(d, flow):
+    return [arc_mask(c) for c in (enumerate_dicuts(d) if flow else enumerate_directed_cycles(d))]
+
+
+def nonzero(mu: dict) -> dict:
+    return {u: s for u, s in mu.items() if s}
+
+
+class TestMobiusPaths:
+    """The two ways to compute mu: the subset transform over the covered
+    arcs against the dict sweep, and the rule that picks one.
+    """
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The names of the mu engines called from here on."""
+        calls = []
+        for name in ("_signed_unions", "_subset_transform"):
+            engine = getattr(nl, name)
+            monkeypatch.setattr(nl, name, lambda *a, engine=engine, name=name: calls.append(name) or engine(*a))
+        return calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(1, (1 << 12) - 1), max_size=2 * nl._TRANSFORM_MIN_MEMBERS),
+    )
+    def test_random_families(self, family):
+        # Bitmasks over at most 12 arcs, on both sides of the member count
+        # at which the transform takes over.
+        cover = 0
+        for a in family:
+            cover |= a
+        unions, mu = nl._subset_transform(family, cover)
+        assert unions.tolist() == sorted(unions.tolist())
+        assert dict(zip(unions.tolist(), mu.tolist())) == nonzero(nl._signed_unions(family, cap=1 << 12))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, (1 << 12) - 1), max_size=2 * nl._TRANSFORM_MIN_MEMBERS),
+        st.booleans(),
+    )
+    def test_random_families_give_one_polynomial(self, family, flow):
+        # K*4 has 12 arcs; the transform's unions, ranked in one batch,
+        # against the swept lattice, ranked as _polynomial ranks it.
+        d = complete_symmetric(4)
+        rk_all, flip = (None, (1 << d.m) - 1) if flow else (rank(d, (1 << d.m) - 1), 0)
+        cover = 0
+        for a in family:
+            cover |= a
+        transformed = nl._batch_polynomial(d, *nl._subset_transform(family, cover), flip, rk_all)
+        with patch.object(nl, "_TRANSFORM_MIN_MEMBERS", len(family) + 1):
+            swept = nl._polynomial(d, family, 1 << 12, rk_all)
+        assert transformed == swept
+
+    @pytest.mark.parametrize(
+        "d, flow, engine",
+        [
+            (grid(2, 5), True, "_subset_transform"),  # 19 dicuts over 13 arcs
+            (complete_symmetric(4), False, "_subset_transform"),  # 20 dicycles over 12 arcs
+            (tournament6(), False, "_signed_unions"),  # 9 dicycles over 10 arcs
+        ],
+    )
+    def test_default_rule(self, monkeypatch, d, flow, engine):
+        polynomial, reference = (
+            (nl_flow_polynomial, reference_flow_polynomial)
+            if flow
+            else (nl_coflow_polynomial, reference_coflow_polynomial)
+        )
+        calls = self.spy(monkeypatch)
+        assert polynomial(d) == reference(d)
+        assert calls == [engine]
+
+    @pytest.mark.parametrize("members, engine", [(11, "_signed_unions"), (12, "_signed_unions"), (13, "_subset_transform")])
+    def test_members_against_covered_arcs(self, monkeypatch, members, engine):
+        # Single arcs 0..members-2 of K*5 and one member on arcs 11 and
+        # 12: 11 members are too few, 12 cover 13 arcs, 13 cover 13.
+        d = complete_symmetric(5)
+        family = [1 << j for j in range(members - 1)] + [0b11 << 11]
+        with patch.object(nl, "_TRANSFORM_MIN_MEMBERS", members + 1):
+            swept = nl._polynomial(d, family, 10**6, None)
+        calls = self.spy(monkeypatch)
+        assert nl._polynomial(d, family, 10**6, None) == swept
+        assert calls == [engine]
+
+    def test_catalog_is_swept(self, monkeypatch, catalog_full):
+        # No catalog family has more than 9 members.
+        calls = self.spy(monkeypatch)
+        for d in catalog_full:
+            nl_flow_polynomial(d)
+            nl_coflow_polynomial(d)
+        assert set(calls) == {"_signed_unions"}
+
+    @pytest.mark.parametrize(
+        "d, flow, engine",
+        [
+            # K*4 on the last four of n vertices.
+            *[
+                (Digraph(n, tuple((n - 4 + a, n - 4 + b) for a, b in complete_symmetric(4).arcs)), False, engine)
+                for n, engine in ((64, "_subset_transform"), (65, "_signed_unions"))
+            ],
+            # The 2x5 grid beside a directed cycle, which adds no dicut:
+            # 64 or 65 arcs in all, 62 or 63 vertices.
+            *[
+                (Digraph(10 + k, grid(2, 5).arcs + tuple(((10 + i), 10 + (i + 1) % k) for i in range(k))), True, engine)
+                for k, engine in ((51, "_subset_transform"), (52, "_signed_unions"))
+            ],
+            # K*4 beside an acyclic path: 65 arcs, the dicycles on 12.
+            (Digraph(57, complete_symmetric(4).arcs + tuple((i, i + 1) for i in range(3, 56))), False, "_signed_unions"),
+        ],
+    )
+    def test_wide_digraphs_fall_back(self, monkeypatch, d, flow, engine):
+        # Masks must fit uint64 and _batch_ranks must take the digraph, so
+        # a family on few arcs of a wider digraph is swept.
+        polynomial, reference = (
+            (nl_flow_polynomial, reference_flow_polynomial)
+            if flow
+            else (nl_coflow_polynomial, reference_coflow_polynomial)
+        )
+        calls = self.spy(monkeypatch)
+        assert polynomial(d) == reference(d)
+        assert calls == [engine]
+
+    @pytest.mark.parametrize(
+        "d, polynomial, flow",
+        [
+            (grid(2, 5), nl_flow_polynomial, True),  # 1424 unions, 2^13 cells
+            (complete_symmetric(4), nl_coflow_polynomial, False),  # 1688 unions, 2^12 cells
+        ],
+    )
+    def test_cap_below_the_cells_is_swept(self, monkeypatch, d, polynomial, flow):
+        # The transform runs only when all 2^m' cells fit the cap, so no
+        # lattice on its path can pass the cap; below that the sweep
+        # raises at the union count, as it always did.
+        family = family_of(d, flow)
+        cover = 0
+        for a in family:
+            cover |= a
+        cells, unions = 1 << cover.bit_count(), len(nl._signed_unions(family, cap=10**6))
+        expected = polynomial(d)
+        calls = self.spy(monkeypatch)
+        assert polynomial(d, cap=cells) == expected
+        assert polynomial(d, cap=cells - 1) == expected
+        assert polynomial(d, cap=unions) == expected
+        with pytest.raises(LatticeSizeError):
+            polynomial(d, cap=unions - 1)
+        assert calls == ["_subset_transform"] + ["_signed_unions"] * 3
+
+    def test_many_members_sum_in_python_ints(self, monkeypatch):
+        # K*5 has 84 dicycles over 20 arcs: 2^20 cells pass the cap, so the
+        # lattice is swept, and with 63 or more members the |mu| could sum
+        # past int64, so the scatter-add runs on Python ints.
+        dtypes = []
+        batch = nl._batch_polynomial
+        monkeypatch.setattr(
+            nl, "_batch_polynomial", lambda d, u, values, *a: dtypes.append(values.dtype) or batch(d, u, values, *a)
+        )
+        calls = self.spy(monkeypatch)
+        assert nl_coflow_polynomial(complete_symmetric(5)) == IntPolynomial({4: 1, 3: -10, 2: 35, 1: -50, 0: 24})
+        assert calls == ["_signed_unions"]
+        assert dtypes == [object]
+
+    @pytest.mark.parametrize("d", [Digraph(0, ()), Digraph(1, ()), grid(2, 3), Digraph(2, ((0, 0), (0, 1)))])
+    def test_empty_family_and_digraph(self, monkeypatch, d):
+        # An empty family (no dicuts, or no dicycles) has the one union 0
+        # on either path.  With no minimum, each family here has at least
+        # as many members as covered arcs, so it takes the transform.
+        expected = (nl_flow_polynomial(d), nl_coflow_polynomial(d))
+        assert expected == (reference_flow_polynomial(d), reference_coflow_polynomial(d))
+        monkeypatch.setattr(nl, "_TRANSFORM_MIN_MEMBERS", 0)
+        calls = self.spy(monkeypatch)
+        assert (nl_flow_polynomial(d), nl_coflow_polynomial(d)) == expected
+        assert calls == ["_subset_transform"] * 2
+
+
 @st.composite
 def digraphs(draw):
     """Small digraphs with loops and parallel arcs allowed."""
@@ -287,4 +471,4 @@ def test_random_digraphs_match_reference(d):
 @given(digraphs(), st.data())
 def test_random_batched_ranks(d, data):
     masks = data.draw(st.lists(st.integers(0, (1 << d.m) - 1), max_size=20))
-    assert nl._batch_ranks(d, masks) == [rank(d, b) for b in masks]
+    assert nl._batch_ranks(d, masks).tolist() == [rank(d, b) for b in masks]

@@ -21,12 +21,12 @@ from reference_counters import (
     full_box_histogram,
     is_group_flow,
 )
+from reference_equivalence import check_equivalence_theorem
 
 from nlflow import (
     BudgetExceededError,
     Digraph,
     IntPolynomial,
-    check_equivalence_theorem,
     count_acyclic_colorings,
     count_nl_group_flows,
     count_nl_integer_kflows,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
-from reference_tournaments import compositions
+from reference_tournaments import compositions, constant_term, leading_terms, linear_term
 
 from nlflow import (
     BudgetExceededError,
@@ -18,9 +18,6 @@ from nlflow import (
     complete_acyclic_nl_poly,
     complete_digraph_nl_poly,
     complete_digraph_witness,
-    constant_term,
-    leading_terms,
-    linear_term,
     nl_flow_polynomial,
     strong_tournament,
 )
