@@ -10,9 +10,12 @@ the polynomial fit are the shared ones of nlflow.oracles, called with the
 matrix and its support filter: a table of the masks that meet every
 positive cocircuit, or, where that table would cost more than one batch,
 the up-set walk over the Farkas contraction predicate.  The integer
-kernel basis behind the Farkas certificates and that predicate, and the
-rows the table combines, are read off the same cached cotree expression
-those counters walk, so each matrix is row-reduced once.
+kernel basis behind the Farkas certificates and that predicate, the rows
+the table combines and the filter's choice all read the matrix's
+prepared kernel (nlflow.oracles._kernel, one read-only record per row
+tuple) that those counters walk, so each matrix is row-reduced once and
+its arrays built once for all its counts.  The counters take the values
+of small digit grids from one cache shared with the digraph counts.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from .linalg import farkas_nonneg_solve, int_rref
 from .oracles import (
     _CHUNK,
     DEFAULT_BUDGET,
-    _cotree_expression,
     _digits,
     _hitting_table,
+    _kernel,
     cyclic_supports,
     fit_nl_integer_polynomial,
     nl_group_flow_count,
@@ -129,16 +132,17 @@ def is_totally_unimodular(m: TUMatrix, max_dim: int = DEFAULT_TU_CHECK_BOUND) ->
 
 def _kernel_basis(m: TUMatrix):
     """An integer kernel basis, one vector per free (cotree) column, read
-    off the cached expression the counters walk: vector j is denom at
-    column free[j] and -expr[r][j] at pivots[r].
+    off the prepared kernel the counters walk (its exact ints, at any
+    width): vector j is denom at column free[j] and -expr[r][j] at
+    pivots[r].
     """
-    pivots, free, expr, denom, _ = _cotree_expression(m.rows, m.q)
+    kernel = _kernel(m.rows, m.q)
     basis = []
-    for j, fc in enumerate(free):
+    for j, fc in enumerate(kernel.free):
         v = [0] * m.q
-        v[fc] = denom
-        for r, pc in enumerate(pivots):
-            v[pc] = -expr[r][j]
+        v[fc] = kernel.denom
+        for r, pc in enumerate(kernel.pivots):
+            v[pc] = -kernel.exact[r][j]
         basis.append(v)
     return basis
 
@@ -183,7 +187,7 @@ def is_totally_cyclic_matroid(m: TUMatrix) -> bool:
     return farkas_certificate(m)[0] == "positive"
 
 
-@lru_cache(maxsize=500_000)
+@lru_cache(maxsize=4096)
 def _support_contraction_cyclic(m: TUMatrix, mask: int) -> bool:
     """Is M/S totally cyclic, S the support of mask?  Its flows are M's off S."""
     keep = [c for c in range(m.q) if not mask >> c & 1]
@@ -212,11 +216,11 @@ def _cocircuit_table(m: TUMatrix) -> np.ndarray:
     The table is 2^q bytes and read-only.  One slot keeps it for the
     counts of one matrix.
     """
-    pivots, free, expr, denom, _ = _cotree_expression(m.rows, m.q)
-    r, q = len(pivots), m.q
+    kernel = _kernel(m.rows, m.q)
+    r, q = len(kernel.pivots), m.q
     rows = np.zeros((r, q), dtype=np.int64)
-    rows[range(r), pivots] = denom
-    rows[:, free] = np.array(expr, dtype=np.int64).reshape(r, len(free))
+    rows[range(r), kernel.pivots] = kernel.denom
+    rows[:, kernel.free] = kernel.expr
     bits = 1 << np.arange(q, dtype=np.int64)
     seeds = (_digits(3, r).T - 1) @ rows
     supports = (seeds != 0) @ bits
@@ -250,7 +254,7 @@ def _supports(m: TUMatrix, counts):
     asking the Farkas contraction test where no accepted subset or
     rejected superset decides.
     """
-    r, q = len(_cotree_expression(m.rows, m.q)[0]), m.q
+    r, q = len(_kernel(m.rows, m.q).pivots), m.q
     if 3**r * q + comb(q, max(r - 1, 0)) + (q << q) > _CHUNK:
         return cyclic_supports(counts, partial(_support_contraction_cyclic, m))
     return _cocircuit_table(m)

@@ -46,6 +46,12 @@ batch from their indices, so there is one batch loop, and no walker
 array is wider than one batch (_CHUNK points) whatever the budget.
 Boxes that could hold more states than points (R10) are walked point by
 point.  Every batch is added into one int64 histogram per call.
+The values of a grid's points, their nonzero pattern and their heights
+depend only on the group's factors (or the integer radix) and the
+number of coordinates, so those of every grid of at most
+min(_FOLD_ROWS, _CHUNK) points are cached, read-only (_coord_grid): a
+warm count of a box that small is one product, one bincount and one
+filter lookup.
 - fit_nl_integer_polynomial interpolates those counts to a polynomial of
   degree at most the kernel nullity, with held-out witnesses.
 
@@ -54,24 +60,31 @@ subsets (count_acyclic_colorings) that shares no code with the coflow
 formula it checks.
 
 The counters, and kernel_nullity, which the fit asks first, get the
-cotree expression through _cotree.  It refuses more than 62 arcs or
-columns, whose support masks would not fit in int64, whatever the budget
-and before any elimination.  After it one check, _walk_matrix, runs every
-refusal of the walk before anything is allocated: the points walked
-(|G|^nullity or |G|^ncols, or (2K-1)^nullity) or the cells of the support
-histogram (2^m, or K * 2^m) over the budget, and walks whose histogram
-cells, sums or point indices would leave int64, or whose histogram takes
-2^63 bytes or more.  The support filter runs only after it, so no table
-of an over-budget input is ever built.  The digraph filter's work is the
-cheaper of the table's, at most a few passes per arc over 2^m bytes, and
-a reachability test per mask with a count, so it is bounded by the
-histogram cells and the points walked times the digraph's size.  The
-matroid filter builds its table only within one batch of work.
+input's prepared kernel through _cotree: one read-only record per input,
+kept per digraph (no incidence matrix is rebuilt) and per row tuple,
+holding the pivot and free columns, expr as int64 and as exact ints,
+denom, the unimodularity certificate, the pivot and free support bits
+and max|expr|, so every count of one input shares one elimination and
+one set of arrays.  _cotree refuses more than 62 arcs or columns, whose
+support masks would not fit in int64, whatever the budget and before any
+elimination.  After it one check, _walk_matrix, runs every refusal of
+the walk before anything is allocated, on the numbers the record holds:
+the points walked (|G|^nullity or |G|^ncols, or (2K-1)^nullity) or the
+cells of the support histogram (2^m, or K * 2^m) over the budget, and
+walks whose histogram cells, sums or point indices would leave int64, or
+whose histogram takes 2^63 bytes or more.  The support filter runs only
+after it, so no table of an over-budget input is ever built.  The
+digraph filter's work is the cheaper of the table's, at most a few
+passes per arc over 2^m bytes, and a reachability test per mask with a
+count, so it is bounded by the histogram cells and the points walked
+times the digraph's size.  The matroid filter builds its table only
+within one batch of work.
 """
 
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 from math import gcd, prod
@@ -186,6 +199,16 @@ def _reach_dijoins(d: Digraph, masks: np.ndarray) -> np.ndarray:
     return ok
 
 
+@lru_cache(maxsize=1)
+def _dijoin_costs(d: Digraph) -> tuple[int, int]:
+    """The work of d's dijoin table, and that of the reachability test of
+    one mask, as _dijoins weighs them; one slot, as _dijoin_table.
+    """
+    parts = _arc_components(d)
+    table_work = sum(len(index) << n_c for n_c, index, _, _ in parts) + (d.m << d.m)
+    return table_work, sum(n_c * (n_c + len(index)) for n_c, index, _, _ in parts)
+
+
 def _dijoins(d: Digraph, counts) -> np.ndarray:
     """The digraph support filter: the masks of counts that meet every
     dicut of d.
@@ -198,11 +221,10 @@ def _dijoins(d: Digraph, counts) -> np.ndarray:
     m_c) per mask and component, those masks are tested instead: on a long
     path or cycle the walk reaches one or two supports.
     """
-    parts = _arc_components(d)
-    table_work = sum(len(index) << n_c for n_c, index, _, _ in parts) + (d.m << d.m)
+    table_work, mask_work = _dijoin_costs(d)
     if table_work > _CHUNK:
         masks = np.flatnonzero(counts)
-        if len(masks) * sum(n_c * (n_c + len(index)) for n_c, index, _, _ in parts) < table_work:
+        if len(masks) * mask_work < table_work:
             return masks[_reach_dijoins(d, masks)]
     return _dijoin_table(d)
 
@@ -252,18 +274,80 @@ def check_mask_width(ncols: int) -> None:
         )
 
 
-def _cotree(rows, ncols: int):
-    """_cotree_expression of an integer matrix, after check_mask_width, so
+def _cotree(rows, ncols: int) -> _Kernel:
+    """The prepared kernel of an integer matrix, after check_mask_width, so
     that no matrix of more than MAX_MASK_BITS columns is ever row-reduced.
+    rows is the matrix as integer rows, or a Digraph standing for its
+    incidence matrix (ncols its m), whose kernel is kept per digraph, so a
+    warm count builds neither the matrix nor its row-tuple key.
     """
     check_mask_width(ncols)
-    return _cotree_expression(tuple(map(tuple, rows)), ncols)
+    if isinstance(rows, Digraph):
+        return _digraph_kernel(rows)
+    return _kernel(tuple(map(tuple, rows)), ncols)
 
 
-def _walk_matrix(box: str, radix: int, nullity: int, expr, kmax: int, ncols: int, budget: int) -> np.ndarray:
-    """The one refusal check of a kernel walk: radix^nullity points, named
-    box in the message, into a support histogram of kmax * 2^ncols int64
-    cells.  Refused, in this order and before anything is allocated:
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """The read-only record a kernel walk reads, built once per input: the
+    basic (pivot) and free columns, expr (denom * x_basic = -expr @ x_free)
+    as int64 and as the exact ints of _cotree_expression, denom and its
+    unimodularity certificate, the support bit of each pivot and free
+    column, and top = max|expr|, which _walk_matrix bounds.  The int64
+    expr is None when top does not fit, and the bits when a column does
+    not fit in an int64 mask; the walk refuses both before it reads them.
+    checked is the walk of a matrix without the certificate: no pivot,
+    every column free, and its rows checked mod each factor.
+    """
+
+    pivots: list
+    free: list
+    expr: np.ndarray | None
+    exact: list
+    denom: int
+    unimodular: bool
+    pivot_bits: np.ndarray | None
+    free_bits: np.ndarray | None
+    top: int
+    checked: _Kernel | None = None
+
+
+def _prepare(pivots, free, expr, denom: int = 1, unimodular: bool = True, checked=None) -> _Kernel:
+    """The _Kernel of an exact cotree expression, its arrays read-only."""
+    top = max(map(abs, chain.from_iterable(expr)), default=0)
+    matrix = None
+    if top < 1 << 63:
+        matrix = np.array(expr, dtype=np.int64).reshape(len(expr), len(free))
+        matrix.flags.writeable = False
+    pivot_bits = free_bits = None
+    if max(chain(pivots, free), default=0) <= MAX_MASK_BITS:
+        pivot_bits, free_bits = (np.array([1 << c for c in cols], dtype=np.int64) for cols in (pivots, free))
+        pivot_bits.flags.writeable = free_bits.flags.writeable = False
+    return _Kernel(pivots, free, matrix, expr, denom, unimodular, pivot_bits, free_bits, top, checked)
+
+
+@lru_cache(maxsize=1)
+def _kernel(rows: tuple[tuple[int, ...], ...], ncols: int) -> _Kernel:
+    """The prepared kernel of a matrix given as a tuple of row tuples, with
+    no width check: the Farkas certificates read it at any width.  One
+    slot: the counts of one matrix run back to back.
+    """
+    pivots, free, expr, denom, unimodular = _cotree_expression(rows, ncols)
+    checked = None if unimodular else _prepare([], range(ncols), rows)
+    return _prepare(pivots, free, expr, denom, unimodular, checked)
+
+
+@lru_cache(maxsize=1)
+def _digraph_kernel(d: Digraph) -> _Kernel:
+    """The prepared kernel of d's incidence matrix; one slot, as _kernel."""
+    return _kernel(tuple(map(tuple, incidence_matrix(d))), d.m)
+
+
+def _walk_matrix(box: str, radix: int, walk: _Kernel, kmax: int, ncols: int, budget: int) -> np.ndarray:
+    """The one refusal check of a kernel walk: radix^nullity points (the
+    walk's free columns), named box in the message, into a support
+    histogram of kmax * 2^ncols int64 cells.  Refused, in this order and
+    before anything is allocated:
 
     - more points, or more cells, than the budget;
     - 2^63 cells or more, whose indices would leave int64, and 2^63
@@ -272,8 +356,9 @@ def _walk_matrix(box: str, radix: int, nullity: int, expr, kmax: int, ncols: int
       so a sum is at most radix * nullity * max|expr|;
     - 2^63 points or more, whose indices would leave int64.
 
-    Then expr, as the int64 array of nullity columns the walk multiplies.
+    Then the walk's expr, the int64 array of nullity columns it multiplies.
     """
+    nullity, top = len(walk.free), walk.top
     points, cells = radix**nullity, kmax << ncols
     if points > budget:
         raise BudgetExceededError(f"{box} = {radix}^{nullity} exceeds budget {budget}")
@@ -283,42 +368,38 @@ def _walk_matrix(box: str, radix: int, nullity: int, expr, kmax: int, ncols: int
         raise BudgetExceededError(f"support histogram of {kmax}*2^{ncols} cells exceeds int64 indices")
     if 8 * cells >= 1 << 63:
         raise BudgetExceededError(f"support histogram of {kmax}*2^{ncols} cells exceeds 2^63 bytes")
-    top = max(map(abs, chain.from_iterable(expr)), default=0)
     if nullity and radix * nullity * max(top, 1) >= 1 << 63:
         raise BudgetExceededError(f"cotree sums of {radix} values times {nullity}*{top} exceed int64")
     if points >= 1 << 63:
         raise BudgetExceededError(f"a box of {radix}^{nullity} points exceeds int64 indices")
-    return np.array(expr, dtype=np.int64).reshape(len(expr), nullity)
+    return walk.expr
 
 
 def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, supports, budget: int = DEFAULT_BUDGET) -> int:
     """Number of x in G^ncols with rows @ x = 0 in G whose support mask
-    the support filter accepts.  Each free coordinate takes all |G| values,
-    element v having the residue v // (|G| / (f_1 ... f_i)) mod f_i in
-    cyclic factor i; a basic one, -expr @ x_free in each factor f, is in
-    the support when nonzero mod f.  Without the certificate of
-    _cotree_expression every column is free and every row is checked mod
-    each factor.
+    the support filter accepts; rows as _cotree takes them.  Each free
+    coordinate takes all |G| values, element v having the residue v //
+    (|G| / (f_1 ... f_i)) mod f_i in cyclic factor i; a basic one, -expr @
+    x_free in each factor f, is in the support when nonzero mod f.
+    Without the certificate of _cotree_expression every column is free
+    and every row is checked mod each factor.
     """
-    pivots, free, expr, _, unimodular = _cotree(rows, ncols)
-    if not unimodular:
-        pivots, free, expr = [], range(ncols), rows
-    k, box = g.order, "|G|^nullity" if unimodular else "|G|^m"
-    expr = _walk_matrix(box, k, len(free), expr, 1, ncols, budget)
+    kernel = _cotree(rows, ncols)
+    walk = kernel if kernel.unimodular else kernel.checked
+    box = "|G|^nullity" if kernel.unimodular else "|G|^m"
+    expr = _walk_matrix(box, g.order, walk, 1, ncols, budget)
     factors = np.array(g.factors, dtype=np.int64)[:, None, None]
-    weights = k // np.cumprod(factors).reshape(factors.shape)
-    bits = np.array([1 << c for c in pivots], dtype=np.int64)
     counts = np.zeros(1 << ncols, dtype=np.int64)
 
     def add(box):
         scaled, mask, _, weight = box
         nonzero = (scaled.reshape(len(factors), len(expr), len(mask)) % factors != 0).any(axis=0)
-        if unimodular:
-            _accumulate(counts, mask | bits @ nonzero, weight, slice(None))
+        if kernel.unimodular:
+            _accumulate(counts, mask | walk.pivot_bits @ nonzero, weight, slice(None))
         else:
             _accumulate(counts, mask, weight, ~nonzero.any(axis=0))
 
-    _box_sum(expr, lambda v: (v // weights % factors, 0 * v), free, k, False, add)
+    _box_sum(expr, walk.free_bits, g.factors, g.order, False, add)
     return int(counts[supports(counts)].sum())
 
 
@@ -326,7 +407,7 @@ def count_nl_group_flows(d: Digraph, g: AbelianGroup, budget: int = DEFAULT_BUDG
     """Number of assignments A -> G that are flows with totally cyclic
     support contraction.
     """
-    return nl_group_flow_count(incidence_matrix(d), d.m, g, partial(_dijoins, d), budget)
+    return nl_group_flow_count(d, d.m, g, partial(_dijoins, d), budget)
 
 
 @lru_cache(maxsize=1)
@@ -353,7 +434,7 @@ def kernel_nullity(rows, ncols: int) -> int:
     """Dimension of the rational kernel of an integer matrix: the number
     of its free (cotree) columns, and the degree bound of the fit.
     """
-    return len(_cotree(rows, ncols)[1])
+    return len(_cotree(rows, ncols).free)
 
 
 def _accumulate(hist, index, weight, keep) -> None:
@@ -391,6 +472,64 @@ def _grid(radix: int, n: int, lo: int, hi: int) -> np.ndarray:
         return _digits(radix, n)[:, lo:hi]
     places = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return np.arange(lo, hi, dtype=np.int64) // places[:, None] % radix
+
+
+def _coords(key, digits: np.ndarray):
+    """The coordinate values of the points of a digit grid, as (values,
+    nonzero, height): values holds one n x points block per group factor
+    (or one for the integers), nonzero is 1 where a coordinate's value is
+    nonzero (int64, for the support-bit product), and height is each
+    point's max |x_j|.  key is a group's cyclic factors, whose element v
+    has the residue v // (|G| / (f_1 ... f_i)) mod f_i in factor i (height
+    0), or an integer radix 2K-1, whose value index v is v - (K-1).
+    """
+    if isinstance(key, tuple):
+        factors = np.array(key, dtype=np.int64)[:, None, None]
+        weights = prod(key) // np.cumprod(factors).reshape(factors.shape)
+        values = digits // weights % factors
+        height = np.zeros(digits.shape[1], dtype=np.int64)
+    else:
+        values = (digits - key // 2)[None]
+        height = np.abs(values[0]).max(axis=0, initial=0)
+    return values, values.any(axis=0).astype(np.int64), height
+
+
+@lru_cache(maxsize=128)
+def _coord_grid(key, n: int):
+    """_coords of the whole digit grid of n coordinates over key, cached
+    and read-only; asked only for grids of at most min(_FOLD_ROWS, _CHUNK)
+    points.  The slots hold the five catalog groups and the integer radices
+    at every nullity up to 6 with room to spare; on the catalog inputs of
+    the benchmark's sweep, intfit and matroid jobs they fill 45 slots,
+    about 0.5 MB.
+    """
+    arrays = _coords(key, _digits(prod(key) if isinstance(key, tuple) else key, n))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _box_points(key, radix: int, n: int):
+    """All points of the box {0, ..., radix-1}^n over key, as _coords
+    gives them: the cached _coord_grid when the box has at most
+    min(_FOLD_ROWS, _CHUNK) points, else the _coords of _digits.  The
+    low block of a walk (its fold axes and seed) takes its points here.
+    """
+    if radix**n <= min(_FOLD_ROWS, _CHUNK):
+        return _coord_grid(key, n)
+    return _coords(key, _digits(radix, n))
+
+
+def _points(key, radix: int, n: int, lo: int, hi: int):
+    """Points lo .. hi-1 of the box {0, ..., radix-1}^n over key, as
+    _coords gives them: views of the cached _coord_grid when the box has
+    at most min(_FOLD_ROWS, _CHUNK) points, else the _coords of _grid's
+    digits.  Each batch of high rows of a walk takes its points here.
+    """
+    if radix**n > min(_FOLD_ROWS, _CHUNK):
+        return _coords(key, _grid(radix, n, lo, hi))
+    values, nonzero, height = _coord_grid(key, n)
+    return values[..., lo:hi], nonzero[:, lo:hi], height[lo:hi]
 
 
 def _product(high, low):
@@ -464,15 +603,13 @@ def _fold(axes, seed, bits):
     return box
 
 
-def _box_sum(expr, coords, free, radix: int, half: bool, add) -> None:
+def _box_sum(expr, free_bits, key, radix: int, half: bool, add) -> None:
     """Pass the cotree box, in mixed-radix order with the first free
     coordinate leading, to add(box) batch by batch.  Each coordinate j
-    (column free[j]) takes the value indices 0 .. radix-1; coords(v)
-    gives, for an int64 array v of them, their values, one array per group
-    factor (or one for the integers), and their heights.  A point x adds
-    expr @ x to the rows of its box (one block per factor), has the
-    support bit of each coordinate whose value is nonzero, and the largest
-    height.
+    (support bit free_bits[j]) takes the value indices 0 .. radix-1, whose
+    values and heights _points gives over key.  A point x adds expr @ x
+    to the rows of its box (one block per factor), has the support bit of
+    each coordinate whose value is nonzero, and the largest height.
 
     Every block is one product expr @ x over the values x of a digit grid
     of its coordinates.  A box of more than _FOLD_ROWS points has a low
@@ -480,9 +617,11 @@ def _box_sum(expr, coords, free, radix: int, half: bool, add) -> None:
     ones up to _FOLD_ROWS points are one product that seeds the fold of
     the others (see _fold), so that points of equal state are one
     weighted row.  The leading coordinates give the high rows, built per
-    batch from their indices (_grid), each batch broadcast with the low
-    block.  With no low block the high rows are added as they are, _CHUNK
-    at a time; with no high coordinate the low block is.
+    batch from their indices, each batch broadcast with the low block.
+    With no low block the high rows are added as they are, _CHUNK at a
+    time; with no high coordinate the low block is.  A box of at most
+    min(_FOLD_ROWS, _CHUNK) points is so one product of cached values and
+    one add.
 
     With half, value index radix-1-v is the negative of v, so high row
     radix^n_high - 1 - i negates row i, and only the rows up to the
@@ -490,15 +629,14 @@ def _box_sum(expr, coords, free, radix: int, half: bool, add) -> None:
     it weigh 2, the centre row 1.  The leading coordinate is then always
     a high one, so that the rows halve every box.
     """
-    n = len(free)
-    bits = np.array([1 << c for c in free], dtype=np.int64)
+    n = len(free_bits)
 
-    def block(first, grid, weight=None):
-        # The points of the digit grid of the coordinates first, first+1, ...
-        values, heights = coords(grid)
-        last = first + len(grid)
-        scaled = (expr[:, first:last] @ values).reshape(-1, grid.shape[1])
-        return scaled, bits[first:last] @ values.any(axis=0), heights.max(axis=0, initial=0), weight
+    def block(first, points, weight=None):
+        # The points of the coordinates first, first+1, ...
+        values, nonzero, height = points
+        last = first + len(nonzero)
+        scaled = (expr[:, first:last] @ values).reshape(-1, nonzero.shape[1])
+        return scaled, free_bits[first:last] @ nonzero, height, weight
 
     n_low = 0
     if radix**n > _FOLD_ROWS:
@@ -510,9 +648,9 @@ def _box_sum(expr, coords, free, radix: int, half: bool, add) -> None:
         n_seed = 0
         while n_seed < n_low and radix ** (n_seed + 1) <= _FOLD_ROWS:
             n_seed += 1
-        axes = [block(j, _digits(radix, 1)) for j in range(n_high, n - n_seed)]
-        seed = block(n - n_seed, _digits(radix, n_seed))
-        low = _fold(axes, seed, bits[n_high:].tolist())
+        axes = [block(j, _box_points(key, radix, 1)) for j in range(n_high, n - n_seed)]
+        seed = block(n - n_seed, _box_points(key, radix, n_seed))
+        low = _fold(axes, seed, free_bits[n_high:].tolist())
         if n_high == 0:
             add(low)
             return
@@ -526,13 +664,14 @@ def _box_sum(expr, coords, free, radix: int, half: bool, add) -> None:
         if half:
             weight = np.full(hi - lo, 2, dtype=np.int64)
             weight[centre - lo :] = 1  # the centre row, if in this batch
-        high = block(0, _grid(radix, n_high, lo, hi), weight)
+        high = block(0, _points(key, radix, n_high, lo, hi), weight)
         add(high if low is None else _product(high, low))
 
 
 def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_BUDGET):
     """hist[mask, h]: the number of integer x with rows @ x = 0 whose
-    support bitmask is mask and whose max_j |x_j| is h, for h < kmax.
+    support bitmask is mask and whose max_j |x_j| is h, for h < kmax;
+    rows as _cotree takes them.
 
     One pass over the cotree box {-(kmax-1), ..., kmax-1}^nullity, which
     is symmetric about its centre, the zero flow, so the rows of its
@@ -547,15 +686,11 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
     """
     if kmax < 1:
         raise ValueError("k must be >= 1")
-    pivots, free, expr, denom, _ = _cotree(rows, ncols)
+    kernel = _cotree(rows, ncols)
     base = 2 * kmax - 1
-    expr = _walk_matrix("(2k-1)^nullity", base, len(free), expr, kmax, ncols, budget)
-    bits = np.array([1 << c for c in pivots], dtype=np.int64)
+    expr = _walk_matrix("(2k-1)^nullity", base, kernel, kmax, ncols, budget)
+    denom, bits = kernel.denom, kernel.pivot_bits
     hist = np.zeros(kmax << ncols, dtype=np.int64)
-
-    def coords(v):
-        values = v - (kmax - 1)
-        return values[None], np.abs(values)
 
     def add(box):
         scaled, mask, height, weight = box
@@ -567,7 +702,7 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
         mask = mask + bits @ (scaled != 0)
         _accumulate(hist, mask * kmax + height, weight, ok)
 
-    _box_sum(expr, coords, free, base, True, add)
+    _box_sum(expr, kernel.free_bits, base, base, True, add)
     return hist.reshape(1 << ncols, kmax)
 
 
@@ -595,7 +730,7 @@ def count_nl_integer_kflows(d: Digraph, k: int, budget: int = DEFAULT_BUDGET) ->
     (exact conservation over the integers) whose support contraction is
     totally cyclic.
     """
-    return nl_integer_kflow_counts(incidence_matrix(d), d.m, [k], partial(_dijoins, d), budget)[0]
+    return nl_integer_kflow_counts(d, d.m, [k], partial(_dijoins, d), budget)[0]
 
 
 def _acyclic_subsets(d: Digraph) -> bytearray:
@@ -712,4 +847,4 @@ def fit_integer_flow_polynomial(d: Digraph, k_range, budget: int = DEFAULT_BUDGE
     """Interpolate the integer NL-k-flow counts of d over k_range to a
     polynomial of degree <= m - rk(A), with held-out witnesses.
     """
-    return fit_nl_integer_polynomial(incidence_matrix(d), d.m, k_range, partial(_dijoins, d), budget)
+    return fit_nl_integer_polynomial(d, d.m, k_range, partial(_dijoins, d), budget)

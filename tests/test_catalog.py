@@ -103,3 +103,23 @@ class TestRefusals:
         out, err = capsys.readouterr()
         assert status == 1 and out == ""
         assert err.startswith("error: domain:")
+
+
+class TestFlowSweepCounts:
+    @pytest.mark.parametrize("max_k, groups", [(3, 3), (4, 5), (5, 6)])
+    def test_one_count_per_group_and_digraph(self, monkeypatch, max_k, groups):
+        # The Z4 count of the k loop also serves the group-independence
+        # check against Z2 x Z2: each group is counted once per digraph.
+        calls = Counter()
+        count = catalog.count_nl_group_flows
+
+        def spy(d, g, budget):
+            calls[d, g] += 1
+            return count(d, g, budget)
+
+        monkeypatch.setattr(catalog, "count_nl_group_flows", spy)
+        report = verify_flow_counts(2, max_k, 3)
+        graphs = digraph_catalog(2, 3)
+        assert {d for d, _ in calls} == set(graphs)
+        assert set(calls.values()) == {1} and len(calls) == groups * len(graphs)
+        assert report.ok and report.checked == len(graphs) * (max_k + (max_k >= 4))

@@ -285,7 +285,8 @@ class TestKernelBasisFromCotree:
 
         monkeypatch.setattr(oracles, "int_rref", spy)
         monkeypatch.setattr(linalg, "int_rref", spy)
-        oracles._cotree_expression.cache_clear()
+        for name in ("_kernel", "_digraph_kernel", "_cotree_expression"):
+            getattr(oracles, name).cache_clear()
         count_nl_group_flows_matroid(m, cyclic(3))
         count_nl_integer_kflows_matroid(m, 3)
         fit_integer_flow_polynomial_matroid(m, range(1, 7))
@@ -615,6 +616,55 @@ class TestNonUnimodularFallback:
         )
         g = data.draw(st.sampled_from(self.GROUPS))
         assert count_nl_group_flows_matroid(m, g) == self.naive(m, g)
+
+
+class TestPreparedKernelJobs:
+    # A matroid job counts one matrix over four groups and two k, then
+    # certifies it; the prepared kernel and the cocircuit table are each
+    # built once for it, and no count reads another input's record.
+    GROUPS = [cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2))]
+    NON_TU = [TUMatrix(((1, 1), (1, -1))), TUMatrix(((1, 1), (1, -1), (1, 0))), TUMatrix(((1, 1, 0), (1, -1, 1)))]
+
+    def test_a_job_shares_one_elimination_and_one_table(self, monkeypatch):
+        rrefs, tables = [], []
+        elim = oracles.int_rref
+        build = _cocircuit_table.__wrapped__
+        monkeypatch.setattr(oracles, "int_rref", lambda mat: rrefs.append(mat) or elim(mat))
+        monkeypatch.setattr(matroids, "_cocircuit_table", lru_cache(maxsize=1)(lambda m: tables.append(m) or build(m)))
+        m = cographic(Digraph(4, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (1, 0))))
+        for name in ("_kernel", "_digraph_kernel", "_cotree_expression"):
+            getattr(oracles, name).cache_clear()
+        counts = [count_nl_group_flows_matroid(m, g) for g in self.GROUPS]
+        ints = [count_nl_integer_kflows_matroid(m, k) for k in (2, 3)]
+        farkas_certificate(m)
+        assert len(rrefs) == 1 and tables == [m]
+        predicate = partial(_support_contraction_cyclic, m)
+        assert counts == [dense_group_flow_count(m.rows, m.q, g, predicate) for g in self.GROUPS]
+        assert ints == [count_nl_integer_kflows_matroid_naive(m, k) for k in (2, 3)]
+
+    def test_r10_and_non_unimodular_matrices_interleaved(self):
+        # Between two counts of R10 a matrix without the determinant
+        # certificate takes every one-slot cache, with its G^q walk.
+        for g in self.GROUPS[:2]:
+            want = dense_group_flow_count(R10.rows, R10.q, g, partial(_support_contraction_cyclic, R10))
+            for m in self.NON_TU:
+                assert count_nl_group_flows_matroid(R10, g) == want, g.spec()
+                naive = count_nl_group_flows_naive(m, g, partial(_support_contraction_cyclic, m))
+                assert count_nl_group_flows_matroid(m, g) == naive, (m, g.spec())
+        want = count_nl_integer_kflows_matroid_naive(R10, 2)
+        for m in self.NON_TU:
+            assert count_nl_integer_kflows_matroid(R10, 2) == want
+            assert count_nl_integer_kflows_matroid(m, 2) == count_nl_integer_kflows_matroid_naive(m, 2), m
+
+    def test_contraction_memo_is_bounded(self):
+        # The Farkas predicate's memo keeps at most 4096 masks.
+        assert _support_contraction_cyclic.cache_info().maxsize == 4096
+        m = directed_cycle_matrix(13)
+        _support_contraction_cyclic.cache_clear()
+        for mask in range(4100):
+            _support_contraction_cyclic(m, mask)
+        info = _support_contraction_cyclic.cache_info()
+        assert (info.misses, info.currsize) == (4100, 4096)
 
 
 class TestIntegerCountsAgainstFullBox:

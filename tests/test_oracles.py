@@ -278,14 +278,15 @@ class TestKernelHeightHistogram:
         # The centre row ends the walk, so it is last in its batch: alone
         # in it, after other rows, or in the one batch; with a low block or
         # without.  Its weight 1 against 2 below it must hold wherever.
+        # Every batch takes its points from _points, cached or not.
         seen = []
-        grid = oracles._grid
+        points = oracles._points
 
-        def spy(radix, n, lo, hi):
+        def spy(key, radix, n, lo, hi):
             seen.append((lo, hi))
-            return grid(radix, n, lo, hi)
+            return points(key, radix, n, lo, hi)
 
-        monkeypatch.setattr(oracles, "_grid", spy)
+        monkeypatch.setattr(oracles, "_points", spy)
         monkeypatch.setattr(oracles, "_CHUNK", chunk)
         monkeypatch.setattr(oracles, "_FOLD_ROWS", fold_rows)
         ncols = len(rows[0])
@@ -367,6 +368,134 @@ class TestKernelHeightHistogram:
             assert capsys.readouterr().err == "error: budget: support masks of 300 columns exceed 62 bits\n"
 
 
+class TestPreparedKernel:
+    # oracles._cotree gives one cached, read-only record per input (per
+    # digraph, and per row tuple), which every count of it reads, and the
+    # walks take small digit grids' coordinate values from one cache.
+    GROUPS = [cyclic(1), cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2))]
+    ONE_SLOT = ("_kernel", "_digraph_kernel", "_cotree_expression", "_dijoin_costs", "_dijoin_table", "_arc_components")
+
+    def test_one_slot_per_input_and_read_only(self, cycle3):
+        for name in self.ONE_SLOT:
+            assert getattr(oracles, name).cache_info().maxsize == 1, name
+        kernel = oracles._cotree(cycle3, 3)
+        assert oracles._cotree(cycle3, 3) is kernel
+        assert oracles._cotree(incidence_matrix(cycle3), 3) is kernel
+        assert oracles._cotree(TUMatrix.from_digraph(cycle3).rows, 3) is kernel
+        non_tu = oracles._cotree(((1, 1), (1, -1)), 2)
+        for record in (kernel, non_tu, non_tu.checked):
+            for a in (record.expr, record.pivot_bits, record.free_bits):
+                assert a.dtype == np.int64 and not a.flags.writeable
+            assert record.expr.tolist() == list(map(list, record.exact))
+            assert record.pivot_bits.tolist() == [1 << c for c in record.pivots]
+            assert record.free_bits.tolist() == [1 << c for c in record.free]
+            assert record.top == max((abs(x) for row in record.exact for x in row), default=0)
+        pivots, free, expr, denom, unimodular = oracles._cotree_expression(((1, 1, 0), (0, 1, 1)), 3)
+        record = oracles._cotree(((1, 1, 0), (0, 1, 1)), 3)
+        assert (record.pivots, record.free, record.exact, record.denom, record.unimodular) == (
+            pivots, free, expr, denom, unimodular
+        )
+        assert kernel.checked is None and non_tu.checked.pivots == []
+        assert non_tu.checked.exact == ((1, 1), (1, -1)) and list(non_tu.checked.free) == [0, 1]
+        with pytest.raises(ValueError):
+            kernel.free_bits[0] = 0
+
+    def test_arrays_left_out_where_they_do_not_fit(self):
+        # The Farkas certificates read the exact ints at any width; the
+        # bits of a 70-column matrix and an expr entry of 2^63 are not
+        # int64, and the walks refuse both before reading them.
+        cycle = Digraph(70, tuple((i, (i + 1) % 70) for i in range(70)))
+        wide = oracles._kernel(TUMatrix.from_digraph(cycle).rows, 70)
+        assert wide.pivot_bits is None and wide.free_bits is None and wide.expr is not None
+        assert len(wide.free) == 1
+        huge = oracles._prepare([0], [1], [[1 << 63]])
+        assert huge.expr is None and huge.top == 1 << 63
+        message = f"cotree sums of 2 values times 1*{1 << 63} exceed int64"
+        with pytest.raises(BudgetExceededError, match=re.escape(message)):
+            oracles._walk_matrix("box", 2, huge, 1, 2, 1 << 62)
+        with pytest.raises(BudgetExceededError, match=re.escape(message)):
+            oracles.nl_group_flow_count(((1, 1 << 63),), 2, cyclic(2), lambda counts: slice(None))
+
+    def test_coordinate_grids_are_read_only_and_cached(self):
+        for key, radix in (((4,), 4), ((2, 2), 4), ((), 1), (5, 5)):
+            grid = oracles._coord_grid(key, 3)
+            assert oracles._coord_grid(key, 3) is grid
+            values, nonzero, height = grid
+            assert all(not a.flags.writeable and a.dtype == np.int64 for a in grid)
+            assert values.shape == (len(key) if isinstance(key, tuple) else 1, 3, radix**3)
+            assert nonzero.shape == (3, radix**3) and height.shape == (radix**3,)
+        values, nonzero, height = oracles._coord_grid(5, 2)
+        points = [tuple(p) for p in product(range(-2, 3), repeat=2)]
+        assert list(map(tuple, values[0].T)) == points
+        assert height.tolist() == [max(map(abs, p)) for p in points]
+        assert list(map(tuple, nonzero.T)) == [tuple(int(x != 0) for x in p) for p in points]
+        # Z2 x Z2 element v has residues (v // 2, v % 2).
+        values, nonzero, _ = oracles._coord_grid((2, 2), 1)
+        assert values[:, 0].T.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]] and nonzero.tolist() == [[0, 1, 1, 1]]
+        assert oracles._coord_grid.cache_info().maxsize >= 64
+
+    @pytest.mark.parametrize("chunk, fold_rows", [(8, 1 << 62), (1 << 18, 16), (64, 1 << 10), (1 << 18, 1 << 10)])
+    def test_no_cached_coordinate_grid_exceeds_a_batch_or_the_fold(self, monkeypatch, chunk, fold_rows):
+        # A fresh cache records each grid it builds: none has more than
+        # min(_FOLD_ROWS, _CHUNK) columns, and the counts are unchanged.
+        built = []
+        build = oracles._coord_grid.__wrapped__
+
+        def record(key, n):
+            grid = build(key, n)
+            built.append(grid[1].shape[1])
+            return grid
+
+        monkeypatch.setattr(oracles, "_coord_grid", lru_cache(maxsize=128)(record))
+        monkeypatch.setattr(oracles, "_CHUNK", chunk)
+        monkeypatch.setattr(oracles, "_FOLD_ROWS", fold_rows)
+        digon, multi = Digraph(2, ((0, 1), (1, 0))), Digraph(2, ((0, 1),) * 4 + ((1, 0),) * 3)
+        for d in (digon, multi, Digraph(3, ((0, 1), (1, 2), (2, 0), (0, 2), (2, 0)))):
+            inc = incidence_matrix(d)
+            for g in (cyclic(3), AbelianGroup((2, 2))):
+                dense = dense_group_flow_count(inc, d.m, g, partial(_support_cyclic, d))
+                assert count_nl_group_flows(d, g) == dense, (d, g.spec())
+            assert count_nl_integer_kflows(d, 2) == count_nl_integer_kflows_naive(d, 2), d
+        assert built and max(built) <= min(chunk, fold_rows)
+
+    def test_group_counts_of_a_digraph_share_one_elimination_and_one_table(self, monkeypatch):
+        # A sweep job: five group counts of one digraph, then its integer
+        # counts.  One int_rref and one dijoin table serve them all.
+        d = Digraph(4, ((0, 1), (1, 2), (2, 0), (0, 2), (2, 3), (3, 0)))
+        rrefs, tables = [], []
+        elim = oracles.int_rref
+        build = oracles._dijoin_table.__wrapped__
+        monkeypatch.setattr(oracles, "int_rref", lambda mat: rrefs.append(mat) or elim(mat))
+        monkeypatch.setattr(oracles, "_dijoin_table", lru_cache(maxsize=1)(lambda d: tables.append(d) or build(d)))
+        for name in ("_kernel", "_digraph_kernel", "_cotree_expression"):
+            getattr(oracles, name).cache_clear()
+        counts = [count_nl_group_flows(d, g) for g in self.GROUPS]
+        ints = [count_nl_integer_kflows(d, k) for k in (2, 3)]
+        assert len(rrefs) == 1 and tables == [d]
+        inc = incidence_matrix(d)
+        assert counts == [dense_group_flow_count(inc, d.m, g, partial(_support_cyclic, d)) for g in self.GROUPS]
+        assert ints == [count_nl_integer_kflows_naive(d, k) for k in (2, 3)]
+
+    def test_catalog_counts_equal_references_with_inputs_interleaved(self, catalog_full):
+        # Every catalog digraph, counted as a sweep job counts it, and
+        # between its counts the previous digraph's matrix, so that each
+        # one-slot cache changes hands: no count reads another input's
+        # kernel, table or grid.
+        prev = None
+        for i, d in enumerate(catalog_full):
+            inc = incidence_matrix(d)
+            for g in self.GROUPS[1:]:
+                assert count_nl_group_flows(d, g) == dense_group_flow_count(
+                    inc, d.m, g, partial(_support_cyclic, d)
+                ), (d, g.spec())
+            if prev is not None:
+                g = self.GROUPS[1 + i % 4]
+                want = count_nl_group_flows(prev, g)
+                assert count_nl_group_flows_matroid(TUMatrix.from_digraph(prev), g) == want, (prev, g.spec())
+            assert count_nl_integer_kflows(d, 2) == count_nl_integer_kflows_naive(d, 2), d
+            prev = d
+
+
 class TestWalkRefusals:
     # oracles._walk_matrix runs every refusal of a kernel walk, in order,
     # before anything is allocated.  Each is tried at its bound and just
@@ -406,8 +535,11 @@ class TestWalkRefusals:
         ],
     )
     def test_each_refusal_at_its_bound(self, radix, nullity, top, kmax, ncols, budget, message):
+        # The walk reads nullity and top from a prepared record of expr.
         expr = [[top] * nullity]
-        walk = partial(oracles._walk_matrix, "box", radix, nullity, expr, kmax, ncols, budget)
+        record = oracles._prepare([], range(nullity), expr)
+        assert (len(record.free), record.top) == (nullity, top if nullity else 0)
+        walk = partial(oracles._walk_matrix, "box", radix, record, kmax, ncols, budget)
         if message is None:
             matrix = walk()
             assert matrix.dtype == np.int64 and matrix.tolist() == expr
