@@ -21,8 +21,11 @@ in at least 9 of 10 pairs and its median is better than the parent's by
 more than the parent's interquartile range, and whether the metric is
 unresolved: the parent's interquartile range is wider than the bound
 times the parent's median, so a median within the bound shows nothing,
-unless every change run reads better than every parent run.  The metrics
-worse than their bound are printed at the end, then the unresolved ones.
+unless every change run reads better than every parent run.  'pairs' also
+gives each side's failed share, its failed jobs over its attempted jobs
+summed over the seeds, and whether the change's share is the larger.  The
+metrics worse than their bound are printed at the end, then the workloads
+whose failed share is larger on the change, then the unresolved metrics.
 The file is rewritten after every pair, so an interrupted series keeps
 the pairs it finished.
 """
@@ -62,14 +65,16 @@ def quartiles(values: list[float]) -> list[float]:
 
 def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: the seeds run on both sides, the failed jobs of each
-    run, and for each metric of end_to_end (BENCHMARK.json's entries, with
-    "better" either "higher" or "lower" and a relative "bound") both sides'
-    quartiles, the change's wins over the pairs, whether the change's
-    median is worse than the parent's by more than the bound, whether it
-    shows a gain: wins in at least 9 of 10 pairs and a median better than
-    the parent's by more than the parent's interquartile range, and
-    whether it is unresolved: that range is wider than the bound times the
-    parent's median, and not every change run beats every parent run.
+    run, each side's failed share (failed over attempted jobs, summed over
+    the seeds) and whether the change's is larger, and for each metric of
+    end_to_end (BENCHMARK.json's entries, with "better" either "higher" or
+    "lower" and a relative "bound") both sides' quartiles, the change's
+    wins over the pairs, whether the change's median is worse than the
+    parent's by more than the bound, whether it shows a gain: wins in at
+    least 9 of 10 pairs and a median better than the parent's by more than
+    the parent's interquartile range, and whether it is unresolved: that
+    range is wider than the bound times the parent's median, and not every
+    change run beats every parent run.
     """
     by_key = {(r["workload"], r["seed"], r["side"]): r["result"] for r in runs}
     pairs = {}
@@ -80,9 +85,14 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
         if not seeds:
             continue
         results = {side: [by_key[workload, s, side] for s in seeds] for side in SIDES}
+        share = {
+            side: sum(r["failed"] for r in results[side]) / max(1, sum(r["attempted"] for r in results[side]))
+            for side in SIDES
+        }
         summary = {
             "seeds": seeds,
             "failed": {side: [r["failed"] for r in results[side]] for side in SIDES},
+            "failed_share": {**share, "larger_on_change": share["change"] > share["parent"]},
         }
         for entry in end_to_end:
             metric = entry["name"]
@@ -107,7 +117,8 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
 
 def flagged(pairs: dict, key: str) -> list[str]:
     """The "workload metric" pairs whose summary sets key, such as
-    "worse_than_bound" or "unresolved".
+    "worse_than_bound", "larger_on_change" (of failed_share) or
+    "unresolved".
     """
     return [
         f"{workload} {metric}"
@@ -156,9 +167,10 @@ def main() -> int:
             out.write_text(json.dumps(record, indent=1) + "\n")
             summary = record["pairs"][workload]["jobs_per_s"]
             print(f"{workload} seed {seed}: jobs_per_s change wins {summary['change_wins']}", flush=True)
-    for key in ("worse_than_bound", "unresolved"):
+    for label, key in (("worse than bound", "worse_than_bound"), ("failed share larger", "larger_on_change"),
+                       ("unresolved", "unresolved")):
         names = flagged(record["pairs"], key)
-        print(f"{key.replace('_', ' ')}: " + (", ".join(names) if names else "none"))
+        print(f"{label}: " + (", ".join(names) if names else "none"))
     return 0
 
 

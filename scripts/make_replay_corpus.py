@@ -2,15 +2,17 @@
 """Regenerate the golden replay corpus of tests/test_golden_replay.py.
 
 Usage:
-    python3 scripts/make_replay_corpus.py [--seed 1] [--rounds 1] [--out tests/golden]
+    python3 scripts/make_replay_corpus.py [--seed 1] [--rounds N] [--out tests/golden]
 
-For each of the sweep, intfit and matroid workloads of the benchmark
-(perfbench/workloads.py, imported read-only, no bytecode written), the
-jobs of the given seed and rounds are written as nlflow input files, as
-perfbench/dump_inputs.py names them, and each job's replay commands
-(count, count-int, matroid count, and the poly, copoly, colorings and
-matroid tc commands beside them) are run in-process through
-nlflow.cli.main.  One JSON file per workload, <out>/<workload>.json,
+For each of the sweep, intfit, matroid and lattice workloads of the
+benchmark (perfbench/workloads.py, imported read-only, no bytecode
+written), the jobs of the given seed and rounds are written as nlflow
+input files, as perfbench/dump_inputs.py names them, and each job's
+replay commands (count, count-int, matroid count, the poly, copoly,
+colorings and matroid tc commands beside them, and lattice's poly,
+copoly and dicuts) are run in-process through nlflow.cli.main.  The
+rounds default to one per workload, and two for lattice, whose one round
+gives only 25 commands.  One JSON file per workload, <out>/<workload>.json,
 keeps the inputs (file name -> text) and one record per command: its
 argv, exit code, stdout and stderr.
 
@@ -31,7 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("sweep", "intfit", "matroid")
+WORKLOADS = {"sweep": 1, "intfit": 1, "matroid": 1, "lattice": 2}  # name -> default rounds
 
 
 def corpus(workload, seed: int, rounds: int) -> dict:
@@ -78,7 +80,7 @@ def write(data: dict, path: Path) -> None:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--rounds", type=int, default=1)
+    p.add_argument("--rounds", type=int, help="rounds of every workload (default: WORKLOADS)")
     p.add_argument("--out", type=Path, default=ROOT / "tests" / "golden")
     args = p.parse_args(argv)
     sys.dont_write_bytecode = True
@@ -86,8 +88,8 @@ def main(argv=None) -> int:
     from workloads import WORKLOADS as ALL
 
     args.out.mkdir(parents=True, exist_ok=True)
-    for name in WORKLOADS:
-        data = corpus(ALL[name], args.seed, args.rounds)
+    for name, rounds in WORKLOADS.items():
+        data = corpus(ALL[name], args.seed, args.rounds or rounds)
         write(data, args.out / f"{name}.json")
         print(f"{name}: {len(data['inputs'])} inputs, {len(data['records'])} records")
     return 0

@@ -64,7 +64,7 @@ def farkas_nonneg_solve(a_mat, b_vec):
 
     Returns ("feasible", z) with A z = b, z >= 0, or ("infeasible", y)
     with y A <= 0 componentwise and y . b > 0 (the Farkas certificate).
-    Entries may be ints or Fractions; z and y are Fractions.
+    A and b are ints; z and y are Fractions.
 
     Phase-1 simplex on one integer tableau [A | I | b] (rows with b_i < 0
     negated, one artificial per row) under an objective row of reduced
@@ -73,21 +73,16 @@ def farkas_nonneg_solve(a_mat, b_vec):
     previous pivot.  Bland's rule picks the pivots: the smallest column
     with a negative reduced cost enters; the minimum ratio T[i][-1] /
     T[i][e] over T[i][e] > 0 leaves, ties evicting the smallest basic
-    index.  Fractional input is scaled to integers column by column (and
-    b as a whole) first; a positive column scale changes neither the
-    pivots nor y, and z is scaled back at the end.
+    index.
     """
     p = len(b_vec)
     q = len(a_mat[0]) if a_mat else 0
-    col_scale = [lcm(*(row[j].denominator for row in a_mat)) for j in range(q)]
-    b_scale = lcm(*(x.denominator for x in b_vec))
     signs = [1 if x >= 0 else -1 for x in b_vec]
     rows = []
     for i, (row, x, s) in enumerate(zip(a_mat, b_vec, signs)):
-        t = [s * v.numerator * (scale // v.denominator) for v, scale in zip(row, col_scale)]
-        t += [0] * p
+        t = [s * v for v in row] + [0] * p
         t[q + i] = 1
-        t.append(s * x.numerator * (b_scale // x.denominator))
+        t.append(s * x)
         rows.append(t)
     # Artificials cost 1, the original variables 0; the objective row holds
     # d times the reduced costs, and -d times the phase-1 objective last.
@@ -123,5 +118,5 @@ def farkas_nonneg_solve(a_mat, b_vec):
     z = [Fraction(0)] * q
     for row, j in zip(rows, basis):
         if j < q:
-            z[j] = Fraction(row[-1] * col_scale[j], d * b_scale)
+            z[j] = Fraction(row[-1], d)
     return "feasible", z

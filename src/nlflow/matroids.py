@@ -9,13 +9,14 @@ decisions are exact; no floating point.  The group and integer counts and
 the polynomial fit are the shared ones of nlflow.oracles, called with the
 matrix and its support filter: a table of the masks that meet every
 positive cocircuit, or, where that table would cost more than one batch,
-the up-set walk over the Farkas contraction predicate.  The integer
-kernel basis behind the Farkas certificates and that predicate, the rows
-the table combines and the filter's choice all read the matrix's
-prepared kernel (nlflow.oracles._kernel, one read-only record per row
-tuple) that those counters walk, so each matrix is row-reduced once and
-its arrays built once for all its counts.  The counters take the values
-of small digit grids from one cache shared with the digraph counts.
+the up-set walk over the Farkas contraction predicate (cyclic_supports).
+The integer kernel basis behind the Farkas certificates and that
+predicate, the rows the table combines and the filter's choice all read
+the matrix's prepared kernel (nlflow.oracles._kernel, one read-only
+record per row tuple) that those counters walk, so each matrix is
+row-reduced once and its arrays built once for all its counts.  The
+counters and the table's seeds read their points from the one source
+the digraph counts use (nlflow.oracles._points).
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ from .linalg import farkas_nonneg_solve, int_rref
 from .oracles import (
     _CHUNK,
     DEFAULT_BUDGET,
-    _digits,
     _hitting_table,
     _kernel,
-    cyclic_supports,
+    _points,
     fit_nl_integer_polynomial,
     nl_group_flow_count,
     nl_integer_kflow_counts,
@@ -204,12 +204,13 @@ def _cocircuit_table(m: TUMatrix) -> np.ndarray:
 
     The rows of the cotree expression (denom on the pivots, expr on the
     free columns) span the row space.  Every y = lam @ rows with lam in
-    {0, +-1}^r is one numpy product, and each nonzero y >= 0 rejects the
-    complement of its support.  In a TU matrix every cocircuit is such a
-    y.  In another, a cocircuit may have other entries; its hyperplane is
-    spanned by some r - 1 columns, and where no nonzero seed y vanishes on
-    them, the y that does comes from one int_rref of their r x (r - 1)
-    block and is added when it has one sign.  A set of rank below r - 1
+    {0, +-1}^r, the points of _points over the radix 3, is one numpy
+    product, and each nonzero y >= 0 rejects the complement of its
+    support.  In a TU matrix every cocircuit is such a y.  In another, a
+    cocircuit may have other entries; its hyperplane is spanned by some
+    r - 1 columns, and where no nonzero seed y vanishes on them, the y that
+    does comes from one int_rref of their r x (r - 1) block and is added
+    when it has one sign.  A set of rank below r - 1
     has none; the hyperplanes through it have bases of their own.
     _hitting_table closes the rejected masks downward.
 
@@ -222,7 +223,7 @@ def _cocircuit_table(m: TUMatrix) -> np.ndarray:
     rows[range(r), kernel.pivots] = kernel.denom
     rows[:, kernel.free] = kernel.expr
     bits = 1 << np.arange(q, dtype=np.int64)
-    seeds = (_digits(3, r).T - 1) @ rows
+    seeds = _points(3, r, 0, 3**r)[0][0].T @ rows
     supports = (seeds != 0) @ bits
     positive = [supports[(seeds >= 0).all(axis=1) & (supports != 0)]]
     if r:
@@ -240,6 +241,40 @@ def _cocircuit_table(m: TUMatrix) -> np.ndarray:
             if (y >= 0).all() or (y <= 0).all():
                 positive.append((y != 0) @ bits)
     return _hitting_table(q, positive)
+
+
+def cyclic_supports(counts, predicate) -> list[int]:
+    """The support bitmasks (indices of counts) with a nonzero count whose
+    contraction the support predicate accepts, in increasing order; with
+    the Farkas predicate bound, the support filter where the cocircuit
+    table would cost too much (_supports).
+
+    The accepted supports form an up-set, since contracting more of a
+    totally cyclic contraction keeps it totally cyclic: M/T = (M/S)/(T-S).
+    So a mask that contains an accepted mask is accepted, and one that is
+    contained in a rejected mask is rejected, without a predicate call.
+    The masks are walked by popcount level, alternately from the bottom
+    and from the top, so that both rules fire.
+    """
+    levels = {}
+    for mask in np.flatnonzero(counts).tolist():
+        levels.setdefault(mask.bit_count(), []).append(mask)
+    sizes = sorted(levels)
+    # Bottom, top, second from the bottom, second from the top, ...
+    order = [size for pair in zip(sizes, reversed(sizes)) for size in pair][: len(sizes)]
+    good, bad, accepted = [], [], []
+    for size in order:
+        for mask in levels[size]:
+            if any(mask & g == g for g in good):
+                ok = True
+            elif any(mask & b == mask for b in bad):
+                ok = False
+            else:
+                ok = predicate(mask)
+                (good if ok else bad).append(mask)
+            if ok:
+                accepted.append(mask)
+    return sorted(accepted)
 
 
 def _supports(m: TUMatrix, counts):

@@ -10,17 +10,11 @@ support's contraction is totally cyclic exactly when the support meets
 every dicut, so one boolean array over the 2^m masks, built from its own
 brute-force dicuts, accepts them all in one lookup.  Where that table
 costs more than testing the few masks with a count by reachability, as
-on a long path or cycle, those masks are tested instead.  The matroid path
-(nlflow.matroids) passes a TU matrix and a positive-cocircuit filter: by
-Farkas, a support's contraction is totally cyclic exactly when it meets
-every positive cocircuit, so one such table over the 2^q masks accepts
-them all.  Where the table would cost more than one batch, as at high
-rank, the masks with a count go through cyclic_supports, a walk of the
-up-set of accepted masks that calls a Farkas test where no accepted
-subset or rejected superset decides.  Both tables are closed downward
-by _hitting_table.  There is one kernel walker, over
-the free (cotree) coordinates of the kernel, under one group counter and
-one integer counter, and one polynomial fit:
+on a long path or cycle, those masks are tested instead.  The table
+is closed downward by _hitting_table.  The matroid path (nlflow.matroids)
+passes a TU matrix and its own support filter.  There is one kernel
+walker, over the free (cotree) coordinates of the kernel, under one group
+counter and one integer counter, and one polynomial fit:
 
 - nl_group_flow_count walks G^nullity, exact when a pivot block has
   determinant +-1, as in every TU matrix; other matrices walk G^ncols.
@@ -29,6 +23,8 @@ one integer counter, and one polynomial fit:
   height, so the rows of the leading coordinates below the centre count
   twice and the centre row once.  The count for every k <= K is a
   cumulative sum of it.
+- fit_nl_integer_polynomial interpolates those counts to a polynomial of
+  degree at most the kernel nullity, with held-out witnesses.
 
 The walker folds.  A point's histogram cell depends only on its state:
 the partial sums of the basic coordinates (or checked rows), the support
@@ -40,20 +36,21 @@ fold to about a thousand rows.  No merge fires below _FOLD_ROWS rows, so
 only a box of more than _FOLD_ROWS points has a low block: its trailing
 coordinates (never the leading one in the integer walk), at most _CHUNK
 points, whose last ones up to _FOLD_ROWS points seed the fold.  Every
-block is one integer product expr @ x over the values x of a digit grid
-of its coordinates, and the leading (high) coordinates are built per
-batch from their indices, so there is one batch loop, and no walker
-array is wider than one batch (_CHUNK points) whatever the budget.
-Boxes that could hold more states than points (R10) are walked point by
-point.  Every batch is added into one int64 histogram per call.
-The values of a grid's points, their nonzero pattern and their heights
-depend only on the group's factors (or the integer radix) and the
-number of coordinates, so those of every grid of at most
-min(_FOLD_ROWS, _CHUNK) points are cached, read-only (_coord_grid): a
-warm count of a box that small is one product, one bincount and one
-filter lookup.
-- fit_nl_integer_polynomial interpolates those counts to a polynomial of
-  degree at most the kernel nullity, with held-out witnesses.
+block is one integer product expr @ x over the values x of its points,
+and the leading (high) coordinates are built per batch from their
+indices, so there is one batch loop, and no walker array is wider than
+one batch (_CHUNK points) whatever the budget.  Boxes that could hold
+more states than points (R10) are walked point by point.  Every batch is
+added into one int64 histogram per call.
+
+The walk reads every point from one source, _points: the fold's seed
+and axes, each batch of high rows, and the cocircuit table's {-1, 0, 1}^r
+seeds in nlflow.matroids.  The values of a box's points, their nonzero
+pattern and their heights depend only on the key (the group's factors,
+or the integer radix) and the number of coordinates, so those of every
+box of at most min(_FOLD_ROWS, _CHUNK) points are cached, read-only
+(_coord_grid), and _points gives views of them.  A warm count of a box
+that small is one product, one bincount and one filter lookup.
 
 Acyclic colorings are counted apart from the kernel, by a DP over vertex
 subsets (count_acyclic_colorings) that shares no code with the coflow
@@ -65,7 +62,10 @@ kept per digraph (no incidence matrix is rebuilt) and per row tuple,
 holding the pivot and free columns, expr as int64 and as exact ints,
 denom, the unimodularity certificate, the pivot and free support bits
 and max|expr|, so every count of one input shares one elimination and
-one set of arrays.  _cotree refuses more than 62 arcs or columns, whose
+one set of arrays.  Each kind of per-input work has one one-slot cache:
+_kernel per row tuple, _digraph_kernel per digraph, and, for the dijoin
+filter, _arc_components (the components and both work estimates) and
+_dijoin_table.  _cotree refuses more than 62 arcs or columns, whose
 support masks would not fit in int64, whatever the budget and before any
 elimination.  After it one check, _walk_matrix, runs every refusal of
 the walk before anything is allocated, on the numbers the record holds:
@@ -77,8 +77,7 @@ after it, so no table of an over-budget input is ever built.  The
 digraph filter's work is the cheaper of the table's, at most a few
 passes per arc over 2^m bytes, and a reachability test per mask with a
 count, so it is bounded by the histogram cells and the points walked
-times the digraph's size.  The matroid filter builds its table only
-within one batch of work.
+times the digraph's size.
 """
 
 from __future__ import annotations
@@ -104,10 +103,13 @@ MAX_MASK_BITS = 62
 
 @lru_cache(maxsize=1)
 def _arc_components(d: Digraph) -> tuple:
-    """The weak components of d that have an arc other than a loop, each as
-    its vertex count and the arrays of the index, local tail and local head
-    of those arcs.  A loop lies on a directed cycle and in no dicut, so it
-    is left out.  One slot: the counts of one digraph run back to back.
+    """(parts, table_work, mask_work): the weak components of d that have
+    an arc other than a loop, each as its vertex count and the arrays of
+    the index, local tail and local head of those arcs, and the work of
+    d's dijoin table and that of the reachability test of one mask, as
+    _dijoins weighs them.  A loop lies on a directed cycle and in no
+    dicut, so it is left out.  One slot: the counts of one digraph run
+    back to back.
     """
     labels = weak_components(d)
     size = [0] * (max(labels, default=-1) + 1)
@@ -119,9 +121,11 @@ def _arc_components(d: Digraph) -> tuple:
     for j, (t, h) in enumerate(d.arcs):
         if t != h:
             arcs.setdefault(labels[t], []).append((j, local[t], local[h]))
-    return tuple(
+    parts = tuple(
         (size[c], *(np.array(col, dtype=np.int64) for col in zip(*arcs[c]))) for c in sorted(arcs)
     )
+    table_work = sum(len(index) << n_c for n_c, index, _, _ in parts) + (d.m << d.m)
+    return parts, table_work, sum(n_c * (n_c + len(index)) for n_c, index, _, _ in parts)
 
 
 @lru_cache(maxsize=1)
@@ -142,7 +146,7 @@ def _dijoin_table(d: Digraph) -> np.ndarray:
     """
 
     def dicuts():
-        for n_c, index, tails, heads in _arc_components(d):
+        for n_c, index, tails, heads in _arc_components(d)[0]:
             bits = 1 << index
             step = max(1, _CHUNK // len(index))
             for lo in range(0, 1 << n_c, step):
@@ -185,7 +189,7 @@ def _reach_dijoins(d: Digraph, masks: np.ndarray) -> np.ndarray:
     at most _CHUNK vertex rows.
     """
     ok = np.ones(len(masks), dtype=bool)
-    for n_c, index, tails, heads in _arc_components(d):
+    for n_c, index, tails, heads in _arc_components(d)[0]:
         step = max(1, _CHUNK // n_c)
         for lo in range(0, len(masks), step):
             block = masks[lo : lo + step]
@@ -197,16 +201,6 @@ def _reach_dijoins(d: Digraph, masks: np.ndarray) -> np.ndarray:
                 reach |= np.where(reach & 1 << v != 0, reach[:, v, None], 0)
             ok[lo : lo + step] &= (reach[:, heads] >> tails & 1).all(axis=1)
     return ok
-
-
-@lru_cache(maxsize=1)
-def _dijoin_costs(d: Digraph) -> tuple[int, int]:
-    """The work of d's dijoin table, and that of the reachability test of
-    one mask, as _dijoins weighs them; one slot, as _dijoin_table.
-    """
-    parts = _arc_components(d)
-    table_work = sum(len(index) << n_c for n_c, index, _, _ in parts) + (d.m << d.m)
-    return table_work, sum(n_c * (n_c + len(index)) for n_c, index, _, _ in parts)
 
 
 def _dijoins(d: Digraph, counts) -> np.ndarray:
@@ -221,7 +215,7 @@ def _dijoins(d: Digraph, counts) -> np.ndarray:
     m_c) per mask and component, those masks are tested instead: on a long
     path or cycle the walk reaches one or two supports.
     """
-    table_work, mask_work = _dijoin_costs(d)
+    _, table_work, mask_work = _arc_components(d)
     if table_work > _CHUNK:
         masks = np.flatnonzero(counts)
         if len(masks) * mask_work < table_work:
@@ -229,59 +223,16 @@ def _dijoins(d: Digraph, counts) -> np.ndarray:
     return _dijoin_table(d)
 
 
-def cyclic_supports(counts, predicate) -> list[int]:
-    """The support bitmasks (indices of counts) with a nonzero count whose
-    contraction the support predicate accepts, in increasing order; with
-    the Farkas predicate bound, the matroid path's support filter where
-    the cocircuit table would cost too much.
-
-    The accepted supports form an up-set, since contracting more of a
-    totally cyclic contraction keeps it totally cyclic: M/T = (M/S)/(T-S).
-    So a mask that contains an accepted mask is accepted, and one that is
-    contained in a rejected mask is rejected, without a predicate call.
-    The masks are walked by popcount level, alternately from the bottom
-    and from the top, so that both rules fire.
-    """
-    levels = {}
-    for mask in np.flatnonzero(counts).tolist():
-        levels.setdefault(mask.bit_count(), []).append(mask)
-    sizes = sorted(levels)
-    # Bottom, top, second from the bottom, second from the top, ...
-    order = [size for pair in zip(sizes, reversed(sizes)) for size in pair][: len(sizes)]
-    good, bad, accepted = [], [], []
-    for size in order:
-        for mask in levels[size]:
-            if any(mask & g == g for g in good):
-                ok = True
-            elif any(mask & b == mask for b in bad):
-                ok = False
-            else:
-                ok = predicate(mask)
-                (good if ok else bad).append(mask)
-            if ok:
-                accepted.append(mask)
-    return sorted(accepted)
-
-
-def check_mask_width(ncols: int) -> None:
-    """Refuse more than MAX_MASK_BITS columns, whose support masks would
-    not fit in int64.  It needs only ncols, so _cotree runs it before any
-    elimination.
+def _cotree(rows, ncols: int) -> _Kernel:
+    """The prepared kernel of an integer matrix.  More than MAX_MASK_BITS
+    columns, whose support masks would not fit in int64, are refused first:
+    that needs only ncols, so no wider matrix is ever row-reduced.  rows
+    is the matrix as integer rows, or a Digraph standing for its incidence
+    matrix (ncols its m), whose kernel is kept per digraph, so a warm
+    count builds neither the matrix nor its row-tuple key.
     """
     if ncols > MAX_MASK_BITS:
-        raise BudgetExceededError(
-            f"support masks of {ncols} columns exceed {MAX_MASK_BITS} bits"
-        )
-
-
-def _cotree(rows, ncols: int) -> _Kernel:
-    """The prepared kernel of an integer matrix, after check_mask_width, so
-    that no matrix of more than MAX_MASK_BITS columns is ever row-reduced.
-    rows is the matrix as integer rows, or a Digraph standing for its
-    incidence matrix (ncols its m), whose kernel is kept per digraph, so a
-    warm count builds neither the matrix nor its row-tuple key.
-    """
-    check_mask_width(ncols)
+        raise BudgetExceededError(f"support masks of {ncols} columns exceed {MAX_MASK_BITS} bits")
     if isinstance(rows, Digraph):
         return _digraph_kernel(rows)
     return _kernel(tuple(map(tuple, rows)), ncols)
@@ -399,7 +350,7 @@ def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, supports, budget: int
         else:
             _accumulate(counts, mask, weight, ~nonzero.any(axis=0))
 
-    _box_sum(expr, walk.free_bits, g.factors, g.order, False, add)
+    _box_sum(expr, walk.free_bits, g.factors, False, add)
     return int(counts[supports(counts)].sum())
 
 
@@ -410,7 +361,6 @@ def count_nl_group_flows(d: Digraph, g: AbelianGroup, budget: int = DEFAULT_BUDG
     return nl_group_flow_count(d, d.m, g, partial(_dijoins, d), budget)
 
 
-@lru_cache(maxsize=1)
 def _cotree_expression(rows: tuple[tuple[int, ...], ...], ncols: int):
     """Basic (pivot) and free (cotree) columns of an integer matrix, the
     integer matrix expr with denom * x_basic = -expr @ x_free on its
@@ -421,7 +371,7 @@ def _cotree_expression(rows: tuple[tuple[int, ...], ...], ncols: int):
     unimodularity makes denom 1; other matrices keep exact counts through
     the divisibility test in kernel_height_histogram.  It holds over Z_f
     when |d| = 1, d being up to sign the determinant of the pivot block.
-    One slot: the counts of one matrix run back to back.
+    Only _kernel calls it, and keeps what it builds.
     """
     reduced, pivots, d = int_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
@@ -450,30 +400,6 @@ def _accumulate(hist, index, weight, keep) -> None:
         np.add.at(hist, index, 1 if weight is None else weight[keep])
 
 
-@lru_cache(maxsize=16)
-def _digits(radix: int, n: int) -> np.ndarray:
-    """The box {0, ..., radix-1}^n as an n x radix^n int64 grid: column i
-    holds the digits of i in base radix, the first coordinate leading, so
-    the columns list itertools.product(range(radix), repeat=n) in order.
-    Read-only and cached; asked only for grids of at most _CHUNK points.
-    """
-    grid = np.indices((radix,) * n, dtype=np.int64).reshape(n, radix**n)
-    grid.flags.writeable = False
-    return grid
-
-
-def _grid(radix: int, n: int, lo: int, hi: int) -> np.ndarray:
-    """Columns lo .. hi-1 of the digit grid of {0, ..., radix-1}^n: a view
-    of the cached _digits when the grid has at most _CHUNK points, else
-    the digits of np.arange(lo, hi), computed in int64 (the counters
-    refuse a box of 2^63 points or more).
-    """
-    if radix**n <= _CHUNK:
-        return _digits(radix, n)[:, lo:hi]
-    places = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return np.arange(lo, hi, dtype=np.int64) // places[:, None] % radix
-
-
 def _coords(key, digits: np.ndarray):
     """The coordinate values of the points of a digit grid, as (values,
     nonzero, height): values holds one n x points block per group factor
@@ -494,42 +420,43 @@ def _coords(key, digits: np.ndarray):
     return values, values.any(axis=0).astype(np.int64), height
 
 
+def _radix(key) -> int:
+    """The values one coordinate takes over key: |G|, or the radix 2K-1."""
+    return prod(key) if isinstance(key, tuple) else key
+
+
 @lru_cache(maxsize=128)
 def _coord_grid(key, n: int):
-    """_coords of the whole digit grid of n coordinates over key, cached
-    and read-only; asked only for grids of at most min(_FOLD_ROWS, _CHUNK)
-    points.  The slots hold the five catalog groups and the integer radices
-    at every nullity up to 6 with room to spare; on the catalog inputs of
-    the benchmark's sweep, intfit and matroid jobs they fill 45 slots,
-    about 0.5 MB.
+    """_coords of all points of the box of n coordinates over key, cached
+    and read-only; _points asks it only for boxes of at most
+    min(_FOLD_ROWS, _CHUNK) points.  The slots hold the five catalog groups
+    and the integer radices at every nullity up to 6 with room to spare; on
+    the catalog inputs of the benchmark's sweep, intfit and matroid jobs
+    they fill 45 slots, about 0.5 MB.
     """
-    arrays = _coords(key, _digits(prod(key) if isinstance(key, tuple) else key, n))
+    radix = _radix(key)
+    arrays = _coords(key, np.indices((radix,) * n, dtype=np.int64).reshape(n, radix**n))
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _box_points(key, radix: int, n: int):
-    """All points of the box {0, ..., radix-1}^n over key, as _coords
-    gives them: the cached _coord_grid when the box has at most
-    min(_FOLD_ROWS, _CHUNK) points, else the _coords of _digits.  The
-    low block of a walk (its fold axes and seed) takes its points here.
+def _points(key, n: int, lo: int, hi: int):
+    """Points lo .. hi-1 of the box of n coordinates over key, in
+    itertools.product order with the first coordinate leading, as _coords
+    gives them.  The one source of a walk's points: the fold's seed and
+    axes, every batch of high rows, and the cocircuit table's seeds.  A box
+    of at most min(_FOLD_ROWS, _CHUNK) points gives views of the cached
+    _coord_grid; a larger one the _coords of the digits of np.arange(lo,
+    hi), computed in int64 (the counters refuse a box of 2^63 points or
+    more).
     """
+    radix = _radix(key)
     if radix**n <= min(_FOLD_ROWS, _CHUNK):
-        return _coord_grid(key, n)
-    return _coords(key, _digits(radix, n))
-
-
-def _points(key, radix: int, n: int, lo: int, hi: int):
-    """Points lo .. hi-1 of the box {0, ..., radix-1}^n over key, as
-    _coords gives them: views of the cached _coord_grid when the box has
-    at most min(_FOLD_ROWS, _CHUNK) points, else the _coords of _grid's
-    digits.  Each batch of high rows of a walk takes its points here.
-    """
-    if radix**n > min(_FOLD_ROWS, _CHUNK):
-        return _coords(key, _grid(radix, n, lo, hi))
-    values, nonzero, height = _coord_grid(key, n)
-    return values[..., lo:hi], nonzero[:, lo:hi], height[lo:hi]
+        values, nonzero, height = _coord_grid(key, n)
+        return values[..., lo:hi], nonzero[:, lo:hi], height[lo:hi]
+    places = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return _coords(key, np.arange(lo, hi, dtype=np.int64) // places[:, None] % radix)
 
 
 def _product(high, low):
@@ -603,13 +530,14 @@ def _fold(axes, seed, bits):
     return box
 
 
-def _box_sum(expr, free_bits, key, radix: int, half: bool, add) -> None:
+def _box_sum(expr, free_bits, key, half: bool, add) -> None:
     """Pass the cotree box, in mixed-radix order with the first free
     coordinate leading, to add(box) batch by batch.  Each coordinate j
-    (support bit free_bits[j]) takes the value indices 0 .. radix-1, whose
-    values and heights _points gives over key.  A point x adds expr @ x
-    to the rows of its box (one block per factor), has the support bit of
-    each coordinate whose value is nonzero, and the largest height.
+    (support bit free_bits[j]) takes the value indices 0 .. radix-1 that
+    key fixes (_radix), whose values and heights _points gives.  A point
+    x adds expr @ x to the rows of its box (one block per factor), has the
+    support bit of each coordinate whose value is nonzero, and the largest
+    height.
 
     Every block is one product expr @ x over the values x of a digit grid
     of its coordinates.  A box of more than _FOLD_ROWS points has a low
@@ -629,7 +557,7 @@ def _box_sum(expr, free_bits, key, radix: int, half: bool, add) -> None:
     it weigh 2, the centre row 1.  The leading coordinate is then always
     a high one, so that the rows halve every box.
     """
-    n = len(free_bits)
+    n, radix = len(free_bits), _radix(key)
 
     def block(first, points, weight=None):
         # The points of the coordinates first, first+1, ...
@@ -648,8 +576,8 @@ def _box_sum(expr, free_bits, key, radix: int, half: bool, add) -> None:
         n_seed = 0
         while n_seed < n_low and radix ** (n_seed + 1) <= _FOLD_ROWS:
             n_seed += 1
-        axes = [block(j, _box_points(key, radix, 1)) for j in range(n_high, n - n_seed)]
-        seed = block(n - n_seed, _box_points(key, radix, n_seed))
+        axes = [block(j, _points(key, 1, 0, radix)) for j in range(n_high, n - n_seed)]
+        seed = block(n - n_seed, _points(key, n_seed, 0, radix**n_seed))
         low = _fold(axes, seed, free_bits[n_high:].tolist())
         if n_high == 0:
             add(low)
@@ -664,7 +592,7 @@ def _box_sum(expr, free_bits, key, radix: int, half: bool, add) -> None:
         if half:
             weight = np.full(hi - lo, 2, dtype=np.int64)
             weight[centre - lo :] = 1  # the centre row, if in this batch
-        high = block(0, _points(key, radix, n_high, lo, hi), weight)
+        high = block(0, _points(key, n_high, lo, hi), weight)
         add(high if low is None else _product(high, low))
 
 
@@ -702,7 +630,7 @@ def kernel_height_histogram(rows, ncols: int, kmax: int, budget: int = DEFAULT_B
         mask = mask + bits @ (scaled != 0)
         _accumulate(hist, mask * kmax + height, weight, ok)
 
-    _box_sum(expr, kernel.free_bits, base, base, True, add)
+    _box_sum(expr, kernel.free_bits, base, True, add)
     return hist.reshape(1 << ncols, kmax)
 
 

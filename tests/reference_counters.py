@@ -25,8 +25,7 @@ from reference_linalg import matrix_rank
 from nlflow.cuts import is_dijoin
 from nlflow.digraphs import Digraph, incidence_matrix, is_acyclic
 from nlflow.groups import AbelianGroup
-from nlflow.matroids import TUMatrix, _support_contraction_cyclic
-from nlflow.oracles import cyclic_supports
+from nlflow.matroids import TUMatrix, _support_contraction_cyclic, cyclic_supports
 
 CHUNK = 1 << 18
 

@@ -1,6 +1,6 @@
 """Golden replay: the CLI's stdout, stderr and exit code on every replay
-command of the seed-1, one-round inputs of the sweep, intfit and matroid
-benchmark workloads, byte for byte.
+command of the seed-1 inputs of the sweep, intfit and matroid benchmark
+workloads (one round each) and of lattice (two rounds), byte for byte.
 
 tests/golden/<workload>.json holds the inputs and one record per command;
 scripts/make_replay_corpus.py regenerates them.  The oracles check the
@@ -41,11 +41,12 @@ def replay(name, tmp_path, monkeypatch, capsys):
         ("sweep", {"poly", "count", "copoly", "colorings"}),
         ("intfit", {"count-int"}),
         ("matroid", {"matroid count", "matroid tc"}),
+        ("lattice", {"poly", "copoly", "dicuts"}),
     ],
 )
 def test_replay_is_byte_identical(tmp_path, monkeypatch, capsys, name, commands):
     data, wrong = replay(name, tmp_path, monkeypatch, capsys)
-    assert (data["workload"], data["seed"], data["rounds"]) == (name, 1, 1)
+    assert (data["workload"], data["seed"], data["rounds"]) == (name, 1, 2 if name == "lattice" else 1)
     kinds = {" ".join(r["argv"][:2] if r["argv"][0] == "matroid" else r["argv"][:1]) for r in data["records"]}
     assert kinds == commands
     assert len(data["records"]) >= 40
@@ -56,7 +57,7 @@ def test_corpus_pins_polynomials_counts_and_errors():
     # The records hold what a one-character drift would change: rendered
     # polynomials, nonzero counts of every kind, and error lines.
     records = []
-    for name in ("sweep", "intfit", "matroid"):
+    for name in ("sweep", "intfit", "matroid", "lattice"):
         records += json.loads((GOLDEN / f"{name}.json").read_text())["records"]
     assert any("x^" in r["stdout"] for r in records if r["argv"][0] == "poly")
     for kind in (("count",), ("count-int",), ("matroid", "count")):

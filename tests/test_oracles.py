@@ -8,6 +8,7 @@ import re
 import tracemalloc
 from functools import lru_cache, partial
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -41,11 +42,30 @@ from nlflow.matroids import (
     TUMatrix,
     _support_contraction_cyclic,
     count_nl_group_flows_matroid,
+    cyclic_supports,
     fit_integer_flow_polynomial_matroid,
     write_matrix,
 )
 from nlflow import cli, oracles
 from nlflow.oracles import kernel_height_histogram, kernel_nullity
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The sizes of the coordinate grids a fresh _coord_grid cache builds,
+    each checked against min(_FOLD_ROWS, _CHUNK) in force when it is built.
+    """
+    sizes = []
+    build = oracles._coord_grid.__wrapped__
+
+    def record(key, n):
+        grid = build(key, n)
+        sizes.append(grid[1].shape[1])
+        assert sizes[-1] <= min(oracles._FOLD_ROWS, oracles._CHUNK)
+        return grid
+
+    monkeypatch.setattr(oracles, "_coord_grid", lru_cache(maxsize=128)(record))
+    return sizes
 
 
 @pytest.fixture
@@ -278,20 +298,23 @@ class TestKernelHeightHistogram:
         # The centre row ends the walk, so it is last in its batch: alone
         # in it, after other rows, or in the one batch; with a low block or
         # without.  Its weight 1 against 2 below it must hold wherever.
-        # Every batch takes its points from _points, cached or not.
+        # Every batch takes its points from _points, cached or not; with
+        # a low block (the TRIANGLE cases), its one axis and its seed of no
+        # coordinate take theirs first.
         seen = []
         points = oracles._points
 
-        def spy(key, radix, n, lo, hi):
+        def spy(key, n, lo, hi):
             seen.append((lo, hi))
-            return points(key, radix, n, lo, hi)
+            return points(key, n, lo, hi)
 
         monkeypatch.setattr(oracles, "_points", spy)
         monkeypatch.setattr(oracles, "_CHUNK", chunk)
         monkeypatch.setattr(oracles, "_FOLD_ROWS", fold_rows)
         ncols = len(rows[0])
         assert (kernel_height_histogram(rows, ncols, k) == full_box_histogram(rows, ncols, k)).all()
-        assert seen == batches
+        low = [(0, 2 * k - 1), (0, 1)] if rows == self.TRIANGLE else []
+        assert seen == low + batches
 
     def test_non_unimodular_matrix_is_exact(self):
         # The cotree expression of this matrix has denominator 2, so only
@@ -339,9 +362,9 @@ class TestKernelHeightHistogram:
 
     def test_masks_wider_than_62_bits_are_refused(self):
         # int64 support masks: no budget admits more than 62 columns.
-        oracles.check_mask_width(62)
+        assert oracles._cotree(((0,) * 62,), 62).free_bits[-1] == 1 << 61
         with pytest.raises(BudgetExceededError, match="support masks of 63 columns exceed 62 bits"):
-            oracles.check_mask_width(63)
+            oracles._cotree(((0,) * 63,), 63)
 
     def test_wide_supports_are_refused_before_any_elimination(self, monkeypatch, tmp_path, capsys):
         # The width needs only ncols: the 300 x 300 incidence matrix of a
@@ -373,11 +396,12 @@ class TestPreparedKernel:
     # digraph, and per row tuple), which every count of it reads, and the
     # walks take small digit grids' coordinate values from one cache.
     GROUPS = [cyclic(1), cyclic(2), cyclic(3), cyclic(4), AbelianGroup((2, 2))]
-    ONE_SLOT = ("_kernel", "_digraph_kernel", "_cotree_expression", "_dijoin_costs", "_dijoin_table", "_arc_components")
+    ONE_SLOT = ("_kernel", "_digraph_kernel", "_dijoin_table", "_arc_components")
 
     def test_one_slot_per_input_and_read_only(self, cycle3):
         for name in self.ONE_SLOT:
             assert getattr(oracles, name).cache_info().maxsize == 1, name
+            getattr(oracles, name).cache_clear()  # no earlier test's input
         kernel = oracles._cotree(cycle3, 3)
         assert oracles._cotree(cycle3, 3) is kernel
         assert oracles._cotree(incidence_matrix(cycle3), 3) is kernel
@@ -435,18 +459,9 @@ class TestPreparedKernel:
         assert oracles._coord_grid.cache_info().maxsize >= 64
 
     @pytest.mark.parametrize("chunk, fold_rows", [(8, 1 << 62), (1 << 18, 16), (64, 1 << 10), (1 << 18, 1 << 10)])
-    def test_no_cached_coordinate_grid_exceeds_a_batch_or_the_fold(self, monkeypatch, chunk, fold_rows):
+    def test_no_cached_coordinate_grid_exceeds_a_batch_or_the_fold(self, monkeypatch, built, chunk, fold_rows):
         # A fresh cache records each grid it builds: none has more than
         # min(_FOLD_ROWS, _CHUNK) columns, and the counts are unchanged.
-        built = []
-        build = oracles._coord_grid.__wrapped__
-
-        def record(key, n):
-            grid = build(key, n)
-            built.append(grid[1].shape[1])
-            return grid
-
-        monkeypatch.setattr(oracles, "_coord_grid", lru_cache(maxsize=128)(record))
         monkeypatch.setattr(oracles, "_CHUNK", chunk)
         monkeypatch.setattr(oracles, "_FOLD_ROWS", fold_rows)
         digon, multi = Digraph(2, ((0, 1), (1, 0))), Digraph(2, ((0, 1),) * 4 + ((1, 0),) * 3)
@@ -467,7 +482,7 @@ class TestPreparedKernel:
         build = oracles._dijoin_table.__wrapped__
         monkeypatch.setattr(oracles, "int_rref", lambda mat: rrefs.append(mat) or elim(mat))
         monkeypatch.setattr(oracles, "_dijoin_table", lru_cache(maxsize=1)(lambda d: tables.append(d) or build(d)))
-        for name in ("_kernel", "_digraph_kernel", "_cotree_expression"):
+        for name in ("_kernel", "_digraph_kernel"):
             getattr(oracles, name).cache_clear()
         counts = [count_nl_group_flows(d, g) for g in self.GROUPS]
         ints = [count_nl_integer_kflows(d, k) for k in (2, 3)]
@@ -628,15 +643,36 @@ class TestFoldedWalk:
 
 
 class TestDigitGridBaseCase:
-    # Blocks the fold cannot shrink are one product over a cached digit
-    # grid (oracles._digits); a box of at most _FOLD_ROWS points is one.
+    # Every block takes its points from one source, oracles._points: views
+    # of a cached grid for a box of at most min(_FOLD_ROWS, _CHUNK) points,
+    # else computed from the point indices.  A box of at most _FOLD_ROWS
+    # points is one block.
+    @staticmethod
+    def keys(radix):
+        # The integer radix and the groups of that order.
+        return [radix, (radix,) if radix > 1 else (), *([(2, 2)] if radix == 4 else [])]
+
+    @staticmethod
+    def check_points(key, n, lo, hi):
+        # Points lo .. hi-1 are _coords of the digits in product order;
+        # where the box is small enough, read-only views of the cached grid,
+        # and elsewhere arrays of their own.
+        radix = prod(key) if isinstance(key, tuple) else key
+        digits = np.array(list(product(range(radix), repeat=n)), dtype=np.int64).reshape(radix**n, n).T
+        got = oracles._points(key, n, lo, hi)
+        for a, want in zip(got, oracles._coords(key, digits)):
+            assert a.dtype == np.int64 and np.array_equal(a, want[..., lo:hi]), (key, n, lo, hi)
+        if radix**n <= min(oracles._FOLD_ROWS, oracles._CHUNK):
+            for a, grid in zip(got, oracles._coord_grid(key, n)):
+                assert not a.flags.writeable and (a.size == 0 or np.shares_memory(a, grid))
+        else:
+            assert all(a.flags.writeable for a in got), (key, n, lo, hi)
+
     @pytest.mark.parametrize("radix, n", [(1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (4, 3), (5, 2)])
-    def test_digits_list_the_box_in_order_read_only(self, radix, n):
-        grid = oracles._digits(radix, n)
-        assert grid.dtype == np.int64 and not grid.flags.writeable
-        assert grid.shape == (n, radix**n)
-        assert list(map(tuple, grid.T)) == list(product(range(radix), repeat=n))
-        assert oracles._digits(radix, n) is grid
+    def test_digits_list_the_box_in_order_read_only(self, built, radix, n):
+        for key in self.keys(radix):
+            self.check_points(key, n, 0, radix**n)
+        assert built
 
     @staticmethod
     def spy_batches(monkeypatch):
@@ -690,26 +726,20 @@ class TestDigitGridBaseCase:
             assert (kernel_height_histogram(inc, d.m, k) == full_box_histogram(inc, d.m, k)).all(), (d, k)
         assert batches
 
-    def test_no_cached_grid_exceeds_a_batch(self, monkeypatch):
+    def test_no_cached_grid_exceeds_a_batch(self, monkeypatch, built):
         # Without merges and with small batches, a nullity-6 walk is high
         # rows alone, built per batch: no grid, cached or computed, is
         # wider than _CHUNK columns, and none of its 729 points is built
         # whole.
-        cached, widths = [], []
-        build = oracles._digits.__wrapped__
-        grid = oracles._grid
-
-        def record(radix, n):
-            cached.append(radix**n)
-            return build(radix, n)
+        widths = []
+        points = oracles._points
 
         def spy(*args):
-            columns = grid(*args)
-            widths.append(columns.shape[1])
-            return columns
+            got = points(*args)
+            widths.append(got[1].shape[1])
+            return got
 
-        monkeypatch.setattr(oracles, "_digits", lru_cache(maxsize=16)(record))
-        monkeypatch.setattr(oracles, "_grid", spy)
+        monkeypatch.setattr(oracles, "_points", spy)
         monkeypatch.setattr(oracles, "_FOLD_ROWS", 1 << 62)
         monkeypatch.setattr(oracles, "_CHUNK", 8)
         d = Digraph(2, ((0, 1),) * 4 + ((1, 0),) * 3)
@@ -722,34 +752,38 @@ class TestDigitGridBaseCase:
         del widths[:]
         assert (kernel_height_histogram(inc, d.m, 2) == full_box_histogram(inc, d.m, 2)).all()
         assert widths and max(widths) <= 8
-        assert max(cached, default=0) <= 8
+        assert max(built, default=0) <= 8
 
     @pytest.mark.parametrize("chunk", [1 << 18, 0])
     @pytest.mark.parametrize(
         "radix, n, lo, hi",
         [(1, 0, 0, 1), (2, 0, 0, 1), (5, 0, 1, 1), (3, 3, 0, 27), (3, 3, 5, 27), (4, 2, 3, 9), (2, 4, 15, 16), (7, 1, 2, 7)],
     )
-    def test_grid_lists_a_range_of_the_box(self, monkeypatch, chunk, radix, n, lo, hi):
-        # Cached (a view of _digits) or, over _CHUNK points, computed from
-        # the point indices; either way columns lo .. hi-1 of the box.
+    def test_grid_lists_a_range_of_the_box(self, monkeypatch, built, chunk, radix, n, lo, hi):
+        # _CHUNK above and below the box, _FOLD_ROWS at its size and just
+        # under it: cached only with both at or above it, and either way
+        # the points lo .. hi-1 of the box.
         monkeypatch.setattr(oracles, "_CHUNK", chunk)
-        if not chunk:
-            monkeypatch.setattr(oracles, "_digits", None)
-        columns = oracles._grid(radix, n, lo, hi)
-        assert columns.dtype == np.int64 and columns.shape == (n, hi - lo)
-        assert list(map(tuple, columns.T)) == list(product(range(radix), repeat=n))[lo:hi]
+        for fold_rows in (radix**n - 1, radix**n):
+            monkeypatch.setattr(oracles, "_FOLD_ROWS", fold_rows)
+            for key in self.keys(radix):
+                self.check_points(key, n, lo, hi)
+        assert bool(built) is (chunk > 0)
 
     def test_grid_of_a_wide_box_ends_at_its_last_point(self):
         # 3*10^9 values per coordinate: 2^62 < radix^2 < 2^63 points.
         radix = 3 * 10**9
-        columns = oracles._grid(radix, 2, radix**2 - 3, radix**2)
-        assert columns.tolist() == [[radix - 1] * 3, [radix - 3, radix - 2, radix - 1]]
+        last = [[radix - 1] * 3, [radix - 3, radix - 2, radix - 1]]
+        values, _, height = oracles._points(radix, 2, radix**2 - 3, radix**2)
+        assert (values[0] + radix // 2).tolist() == last
+        assert height.tolist() == [radix - 1 - radix // 2] * 3
+        assert oracles._points((radix,), 2, radix**2 - 3, radix**2)[0][0].tolist() == last
 
 
 class TestMonotoneSupportSkip:
-    # cyclic_supports decides a mask from an accepted subset or a rejected
-    # superset; it must agree with asking the predicate about every mask,
-    # and ask it no more often.
+    # matroids.cyclic_supports decides a mask from an accepted subset or a
+    # rejected superset; it must agree with asking the predicate about
+    # every mask, and ask it no more often.
     @staticmethod
     def compare(counts, predicate):
         calls = []
@@ -758,7 +792,7 @@ class TestMonotoneSupportSkip:
             calls.append(mask)
             return predicate(mask)
 
-        got = oracles.cyclic_supports(counts, counting)
+        got = cyclic_supports(counts, counting)
         masks = np.flatnonzero(counts).tolist()
         assert got == [mask for mask in masks if predicate(mask)]
         assert len(set(calls)) == len(calls) <= len(masks)
@@ -788,7 +822,7 @@ class TestMonotoneSupportSkip:
 
         counts = np.zeros(8, dtype=np.int64)
         counts[[1, 4, 7]] = 1
-        assert oracles.cyclic_supports(counts, has_bit_2) == [4, 7]
+        assert cyclic_supports(counts, has_bit_2) == [4, 7]
         assert calls == [1, 4]
 
     def test_subset_of_rejected_mask_needs_no_call(self):
@@ -801,7 +835,7 @@ class TestMonotoneSupportSkip:
 
         counts = np.zeros(8, dtype=np.int64)
         counts[[1, 3, 7]] = 1
-        assert oracles.cyclic_supports(counts, reject) == []
+        assert cyclic_supports(counts, reject) == []
         assert calls == [1, 7]
 
 

@@ -68,6 +68,7 @@ def test_bench_pairs_summarises_canned_runs():
         "sweep": {
             "seeds": [1, 2, 3, 4],
             "failed": {"parent": [0, 1, 0, 0], "change": [0, 0, 0, 0]},
+            "failed_share": {"parent": 1 / 400, "change": 0.0, "larger_on_change": False},
             # Ties count for neither side.
             "jobs_per_s": {
                 "parent_q1_median_q3": [102.5, 115.0, 127.5],
@@ -88,6 +89,19 @@ def test_bench_pairs_summarises_canned_runs():
         }
     }
     assert flagged(pairs, "worse_than_bound") == flagged(pairs, "unresolved") == []
+    assert flagged(pairs, "larger_on_change") == []
+    # The failed share sums failed and attempted jobs over the seeds: 2 of
+    # 400 on the parent against 1 of 150 (fewer failures, larger share)
+    # and 2 of 500 (as many failures, smaller share) on the change.
+    for change, larger in (([(0, 50), (1, 100)], True), ([(1, 250), (1, 250)], False)):
+        runs = []
+        for seed, pair in enumerate(zip([(1, 200), (1, 200)], change), start=1):
+            for side, (failed, attempted) in zip(("parent", "change"), pair):
+                runs.append(parse(side, canned_run("intfit", seed, 100, 2.0, failed)))
+                runs[-1]["result"]["attempted"] = attempted
+        pairs = summarise(runs, end_to_end)
+        assert pairs["intfit"]["failed_share"]["larger_on_change"] is larger
+        assert flagged(pairs, "larger_on_change") == (["intfit failed_share"] if larger else [])
     # Medians 2.0 against 2.5 (25% worse, at the bound) and 2.55 (past it).
     for slow, worse in ((2.5, False), (2.55, True)):
         runs = [
