@@ -16,6 +16,12 @@ gives only 25 commands.  One JSON file per workload, <out>/<workload>.json,
 keeps the inputs (file name -> text) and one record per command: its
 argv, exit code, stdout and stderr.
 
+A sixth file, <out>/cli-edge.json, pins where arc and integer lists enter
+the CLI, with fixed commands over the same lattice and matroid inputs:
+dijoin on each lattice input with an empty, a valid, an out-of-range, a
+negative, a blank-item and a malformed --arcs; matroid poly-fit, plain and
+--json, on each matroid input; and malformed --k-range and --sizes lists.
+
 Run it only when an output is meant to change, and say why in the
 change's notes: the test compares every record byte for byte.
 """
@@ -38,7 +44,6 @@ WORKLOADS = {"sweep": 1, "intfit": 1, "matroid": 1, "lattice": 2}  # name -> def
 
 def corpus(workload, seed: int, rounds: int) -> dict:
     """The inputs and replay records of a workload's jobs."""
-    from nlflow import cli
     from nlflow.matroids import TUMatrix
 
     pools = workload.setup(seed)
@@ -49,6 +54,13 @@ def corpus(workload, seed: int, rounds: int) -> dict:
             name = f"r{r:03d}-{i:03d}-{job.family.name}.{suffix}"
             inputs[name] = job.text()
             commands += [shlex.split(c)[1:] for c in job.replay(name)]
+    return {"workload": workload.name, "seed": seed, "rounds": rounds, "inputs": inputs, "records": run(inputs, commands)}
+
+
+def run(inputs: dict, commands: list) -> list:
+    """One record per command, run in-process in a directory of the inputs."""
+    from nlflow import cli
+
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in inputs.items():
@@ -59,11 +71,34 @@ def corpus(workload, seed: int, rounds: int) -> dict:
             for argv in commands:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    status = cli.main(argv)
+                    try:
+                        status = cli.main(argv)
+                    except SystemExit as exc:  # a usage error
+                        status = exc.code
                 records.append({"argv": argv, "exit": status, "stdout": out.getvalue(), "stderr": err.getvalue()})
         finally:
             os.chdir(cwd)
-    return {"workload": workload.name, "seed": seed, "rounds": rounds, "inputs": inputs, "records": records}
+    return records
+
+
+def edge_corpus(lattice: dict, matroid: dict) -> dict:
+    """The CLI-edge records over the inputs of the lattice and matroid corpora."""
+    inputs = {**lattice["inputs"], **matroid["inputs"]}
+    commands = []
+    for name, text in lattice["inputs"].items():
+        m = int(text.split()[1])
+        valid = ",".join(map(str, range(0, m, 2)))
+        for arcs in ("", valid, f"{m},0,{m}", "3,-1", "1, ,0,", "0,x"):
+            commands.append(["dijoin", name, "--arcs", arcs])
+    for name in matroid["inputs"]:
+        commands += [["matroid", "poly-fit", "--matrix", name], ["--json", "matroid", "poly-fit", "--matrix", name]]
+    first = next(iter(matroid["inputs"]))
+    for k_range in ("2,,3", "2,x", "", ",", "2,3"):
+        commands.append(["matroid", "poly-fit", "--matrix", first, "--k-range", k_range])
+    for sizes in ("1,x", ",", "", "2,,1"):
+        commands.append(["tournament", "--sizes", sizes])
+    rounds = {"lattice": lattice["rounds"], "matroid": matroid["rounds"]}
+    return {"workload": "cli-edge", "seed": lattice["seed"], "rounds": rounds, "inputs": inputs, "records": run(inputs, commands)}
 
 
 def write(data: dict, path: Path) -> None:
@@ -88,8 +123,11 @@ def main(argv=None) -> int:
     from workloads import WORKLOADS as ALL
 
     args.out.mkdir(parents=True, exist_ok=True)
+    made = {}
     for name, rounds in WORKLOADS.items():
-        data = corpus(ALL[name], args.seed, args.rounds or rounds)
+        made[name] = corpus(ALL[name], args.seed, args.rounds or rounds)
+    made["cli-edge"] = edge_corpus(made["lattice"], made["matroid"])
+    for name, data in made.items():
         write(data, args.out / f"{name}.json")
         print(f"{name}: {len(data['inputs'])} inputs, {len(data['records'])} records")
     return 0

@@ -5,7 +5,6 @@ generalization, and exhaustive brute-force oracles validating all of it.
 """
 
 from .digraphs import (
-    ArcSet,
     Digraph,
     contract,
     incidence_matrix,
@@ -30,7 +29,7 @@ from .errors import (
     NonIntegerPolynomialError,
     WitnessMismatchError,
 )
-from .groups import AbelianGroup, abelian_groups_of_order, cyclic, parse_group_spec
+from .groups import AbelianGroup, cyclic, parse_group_spec
 from .nl import nl_coflow_polynomial, nl_flow_polynomial
 from .oracles import (
     count_acyclic_colorings,

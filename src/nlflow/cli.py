@@ -16,7 +16,7 @@ import time
 from functools import partial
 
 from .cuts import enumerate_dicuts, is_dijoin
-from .digraphs import read_digraph
+from .digraphs import arc_mask, mask_arcs, read_digraph
 from .errors import BudgetExceededError, LatticeSizeError, NLFlowError
 from .errors import NonIntegerPolynomialError, WitnessMismatchError
 from .groups import parse_group_spec
@@ -176,13 +176,13 @@ def _run(args, out) -> tuple[int, dict]:
     if cmd == "dicuts":
         text = _read_file(args.file)
         cuts = enumerate_dicuts(read_digraph(text))
-        for cut in cuts:
-            print(" ".join(str(j) for j in sorted(cut)), file=out)
+        for arcs in sorted(map(mask_arcs, cuts)):
+            print(" ".join(map(str, arcs)), file=out)
         return 0, {"input": _digest(text), "outputs": {"dicuts": len(cuts)}}
     if cmd == "dijoin":
         text = _read_file(args.file)
         d = read_digraph(text)
-        result = is_dijoin(d, frozenset(args.arcs))
+        result = is_dijoin(d, arc_mask(d, args.arcs))
         print("true" if result else "false", file=out)
         digest = _digest(text, ",".join(map(str, args.arcs)))
         return 0, {"input": digest, "outputs": {"dijoin": result}}

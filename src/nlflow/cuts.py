@@ -1,6 +1,8 @@
 """Directed cuts, directed cycles and dijoins.  The dicuts and the
 directed cycles are the families whose unions carry the Moebius sums of
-the NL polynomials (see nlflow.nl).
+the NL polynomials (see nlflow.nl).  Both come as increasing lists of
+int arc bitmasks (bit j for arc j), the form nlflow.nl sums over, and
+is_dijoin takes its arc set as a bitmask too.
 
 A dicut is delta(U) for a vertex set U with no arcs entering U; no dicut
 can separate a strongly connected component, so U is an order ideal
@@ -13,15 +15,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .digraphs import (
-    ArcSet,
-    Digraph,
-    condensation_labels,
-    contract,
-    is_totally_cyclic,
-    mask_arcs,
-    weak_components,
-)
+from .digraphs import Digraph, condensation_labels, contract, is_totally_cyclic, weak_components
 from .errors import LatticeSizeError
 
 DEFAULT_LATTICE_CAP = 10**6
@@ -50,9 +44,9 @@ def _ideal_cuts(comps, preds, flip):
             stack.append((i + 1, ideal | 1 << c, cut ^ flip[c]))
 
 
-def enumerate_dicuts(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> list[ArcSet]:
+def enumerate_dicuts(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
     """All distinct nonempty dicuts delta(U), deduplicated across the
-    vertex sets that induce them, in a deterministic order.
+    vertex sets that induce them, as an increasing list of arc bitmasks.
 
     The weak components of d have disjoint arcs, so a dicut is a union of
     one dicut (or none) per component, and their number, the product of
@@ -88,12 +82,12 @@ def enumerate_dicuts(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> list[ArcSet]
     unions = [0]
     for cuts in per_component:
         unions = [u | c for u in unions for c in [0, *cuts]]
-    return sorted((frozenset(mask_arcs(u)) for u in unions[1:]), key=sorted)
+    return sorted(unions[1:])
 
 
-def enumerate_directed_cycles(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> list[ArcSet]:
-    """Arc sets of all elementary directed cycles, including 2-cycles from
-    antiparallel pairs and 1-cycles from loops.
+def enumerate_directed_cycles(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
+    """Arc bitmasks of all elementary directed cycles, including 2-cycles
+    from antiparallel pairs and 1-cycles from loops, in increasing order.
 
     DFS rooted at the smallest vertex of each cycle, on an explicit stack
     of the remaining out-arcs of each vertex on the path, so a long path
@@ -112,31 +106,34 @@ def enumerate_directed_cycles(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> lis
     for root in range(d.n):
         if not out[root]:
             continue
-        path = []  # the arcs from root to the top of the stack
+        path, mask = [], 0  # the arcs from root to the top of the stack, as a list and a mask
         on_path = {root}
         stack = [iter(out[root])]
         while stack:
             for j, w in stack[-1]:
                 if w == root:
-                    cycles.add(frozenset((*path, j)))
+                    cycles.add(mask | 1 << j)
                     if len(cycles) > cap:
                         raise LatticeSizeError(f"more than {cap} directed cycles")
                 elif w > root and w not in on_path:
                     on_path.add(w)
                     path.append(j)
+                    mask |= 1 << j
                     stack.append(iter(out[w]))
                     break
             else:
                 stack.pop()
                 if path:
-                    on_path.remove(d.arcs[path.pop()][1])
-    return sorted(cycles, key=sorted)
+                    j = path.pop()
+                    mask ^= 1 << j
+                    on_path.remove(d.arcs[j][1])
+    return sorted(cycles)
 
 
-def is_dijoin(d: Digraph, s: ArcSet) -> bool:
-    """S is a dijoin iff contracting it leaves every component strongly
-    connected (the equivalent cut-intersection form is kept as a test
-    invariant against enumerate_dicuts).
+def is_dijoin(d: Digraph, s: int) -> bool:
+    """The arc bitmask s is a dijoin iff contracting it leaves every
+    component strongly connected (the equivalent cut-intersection form is
+    kept as a test invariant against enumerate_dicuts).
     """
     return is_totally_cyclic(contract(d, s))
 

@@ -4,17 +4,16 @@ else is built on.
 
 Vertices are dense indices 0..n-1.  An arc is an ordered pair
 (tail, head); its identity is its position in the arc list, so parallel
-and antiparallel arcs stay distinct and loops are allowed.  Arc sets are
-plain frozensets of arc indices; inner loops carry them as int bitmasks
-(bit j for arc j), which arc_mask and mask_arcs convert.
+and antiparallel arcs stay distinct and loops are allowed.  An arc set is
+an int bitmask, bit j for arc j, of any width, everywhere in nlflow.
+Arc lists are converted only where they enter or leave the program:
+arc_mask checks and converts a list from outside, and mask_arcs lists a
+mask's arcs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-
-ArcSet = frozenset  # frozenset[int], indices into Digraph.arcs
 
 
 @dataclass(frozen=True)
@@ -34,15 +33,9 @@ class Digraph:
     def m(self) -> int:
         return len(self.arcs)
 
-    @cached_property
-    def all_arcs(self) -> ArcSet:
-        return frozenset(range(self.m))
-
-    def check_arc_subset(self, s):
-        s = frozenset(s)
-        if not s <= self.all_arcs:
-            raise ValueError(f"arc set {sorted(s)} is not a subset of 0..{self.m - 1}")
-        return s
+    @property
+    def all_arcs(self) -> int:
+        return (1 << self.m) - 1
 
 
 def incidence_matrix(d: Digraph) -> list[list[int]]:
@@ -58,13 +51,12 @@ def incidence_matrix(d: Digraph) -> list[list[int]]:
     return mat
 
 
-def weak_components(d: Digraph, b: ArcSet | None = None) -> list[int]:
-    """Component labels of the spanning subgraph (V, b), arc directions ignored.
+def weak_components(d: Digraph, b: int | None = None) -> list[int]:
+    """Component labels of the spanning subgraph (V, b), b an arc bitmask
+    (all arcs when None), arc directions ignored.
 
     Labels are 0..c-1 in order of first appearance by vertex index.
     """
-    if b is None:
-        b = d.all_arcs
     parent = list(range(d.n))
 
     def find(x):
@@ -73,8 +65,7 @@ def weak_components(d: Digraph, b: ArcSet | None = None) -> list[int]:
             x = parent[x]
         return x
 
-    for j in b:
-        t, h = d.arcs[j]
+    for t, h in (d.arcs if b is None else [d.arcs[j] for j in mask_arcs(b)]):
         rt, rh = find(t), find(h)
         if rt != rh:
             parent[rh] = rt
@@ -89,15 +80,19 @@ def weak_components(d: Digraph, b: ArcSet | None = None) -> list[int]:
     return out
 
 
-def num_weak_components(d: Digraph, b: ArcSet | None = None) -> int:
+def num_weak_components(d: Digraph, b: int | None = None) -> int:
     labels = weak_components(d, b)
     return max(labels) + 1 if labels else 0
 
 
-def arc_mask(s: ArcSet) -> int:
-    """The bitmask of an arc set: bit j is set when arc j is in s."""
+def arc_mask(d: Digraph, arcs) -> int:
+    """The bitmask of a list of arc indices of d from outside the program,
+    repeats allowed; an index outside 0..m-1 raises ValueError.
+    """
+    if any(not 0 <= j < d.m for j in arcs):
+        raise ValueError(f"arc set {sorted(set(arcs))} is not a subset of 0..{d.m - 1}")
     mask = 0
-    for j in s:
+    for j in arcs:
         mask |= 1 << j
     return mask
 
@@ -112,12 +107,11 @@ def mask_arcs(mask: int) -> list[int]:
     return out
 
 
-def rank(d: Digraph, b: ArcSet | int) -> int:
-    """Graphic-matroid rank of an arc set (an ArcSet or its bitmask): n
-    minus the component count of (V, b), counted as the merges of a
-    union-find over the arcs whose bits are set.
+def rank(d: Digraph, mask: int) -> int:
+    """Graphic-matroid rank of an arc bitmask: n minus the component count
+    of (V, mask), counted as the merges of a union-find over the arcs whose
+    bits are set.
     """
-    mask = b if isinstance(b, int) else arc_mask(b)
     parent = list(range(d.n))
     arcs = d.arcs
     merged = 0
@@ -213,16 +207,16 @@ def is_totally_cyclic(d: Digraph) -> bool:
     return num_weak_components(d) == len(strongly_connected_components(d))
 
 
-def contract(d: Digraph, s: ArcSet) -> Digraph:
-    """Contract the arcs of s: merge vertices along weak components of (V, s).
+def contract(d: Digraph, s: int) -> Digraph:
+    """Contract the arcs of the bitmask s: merge vertices along weak
+    components of (V, s).
 
     Surviving arcs keep their relative order; arcs outside s that become
     loops are kept as loops.  Arcs of s that are loops simply vanish.
     """
-    s = d.check_arc_subset(s)
     labels = weak_components(d, s)
     new_n = (max(labels) + 1) if labels else 0
-    new_arcs = [(labels[t], labels[h]) for j, (t, h) in enumerate(d.arcs) if j not in s]
+    new_arcs = [(labels[t], labels[h]) for j, (t, h) in enumerate(d.arcs) if not s >> j & 1]
     return Digraph(new_n, tuple(new_arcs))
 
 

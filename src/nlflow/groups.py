@@ -1,11 +1,11 @@
-"""Finite abelian groups as products of cyclic factors; elements are
-residue tuples with componentwise addition.
+"""Finite abelian groups as products of cyclic factors.  The counters
+read only a group's factors, its order and its spec; an element of the
+group is a residue tuple, one residue per factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 
 
@@ -21,19 +21,6 @@ class AbelianGroup:
     @property
     def order(self) -> int:
         return prod(self.factors)
-
-    @property
-    def zero(self):
-        return (0,) * len(self.factors)
-
-    def elements(self):
-        return product(*(range(f) for f in self.factors))
-
-    def add(self, a, b):
-        return tuple((x + y) % f for x, y, f in zip(a, b, self.factors))
-
-    def neg(self, a):
-        return tuple((-x) % f for x, f in zip(a, self.factors))
 
     def spec(self) -> str:
         if not self.factors:
@@ -61,48 +48,3 @@ def parse_group_spec(spec: str) -> AbelianGroup:
         if f > 1:
             factors.append(f)
     return AbelianGroup(tuple(factors))
-
-
-def _factorize(k: int) -> dict[int, int]:
-    out = {}
-    p = 2
-    while p * p <= k:
-        while k % p == 0:
-            out[p] = out.get(p, 0) + 1
-            k //= p
-        p += 1
-    if k > 1:
-        out[k] = out.get(k, 0) + 1
-    return out
-
-
-def _partitions(e: int):
-    """Integer partitions of e as non-increasing tuples."""
-    def gen(rest, maxpart):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, maxpart), 0, -1):
-            for tail in gen(rest - first, first):
-                yield (first,) + tail
-
-    return gen(e, e)
-
-
-def abelian_groups_of_order(k: int) -> list[AbelianGroup]:
-    """One representative per isomorphism class, via the primary
-    decomposition: one exponent partition per prime power in k.
-    """
-    if k < 1:
-        raise ValueError("group order must be >= 1")
-    if k == 1:
-        return [AbelianGroup()]
-    primes = sorted(_factorize(k).items())
-    choices = [[tuple(p**a for a in part) for part in _partitions(e)] for p, e in primes]
-    groups = []
-    from itertools import product as iproduct
-
-    for combo in iproduct(*choices):
-        factors = tuple(f for block in combo for f in block)
-        groups.append(AbelianGroup(factors))
-    return groups

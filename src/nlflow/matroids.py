@@ -7,9 +7,12 @@ The oriented matroid is represented linear-algebraically: flows are the
 rational kernel of the matrix, coflows its row space.  All feasibility
 decisions are exact; no floating point.  The group and integer counts and
 the polynomial fit are the shared ones of nlflow.oracles, called with the
-matrix and its support filter: a table of the masks that meet every
-positive cocircuit, or, where that table would cost more than one batch,
-the up-set walk over the Farkas contraction predicate (cyclic_supports).
+matrix and its support filter, which maps the reached support masks to
+aligned accepted flags as every filter does: a table of the masks that
+meet every positive cocircuit, indexed by them, or, where that table
+would cost more than one batch, the up-set walk over the Farkas
+contraction predicate (cyclic_supports).  Column sets are int bitmasks,
+bit c for column c, as arc sets are in nlflow.digraphs.
 The integer kernel basis behind the Farkas certificates and that
 predicate, the rows the table combines and the filter's choice all read
 the matrix's prepared kernel (nlflow.oracles._kernel, one read-only
@@ -243,11 +246,11 @@ def _cocircuit_table(m: TUMatrix) -> np.ndarray:
     return _hitting_table(q, positive)
 
 
-def cyclic_supports(counts, predicate) -> list[int]:
-    """The support bitmasks (indices of counts) with a nonzero count whose
-    contraction the support predicate accepts, in increasing order; with
-    the Farkas predicate bound, the support filter where the cocircuit
-    table would cost too much (_supports).
+def cyclic_supports(masks, predicate) -> np.ndarray:
+    """accepted[i]: does the support predicate accept the contraction of
+    masks[i], for an int64 array of distinct support bitmasks; with the
+    Farkas predicate bound, the support filter where the cocircuit table
+    would cost too much (_supports).
 
     The accepted supports form an up-set, since contracting more of a
     totally cyclic contraction keeps it totally cyclic: M/T = (M/S)/(T-S).
@@ -256,43 +259,41 @@ def cyclic_supports(counts, predicate) -> list[int]:
     The masks are walked by popcount level, alternately from the bottom
     and from the top, so that both rules fire.
     """
+    masks = masks.tolist()
     levels = {}
-    for mask in np.flatnonzero(counts).tolist():
-        levels.setdefault(mask.bit_count(), []).append(mask)
+    for i, mask in enumerate(masks):
+        levels.setdefault(mask.bit_count(), []).append(i)
     sizes = sorted(levels)
     # Bottom, top, second from the bottom, second from the top, ...
     order = [size for pair in zip(sizes, reversed(sizes)) for size in pair][: len(sizes)]
-    good, bad, accepted = [], [], []
+    good, bad, accepted = [], [], [False] * len(masks)
     for size in order:
-        for mask in levels[size]:
+        for i in levels[size]:
+            mask = masks[i]
             if any(mask & g == g for g in good):
-                ok = True
-            elif any(mask & b == mask for b in bad):
-                ok = False
-            else:
-                ok = predicate(mask)
-                (good if ok else bad).append(mask)
-            if ok:
-                accepted.append(mask)
-    return sorted(accepted)
+                accepted[i] = True
+            elif not any(mask & b == mask for b in bad):
+                accepted[i] = predicate(mask)
+                (good if accepted[i] else bad).append(mask)
+    return np.array(accepted, dtype=bool)
 
 
-def _supports(m: TUMatrix, counts):
-    """The support filter of the counters: the masks of counts whose
-    contraction is totally cyclic.
+def _supports(m: TUMatrix, masks):
+    """The support filter of the counters: accepted[i], is the contraction
+    of the reached support masks[i] totally cyclic?
 
     The cocircuit table decides all 2^q masks in one lookup.  Its work,
     about 3^r * q for the seeds, C(q, r - 1) column sets and q passes over
     2^q bytes per closure, grows fast with the rank r: a 20-arc directed
     cycle would need 3^19 seeds.  Where it is over one batch (_CHUNK), the
-    masks with a count are walked as an up-set instead (cyclic_supports),
+    reached masks are walked as an up-set instead (cyclic_supports),
     asking the Farkas contraction test where no accepted subset or
     rejected superset decides.
     """
     r, q = len(_kernel(m.rows, m.q).pivots), m.q
     if 3**r * q + comb(q, max(r - 1, 0)) + (q << q) > _CHUNK:
-        return cyclic_supports(counts, partial(_support_contraction_cyclic, m))
-    return _cocircuit_table(m)
+        return cyclic_supports(masks, partial(_support_contraction_cyclic, m))
+    return _cocircuit_table(m)[masks]
 
 
 def count_nl_group_flows_matroid(m: TUMatrix, g: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:

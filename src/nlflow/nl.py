@@ -7,8 +7,9 @@ mu(empty, C) in the lattice of unions is the sum of (-1)^|S| over the
 subsets S of the family whose union is C; this holds for any family that
 generates the lattice, so the enumerated dicuts or dicycles are used as
 they come, and no lattice order or Moebius recursion is ever formed.  The
-members and unions are int bitmasks of arc indices (bit j for arc j, of
-any width).  mu is computed one of two ways:
+members, as nlflow.cuts lists them, and the unions are int bitmasks of
+arc indices (bit j for arc j, of any width), the one arc-set format of
+nlflow.  mu is computed one of two ways:
 
 - the dict sweep (_signed_unions) builds the signed sum one member at a
   time in a dict keyed by union, about |family| x |lattice| updates;
@@ -47,7 +48,7 @@ from collections import defaultdict
 # The enumerators are called through their module, where the benchmark's
 # tracer (perfbench/tracer.py) times them.
 from . import cuts
-from .digraphs import Digraph, arc_mask, rank
+from .digraphs import Digraph, rank
 from .errors import LatticeSizeError
 from .polynomials import IntPolynomial
 
@@ -171,7 +172,7 @@ def _polynomial(d: Digraph, family: list[int], cap: int, rk_all) -> IntPolynomia
     nonzero Moebius value: phi's terms, e = |B| - rk(B) with B = A \\ C,
     when rk_all is None, else psi's, e = rk_all - rk(C).
     """
-    flip = (1 << d.m) - 1 if rk_all is None else 0
+    flip = d.all_arcs if rk_all is None else 0
     cover = 0
     for a in family:
         cover |= a
@@ -210,8 +211,7 @@ def nl_flow_polynomial(d: Digraph, cap: int = cuts.DEFAULT_LATTICE_CAP) -> IntPo
     Evaluating at k = |G| counts the NL-G-flows of d for every finite
     abelian group G of that order.
     """
-    family = [arc_mask(c) for c in cuts.enumerate_dicuts(d, cap)]
-    return _polynomial(d, family, cap, None)
+    return _polynomial(d, cuts.enumerate_dicuts(d, cap), cap, None)
 
 
 def nl_coflow_polynomial(d: Digraph, cap: int = cuts.DEFAULT_LATTICE_CAP) -> IntPolynomial:
@@ -225,6 +225,5 @@ def nl_coflow_polynomial(d: Digraph, cap: int = cuts.DEFAULT_LATTICE_CAP) -> Int
     For loopless d with c weak components, k^c * psi(k) counts the acyclic
     vertex k-colorings of d.
     """
-    rk_all = rank(d, (1 << d.m) - 1)
-    family = [arc_mask(c) for c in cuts.enumerate_directed_cycles(d, cap)]
-    return _polynomial(d, family, cap, rk_all)
+    rk_all = rank(d, d.all_arcs)
+    return _polynomial(d, cuts.enumerate_directed_cycles(d, cap), cap, rk_all)

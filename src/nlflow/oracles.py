@@ -4,13 +4,14 @@ colorings, and polynomiality fits.
 These stay independent of the Moebius-inversion formulas they validate.
 A digraph's NL-flows are those of its incidence matrix, so every count
 is taken over an integer matrix and a support filter, which maps the
-count of every support mask to the accepted masks once the count exists.
+reached support masks, an int64 array, to boolean flags aligned with it
+once the count exists: accepted or not.
 The digraph path passes the incidence matrix and a dijoin filter: a
 support's contraction is totally cyclic exactly when the support meets
 every dicut, so one boolean array over the 2^m masks, built from its own
-brute-force dicuts, accepts them all in one lookup.  Where that table
-costs more than testing the few masks with a count by reachability, as
-on a long path or cycle, those masks are tested instead.  The table
+brute-force dicuts, is indexed by the reached masks.  Where that table
+costs more than testing the few reached masks by reachability, as on a
+long path or cycle, those masks are tested instead.  The table
 is closed downward by _hitting_table.  The matroid path (nlflow.matroids)
 passes a TU matrix and its own support filter.  There is one kernel
 walker, over the free (cotree) coordinates of the kernel, under one group
@@ -203,24 +204,22 @@ def _reach_dijoins(d: Digraph, masks: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _dijoins(d: Digraph, counts) -> np.ndarray:
-    """The digraph support filter: the masks of counts that meet every
-    dicut of d.
+def _dijoins(d: Digraph, masks: np.ndarray) -> np.ndarray:
+    """The digraph support filter: accepted[i], does the reached support
+    masks[i] meet every dicut of d?
 
     The dijoin table decides all 2^m masks in one lookup, but its work, a
     test of each vertex set against each arc of its component and a pass
     over its 2^m bytes per arc, does not shrink with the supports that
     have a count.  When it is more than one batch (_CHUNK) and more than
-    the reachability test of the masks with a count, about n_c * (n_c +
-    m_c) per mask and component, those masks are tested instead: on a long
+    the reachability test of the reached masks, about n_c * (n_c + m_c)
+    per mask and component, those masks are tested instead: on a long
     path or cycle the walk reaches one or two supports.
     """
     _, table_work, mask_work = _arc_components(d)
-    if table_work > _CHUNK:
-        masks = np.flatnonzero(counts)
-        if len(masks) * mask_work < table_work:
-            return masks[_reach_dijoins(d, masks)]
-    return _dijoin_table(d)
+    if table_work > _CHUNK and len(masks) * mask_work < table_work:
+        return _reach_dijoins(d, masks)
+    return _dijoin_table(d)[masks]
 
 
 def _cotree(rows, ncols: int) -> _Kernel:
@@ -351,7 +350,8 @@ def nl_group_flow_count(rows, ncols: int, g: AbelianGroup, supports, budget: int
             _accumulate(counts, mask, weight, ~nonzero.any(axis=0))
 
     _box_sum(expr, walk.free_bits, g.factors, False, add)
-    return int(counts[supports(counts)].sum())
+    masks = np.flatnonzero(counts)
+    return int(counts[masks[supports(masks)]].sum())
 
 
 def count_nl_group_flows(d: Digraph, g: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
@@ -638,18 +638,16 @@ def nl_integer_kflow_counts(rows, ncols: int, ks, supports, budget: int = DEFAUL
     """For each k in ks, the number of integer kernel elements of rows with
     entries in {0, +-1, ..., +-(k-1)} whose support mask the support
     filter accepts; one histogram pass at max(ks) serves every k.  The
-    accepted masks' rows are summed by a product with their indicator,
-    not copied out, and the sum is cumulated over the heights.  The rows
-    are summed by einsum, which on short rows takes a third of the time of
-    sum(axis=1).
+    rows of the accepted reached masks are summed and cumulated over the
+    heights.  The rows are summed by einsum, which on short rows takes a
+    third of the time of sum(axis=1).
     """
     ks = list(ks)
     if min(ks) < 1:
         raise ValueError("k must be >= 1")
     hist = kernel_height_histogram(rows, ncols, max(ks), budget)
-    accepted = np.zeros(len(hist), dtype=np.int64)
-    accepted[supports(np.einsum("ij->i", hist))] = 1
-    at_most = (accepted @ hist).cumsum()
+    masks = np.flatnonzero(np.einsum("ij->i", hist))
+    at_most = hist[masks[supports(masks)]].sum(axis=0).cumsum()
     return [int(at_most[k - 1]) for k in ks]
 
 

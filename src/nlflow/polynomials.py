@@ -1,6 +1,9 @@
 """Sparse univariate polynomials with arbitrary-precision integer
 coefficients, plus exact interpolation over the rationals (Newton's
-divided differences).
+divided differences).  IntPolynomial and RationalPolynomial share one
+base, _Polynomial: the canonical exponent -> coefficient map, its
+rendering, JSON form and hash.  Equal polynomials compare and hash equal
+across the two classes.
 """
 
 from __future__ import annotations
@@ -31,13 +34,48 @@ def _render(coeffs) -> str:
     return "".join(parts)
 
 
-class IntPolynomial:
-    """Exponent -> coefficient map in canonical form (no zero entries).
-
-    Immutable; equality is structural; degree of the zero polynomial is None.
+class _Polynomial:
+    """An immutable exponent -> nonzero coefficient map, _coeffs, set once
+    by the subclass's __init__.  The degree of the zero polynomial is None.
+    The hash is that of the map's items, and Fraction(c) hashes as the
+    int c, so an integral RationalPolynomial hashes as the equal
+    IntPolynomial.
     """
 
     __slots__ = ("_coeffs",)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coeffs(self) -> dict:
+        return dict(self._coeffs)
+
+    @property
+    def degree(self):
+        return max(self._coeffs) if self._coeffs else None
+
+    def __hash__(self):
+        return hash(frozenset(self._coeffs.items()))
+
+    def to_text(self) -> str:
+        return _render(self._coeffs)
+
+    def __str__(self):
+        return self.to_text()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_text()!r})"
+
+    def to_json_dict(self) -> dict:
+        """JSON form with string coefficients so consumers never overflow."""
+        return {"coeffs": {str(e): str(c) for e, c in sorted(self._coeffs.items())}}
+
+
+class IntPolynomial(_Polynomial):
+    """Integer coefficients; equality is structural."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
         items = dict(coeffs)
@@ -50,9 +88,6 @@ class IntPolynomial:
             if c != 0:
                 clean[e] = c
         object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("IntPolynomial is immutable")
 
     # --- constructors ---
 
@@ -70,14 +105,6 @@ class IntPolynomial:
 
     # --- structure ---
 
-    @property
-    def coeffs(self) -> dict[int, int]:
-        return dict(self._coeffs)
-
-    @property
-    def degree(self):
-        return max(self._coeffs) if self._coeffs else None
-
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
 
@@ -86,8 +113,7 @@ class IntPolynomial:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+    __hash__ = _Polynomial.__hash__  # a class that defines __eq__ loses its inherited hash
 
     # --- arithmetic ---
 
@@ -113,33 +139,18 @@ class IntPolynomial:
     def __call__(self, k: int) -> int:
         return sum(c * k**e for e, c in self._coeffs.items())
 
-    # --- rendering ---
-
-    def to_text(self) -> str:
-        return _render(self._coeffs)
-
-    def __str__(self):
-        return self.to_text()
-
-    def __repr__(self):
-        return f"IntPolynomial({self.to_text()!r})"
-
-    def to_json_dict(self) -> dict:
-        """JSON form with string coefficients so consumers never overflow."""
-        return {"coeffs": {str(e): str(c) for e, c in sorted(self._coeffs.items())}}
-
     @classmethod
     def from_json_dict(cls, data: dict):
         return cls({int(e): int(c) for e, c in data["coeffs"].items()})
 
 
-class RationalPolynomial:
+class RationalPolynomial(_Polynomial):
     """Polynomial with exact Fraction coefficients; shows up as the result
     of Ehrhart-style count interpolation, where the counts are integers at
     every integer argument but the coefficients need not be.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
         clean = {}
@@ -148,14 +159,6 @@ class RationalPolynomial:
             if c != 0:
                 clean[int(e)] = c
         object.__setattr__(self, "_coeffs", clean)
-
-    @property
-    def coeffs(self):
-        return dict(self._coeffs)
-
-    @property
-    def degree(self):
-        return max(self._coeffs) if self._coeffs else None
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self._coeffs.values())
@@ -176,20 +179,7 @@ class RationalPolynomial:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
-    def to_text(self) -> str:
-        return _render(self._coeffs)
-
-    def __str__(self):
-        return self.to_text()
-
-    def __repr__(self):
-        return f"RationalPolynomial({self.to_text()!r})"
-
-    def to_json_dict(self) -> dict:
-        return {"coeffs": {str(e): str(c) for e, c in sorted(self._coeffs.items())}}
+    __hash__ = _Polynomial.__hash__
 
 
 def _newton_coeffs(points):

@@ -9,7 +9,8 @@ in chunked numpy, fast enough for R10 at |G| = 4, and
 count_nl_group_flows_naive tuple by tuple in pure Python, with no numpy
 and no support histogram.  count_group_kernel checks the closed kernel
 count |G|^(q-p), and is_group_flow tests conservation arc by arc on a
-digraph.  count_acyclic_colorings_naive tries all k^n colorings, which
+digraph; both do their group arithmetic on residue tuples with
+group_elements, group_zero, group_add and group_neg.  count_acyclic_colorings_naive tries all k^n colorings, which
 the subset DP in nlflow.oracles must match.  _support_cyclic is
 cuts.is_dijoin, the SCC test of a digraph's contraction, on a support
 bitmask, which the digraph support filters in nlflow.oracles must
@@ -30,13 +31,30 @@ from nlflow.matroids import TUMatrix, _support_contraction_cyclic, cyclic_suppor
 CHUNK = 1 << 18
 
 
+def group_elements(g: AbelianGroup):
+    """The residue tuples of g, in lexicographic order."""
+    return product(*(range(f) for f in g.factors))
+
+
+def group_zero(g: AbelianGroup):
+    return (0,) * len(g.factors)
+
+
+def group_add(g: AbelianGroup, a, b):
+    return tuple((x + y) % f for x, y, f in zip(a, b, g.factors))
+
+
+def group_neg(g: AbelianGroup, a):
+    return tuple((-x) % f for x, f in zip(a, g.factors))
+
+
 @lru_cache(maxsize=1_000_000)
 def _support_cyclic(d: Digraph, mask: int) -> bool:
     """Is the contraction of this support (as an arc-index bitmask)
     totally cyclic?  Digraphs are immutable, so a memo is safe and pays
     off across the sweeps over one catalog.
     """
-    return is_dijoin(d, frozenset(j for j in range(d.m) if mask >> j & 1))
+    return is_dijoin(d, mask)
 
 
 def full_box_histogram(rows, ncols: int, kmax: int):
@@ -102,7 +120,8 @@ def dense_group_flow_count(rows, ncols: int, g: AbelianGroup, predicate) -> int:
             ok &= ((digits @ mat_t) % f == 0).all(axis=1)
         supp = (assign[ok] != 0) @ bits
         support_counts += np.bincount(supp, minlength=1 << ncols)
-    return int(support_counts[cyclic_supports(support_counts, predicate)].sum())
+    masks = np.flatnonzero(support_counts)
+    return int(support_counts[masks[cyclic_supports(masks, predicate)]].sum())
 
 
 def full_row_rank(m: TUMatrix) -> bool:
@@ -136,7 +155,7 @@ def count_nl_group_flows_naive(m: TUMatrix, g: AbelianGroup, predicate) -> int:
     """Kernel elements of m over g, tuple by tuple, whose support bitmask
     satisfies the predicate.
     """
-    zero = g.zero
+    zero = group_zero(g)
     count = 0
     for x in _group_tuples(g, m.q):
         if _is_group_kernel_element(m, g, x):
@@ -150,27 +169,29 @@ def is_group_flow(d: Digraph, g: AbelianGroup, f) -> bool:
     f maps arc index -> group element (residue tuple); loops contribute to
     both sides and never violate.
     """
-    sums = [g.zero] * d.n
+    zero = group_zero(g)
+    sums = [zero] * d.n
     for j, (t, h) in enumerate(d.arcs):
         val = tuple(f[j])
-        sums[t] = g.add(sums[t], val)
-        sums[h] = g.add(sums[h], g.neg(val))
-    return all(s == g.zero for s in sums)
+        sums[t] = group_add(g, sums[t], val)
+        sums[h] = group_add(g, sums[h], group_neg(g, val))
+    return all(s == zero for s in sums)
 
 
 def _group_tuples(g: AbelianGroup, q: int):
-    return product(list(g.elements()), repeat=q)
+    return product(list(group_elements(g)), repeat=q)
 
 
 def _is_group_kernel_element(m: TUMatrix, g: AbelianGroup, x) -> bool:
+    zero = group_zero(g)
     for row in m.rows:
-        acc = g.zero
+        acc = zero
         for coef, val in zip(row, x):
             if coef == 1:
-                acc = g.add(acc, val)
+                acc = group_add(g, acc, val)
             elif coef == -1:
-                acc = g.add(acc, g.neg(val))
-        if acc != g.zero:
+                acc = group_add(g, acc, group_neg(g, val))
+        if acc != zero:
             return False
     return True
 

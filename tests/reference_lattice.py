@@ -2,7 +2,7 @@
 complements A \\ C of unions C of dicuts (or directed cycles), built by a
 breadth-first union closure and ordered by reverse inclusion, with the
 Moebius function from FinitePoset's defining recursion (O(L^2) for L
-elements).
+elements).  Arc sets are int bitmasks, as nlflow.cuts lists them.
 
 The crosscut engine in nlflow.nl shares none of this, so its phi and psi
 are checked against these.  Test-side only.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from nlflow import IntPolynomial
 from nlflow.cuts import DEFAULT_LATTICE_CAP, enumerate_dicuts, enumerate_directed_cycles
-from nlflow.digraphs import ArcSet, Digraph, rank
+from nlflow.digraphs import Digraph, mask_arcs, rank
 from nlflow.errors import LatticeSizeError
 from nlflow.posets import FinitePoset
 
@@ -26,17 +26,17 @@ class CutLattice:
     """
 
     digraph: Digraph
-    elements: list[ArcSet]
-    top: ArcSet
+    elements: list[int]
+    top: int
     poset: FinitePoset = field(repr=False)
 
-    def mobius_from_top(self, b: ArcSet) -> int:
+    def mobius_from_top(self, b: int) -> int:
         return self.poset.mobius(self.top, b)
 
 
 def union_closure(family, cap):
-    unions = {frozenset()}
-    frontier = {frozenset()}
+    unions = {0}
+    frontier = {0}
     while frontier:
         nxt = set()
         for u in frontier:
@@ -55,9 +55,9 @@ def union_closure(family, cap):
 
 def _build_lattice(d: Digraph, family, cap) -> CutLattice:
     top = d.all_arcs
-    elements = sorted({top - u for u in union_closure(family, cap)},
-                      key=lambda s: (-len(s), sorted(s)))
-    poset = FinitePoset(elements, lambda a, b: a >= b)
+    elements = sorted({top ^ u for u in union_closure(family, cap)},
+                      key=lambda s: (-s.bit_count(), mask_arcs(s)))
+    poset = FinitePoset(elements, lambda a, b: a & b == b)
     return CutLattice(digraph=d, elements=elements, top=top, poset=poset)
 
 
@@ -76,7 +76,7 @@ def reference_flow_polynomial(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> Int
     for b in lattice.elements:
         mu = lattice.mobius_from_top(b)
         if mu:
-            out = out + IntPolynomial.monomial(len(b) - rank(d, b), mu)
+            out = out + IntPolynomial.monomial(b.bit_count() - rank(d, b), mu)
     return out
 
 
@@ -88,5 +88,5 @@ def reference_coflow_polynomial(d: Digraph, cap: int = DEFAULT_LATTICE_CAP) -> I
     for b in lattice.elements:
         mu = lattice.mobius_from_top(b)
         if mu:
-            out = out + IntPolynomial.monomial(rk_all - rank(d, lattice.top - b), mu)
+            out = out + IntPolynomial.monomial(rk_all - rank(d, lattice.top ^ b), mu)
     return out

@@ -354,7 +354,7 @@ class TestContraction:
                 for sub in combinations(range(d.m), r):
                     mask = sum(1 << c for c in sub)
                     assert _support_contraction_cyclic(m, mask) == (
-                        is_totally_cyclic(contract(d, frozenset(sub)))
+                        is_totally_cyclic(contract(d, mask))
                     ), (d, sub)
 
 
@@ -381,9 +381,9 @@ class TestCocircuitTable:
                 table = _cocircuit_table(m)
                 assert table.shape == (1 << m.q,) and table.dtype == bool
                 walked = matroids.cyclic_supports(
-                    np.ones(1 << m.q, dtype=np.int64), partial(_support_contraction_cyclic, m)
+                    np.arange(1 << m.q), partial(_support_contraction_cyclic, m)
                 )
-                assert np.flatnonzero(table).tolist() == walked, m
+                assert table.tolist() == walked.tolist(), m
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_r10_relabelled(self, seed):

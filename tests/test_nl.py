@@ -27,7 +27,7 @@ from nlflow import (
 )
 from nlflow import nl
 from nlflow.cuts import enumerate_dicuts, enumerate_directed_cycles
-from nlflow.digraphs import arc_mask, num_weak_components, rank
+from nlflow.digraphs import num_weak_components, rank
 from nlflow.errors import LatticeSizeError
 from nlflow.posets import FinitePoset
 
@@ -158,14 +158,14 @@ class TestCrosscutEngine:
     def test_zero_moebius_values_stay_in_the_lattice(self):
         # {0,1,2,3} is the union of {01, 23} and of all three members, so
         # its Moebius value is 0; it is still a union and counts to the cap.
-        family = [frozenset({0, 1}), frozenset({2, 3}), frozenset({0, 2})]
+        family = [0b0011, 0b1100, 0b0101]
         unions = union_closure(family, cap=10**6)
-        poset = FinitePoset(list(unions), lambda a, b: a <= b)
-        mu = nl._signed_unions([arc_mask(a) for a in family], cap=len(unions))
-        assert mu == {arc_mask(c): poset.mobius(frozenset(), c) for c in unions}
+        poset = FinitePoset(list(unions), lambda a, b: a & b == a)
+        mu = nl._signed_unions(family, cap=len(unions))
+        assert mu == {c: poset.mobius(0, c) for c in unions}
         assert mu[0b1111] == 0
         with pytest.raises(LatticeSizeError):
-            nl._signed_unions([arc_mask(a) for a in family], cap=len(unions) - 1)
+            nl._signed_unions(family, cap=len(unions) - 1)
 
     @pytest.mark.parametrize(
         "d",
@@ -191,8 +191,8 @@ class TestBatchedRanks:
     @staticmethod
     def nonzero_unions(d, flow):
         family = enumerate_dicuts(d) if flow else enumerate_directed_cycles(d)
-        mu = nl._signed_unions([arc_mask(c) for c in family], cap=10**6)
-        flip = (1 << d.m) - 1 if flow else 0
+        mu = nl._signed_unions(family, cap=10**6)
+        flip = d.all_arcs if flow else 0
         return [u ^ flip for u, s in mu.items() if s]
 
     @staticmethod
@@ -274,7 +274,7 @@ def tournament6() -> Digraph:
 
 
 def family_of(d, flow):
-    return [arc_mask(c) for c in (enumerate_dicuts(d) if flow else enumerate_directed_cycles(d))]
+    return enumerate_dicuts(d) if flow else enumerate_directed_cycles(d)
 
 
 def nonzero(mu: dict) -> dict:

@@ -81,6 +81,32 @@ class TestRendering:
         assert IntPolynomial.from_json_dict(p.to_json_dict()) == p
 
 
+class TestSharedBase:
+    # IntPolynomial and RationalPolynomial share their map, rendering and
+    # hash; equal polynomials are equal and hash equal across the classes.
+    @given(polys)
+    def test_mixed_equality_both_ways_and_equal_hashes(self, p):
+        r = RationalPolynomial(p.coeffs)
+        assert p == r and r == p
+        assert not (p != r) and not (r != p)
+        assert hash(p) == hash(r)
+        assert len({p, r}) == 1
+        assert (str(r), r.to_json_dict(), r.degree, r.coeffs) == (str(p), p.to_json_dict(), p.degree, p.coeffs)
+
+    def test_fractional_differs_both_ways(self):
+        p, r = IntPolynomial({1: 1}), RationalPolynomial({1: Fraction(1, 2)})
+        assert p != r and r != p
+        assert IntPolynomial({1: 1}) != "x" and RationalPolynomial({1: 1}) != "x"
+
+    def test_repr_names_the_class_and_both_are_immutable(self):
+        assert repr(IntPolynomial({2: 3})) == "IntPolynomial('3x^2')"
+        assert repr(RationalPolynomial({2: Fraction(3, 2)})) == "RationalPolynomial('3/2x^2')"
+        assert RationalPolynomial({0: Fraction(-1, 3)}).to_json_dict() == {"coeffs": {"0": "-1/3"}}
+        for poly in (IntPolynomial({1: 1}), RationalPolynomial({1: 1})):
+            with pytest.raises(AttributeError, match=f"{type(poly).__name__} is immutable"):
+                poly._coeffs = {}
+
+
 class TestInterpolateExact:
     # Integer interpolation: interpolate_rational, then to_int_polynomial.
     def test_linear_flow_count(self):
