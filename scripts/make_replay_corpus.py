@@ -22,6 +22,15 @@ dijoin on each lattice input with an empty, a valid, an out-of-range, a
 negative, a blank-item and a malformed --arcs; matroid poly-fit, plain and
 --json, on each matroid input; and malformed --k-range and --sizes lists.
 
+A seventh, <out>/refusals.json, pins fixed commands on fixed inputs that
+the budget, the lattice cap or the 62-column mask limit refuse before the
+work starts: count-int on a 24-cycle with 2 chords (k = 3) and on a 41-cycle
+with one chord (k = 2), whose support histograms are too wide; count and
+matroid count over z2 on a 63-arc path and a 1 x 63 matrix; dicuts and poly
+on 21 disjoint arcs; colorings -k 3 on a 30-vertex path; count over z3 with
+--budget 10; and complete-acyclic -n 142.  copoly on the 21 disjoint arcs
+is answered, as a control.
+
 Run it only when an output is meant to change, and say why in the
 change's notes: the test compares every record byte for byte.
 """
@@ -101,9 +110,42 @@ def edge_corpus(lattice: dict, matroid: dict) -> dict:
     return {"workload": "cli-edge", "seed": lattice["seed"], "rounds": rounds, "inputs": inputs, "records": run(inputs, commands)}
 
 
+def refusal_corpus() -> dict:
+    """The refusal records: fixed commands on fixed inputs."""
+    from nlflow.digraphs import Digraph, write_digraph
+
+    def cycle(n, *chords):
+        return write_digraph(Digraph(n, [(i, (i + 1) % n) for i in range(n)] + list(chords)))
+
+    def path(n):
+        return write_digraph(Digraph(n, [(i, i + 1) for i in range(n - 1)]))
+
+    inputs = {
+        "cycle24-chords2.dg": cycle(24, (0, 12), (6, 18)),
+        "cycle41-chord.dg": cycle(41, (0, 20)),
+        "path64.dg": path(64),
+        "path30.dg": path(30),
+        "arcs21.dg": write_digraph(Digraph(42, [(2 * i, 2 * i + 1) for i in range(21)])),
+        "row63.tu": "1 63\n" + " ".join(["1"] * 63) + "\n",
+    }
+    commands = [
+        ["count-int", "cycle24-chords2.dg", "-k", "3"],
+        ["count-int", "cycle41-chord.dg", "-k", "2"],
+        ["count", "path64.dg", "--group", "z2"],
+        ["matroid", "count", "--matrix", "row63.tu", "--group", "z2"],
+        ["dicuts", "arcs21.dg"],
+        ["poly", "arcs21.dg"],
+        ["colorings", "path30.dg", "-k", "3"],
+        ["--budget", "10", "count", "cycle24-chords2.dg", "--group", "z3"],
+        ["complete-acyclic", "-n", "142"],
+        ["copoly", "arcs21.dg"],
+    ]
+    return {"workload": "refusals", "inputs": inputs, "records": run(inputs, commands)}
+
+
 def write(data: dict, path: Path) -> None:
     """The corpus as JSON, one input and one record per line."""
-    head = {k: data[k] for k in ("workload", "seed", "rounds")}
+    head = {k: v for k, v in data.items() if k not in ("inputs", "records")}
     lines = ["{", *(f"{json.dumps(k)}: {json.dumps(v)}," for k, v in head.items()), '"inputs": {']
     lines.append(",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in data["inputs"].items()))
     lines += ["},", '"records": [']
@@ -127,6 +169,7 @@ def main(argv=None) -> int:
     for name, rounds in WORKLOADS.items():
         made[name] = corpus(ALL[name], args.seed, args.rounds or rounds)
     made["cli-edge"] = edge_corpus(made["lattice"], made["matroid"])
+    made["refusals"] = refusal_corpus()
     for name, data in made.items():
         write(data, args.out / f"{name}.json")
         print(f"{name}: {len(data['inputs'])} inputs, {len(data['records'])} records")

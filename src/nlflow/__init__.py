@@ -12,8 +12,6 @@ from .digraphs import (
     is_totally_cyclic,
     rank,
     read_digraph,
-    strongly_connected_components,
-    topological_order,
     weak_components,
     write_digraph,
 )

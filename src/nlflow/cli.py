@@ -78,6 +78,25 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"error: usage: {message}\n{self.format_usage()}")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads "-1,2" as an unknown option, which would leave
+        # "--arcs -1,2" without its value.  A comma-list option of this
+        # parser takes a value that starts with a negative item joined to
+        # it, as it takes "--arcs=-1,2".
+        args = sys.argv[1:] if args is None else list(args)
+        joined = []
+        for i, arg in enumerate(args):
+            if arg == "--":
+                joined += args[i:]
+                break
+            action = self._option_string_actions.get(joined[-1]) if joined else None
+            is_list = action is not None and getattr(action.type, "func", action.type) is _int_list
+            if is_list and arg[:1] == "-" and arg[1:2].isdigit():
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

@@ -6,7 +6,10 @@ is_dijoin takes its arc set as a bitmask too.
 
 A dicut is delta(U) for a vertex set U with no arcs entering U; no dicut
 can separate a strongly connected component, so U is an order ideal
-(a predecessor-closed set) of the condensation.  The ideals are walked
+(a predecessor-closed set) of the condensation.  Both enumerators read
+the condensation from digraphs.condensation_labels: the dicut walk takes
+its components in label order, which is topological, and the cycle DFS
+keeps only the arcs inside a component.  The ideals are walked
 directly, one weak component at a time, so the work is O(k) per ideal
 for k components: it follows the output, not the 2^k subsets.
 """

@@ -1,6 +1,8 @@
 """Digraphs with positional arc identity, and the structural primitives
-(components, rank, contraction, condensation, total cyclicity) everything
-else is built on.
+(components, rank, contraction, condensation) everything else is built on.
+condensation_labels is the one strong-component pass: is_acyclic and
+is_totally_cyclic read its component count, and nlflow.cuts reads its
+labels.
 
 Vertices are dense indices 0..n-1.  An arc is an ordered pair
 (tail, head); its identity is its position in the arc list, so parallel
@@ -129,12 +131,13 @@ def rank(d: Digraph, mask: int) -> int:
     return merged
 
 
-def strongly_connected_components(d: Digraph) -> list[list[int]]:
-    """SCCs as vertex lists, ordered so that every arc goes from an earlier
-    (or the same) component to a later one.
+def condensation_labels(d: Digraph) -> tuple[list[int], int]:
+    """Map vertex -> strong-component label, plus the component count k.
 
-    Iterative Tarjan; components come out in reverse topological order and
-    are flipped before returning.
+    The labels 0..k-1 number the condensation so that every arc goes to an
+    equal or higher label.  One iterative Tarjan pass, so a long path needs
+    no recursion: a component is labelled as it completes, sinks first,
+    and the labels are flipped at the end.
     """
     adj = [[] for _ in range(d.n)]
     for t, h in d.arcs:
@@ -142,10 +145,9 @@ def strongly_connected_components(d: Digraph) -> list[list[int]]:
 
     index = [-1] * d.n
     lowlink = [0] * d.n
-    on_stack = [False] * d.n
+    label = [-1] * d.n  # -1 until the vertex's component completes
     stack = []
-    sccs = []
-    counter = 0
+    counter = k = 0
 
     for root in range(d.n):
         if index[root] != -1:
@@ -153,7 +155,6 @@ def strongly_connected_components(d: Digraph) -> list[list[int]]:
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         work = [(root, iter(adj[root]))]  # each vertex with its unscanned arcs
         while work:
             v, rest = work[-1]
@@ -162,40 +163,25 @@ def strongly_connected_components(d: Digraph) -> list[list[int]]:
                     index[w] = lowlink[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
                     work.append((w, iter(adj[w])))
                     break
-                if on_stack[w] and index[w] < lowlink[v]:
+                if label[w] == -1 and index[w] < lowlink[v]:
                     lowlink[v] = index[w]
             else:
                 work.pop()
-                if work:
-                    u = work[-1][0]
-                    lowlink[u] = min(lowlink[u], lowlink[v])
                 if lowlink[v] == index[v]:
-                    comp = []
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
+                        label[w] = k
                         if w == v:
                             break
-                    sccs.append(comp)
+                    k += 1
+                # v is not its component's root, so not the DFS root either:
+                # its parent is on the work stack and inherits its lowlink.
+                elif lowlink[v] < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = lowlink[v]
 
-    sccs.reverse()
-    for comp in sccs:
-        comp.sort()
-    return sccs
-
-
-def condensation_labels(d: Digraph) -> tuple[list[int], int]:
-    """Map vertex -> SCC index in topological order, plus the SCC count."""
-    sccs = strongly_connected_components(d)
-    label = [0] * d.n
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            label[v] = i
-    return label, len(sccs)
+    return [k - 1 - c for c in label], k
 
 
 def is_totally_cyclic(d: Digraph) -> bool:
@@ -204,7 +190,14 @@ def is_totally_cyclic(d: Digraph) -> bool:
     Isolated vertices and loops are trivially strong; the arcless digraph
     is totally cyclic.
     """
-    return num_weak_components(d) == len(strongly_connected_components(d))
+    return num_weak_components(d) == condensation_labels(d)[1]
+
+
+def is_acyclic(d: Digraph) -> bool:
+    """True iff d has no directed cycle: no loop, and every strong
+    component is a single vertex.
+    """
+    return all(t != h for t, h in d.arcs) and condensation_labels(d)[1] == d.n
 
 
 def contract(d: Digraph, s: int) -> Digraph:
@@ -218,35 +211,6 @@ def contract(d: Digraph, s: int) -> Digraph:
     new_n = (max(labels) + 1) if labels else 0
     new_arcs = [(labels[t], labels[h]) for j, (t, h) in enumerate(d.arcs) if not s >> j & 1]
     return Digraph(new_n, tuple(new_arcs))
-
-
-def topological_order(d: Digraph) -> list[int] | None:
-    """A vertex order with all arcs pointing forward, or None if d has a
-    directed cycle (loops count as cycles).  Ties broken by vertex index,
-    so the order is deterministic and unique for complete acyclic digraphs.
-    """
-    import heapq
-
-    indeg = [0] * d.n
-    adj = [[] for _ in range(d.n)]
-    for t, h in d.arcs:
-        indeg[h] += 1
-        adj[t].append(h)
-    ready = [v for v in range(d.n) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    return order if len(order) == d.n else None
-
-
-def is_acyclic(d: Digraph) -> bool:
-    return topological_order(d) is not None
 
 
 # --- text format -----------------------------------------------------------

@@ -421,6 +421,27 @@ class TestErrors:
             "", f"error: usage: argument {option}: invalid int value: {item!r}\nusage: nlflow {usage}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["dijoin", "{dg}", "--arcs", "-1,2"], "arc set [-1, 2] is not a subset of 0..2"),
+            (["matroid", "poly-fit", "--matrix", "{tu}", "--k-range", "-1,2,3,4"], "k must be >= 1"),
+            (["tournament", "--sizes", "-1,2"], "component sizes must be >= 1"),
+        ],
+    )
+    def test_lists_that_start_with_a_negative_item(self, capsys, k3_path, matrix_path, argv, error):
+        # argparse reads "-1,2" as an unknown option; the space form passes
+        # it to the list option as the "=" form does.
+        argv = [arg.format(dg=k3_path, tu=matrix_path) for arg in argv]
+        joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+        assert run(capsys, argv) == run(capsys, joined) == (1, "", f"error: domain: {error}\n")
+
+    def test_other_options_still_refuse_a_negative_list(self, capsys, k3_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["count-int", k3_path, "-k", "-1,2"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("error: usage: argument -k: expected one argument\n")
+
     def test_usage_errors_exit_1_and_help_exits_0(self, capsys, k3_path):
         # Exit 2 is kept for a verify mismatch.
         for argv in (["poly"], ["count", k3_path], ["matroid", "count", "--matrix", k3_path]):

@@ -1,8 +1,11 @@
-"""Structural primitives: components, rank, SCCs, contraction,
-topological order, and the text format.
+"""Structural primitives: components, rank, the condensation and the
+answers read from it (acyclicity, total cyclicity), contraction, and the
+text format.  The condensation is checked against mutual reachability
+computed by closure.
 """
 
 import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,8 +18,6 @@ from nlflow import (
     is_totally_cyclic,
     rank,
     read_digraph,
-    strongly_connected_components,
-    topological_order,
     weak_components,
     write_digraph,
 )
@@ -35,6 +36,36 @@ def small_digraphs(max_n=5, max_m=8):
         return Digraph(n, arcs)
 
     return build()
+
+
+def reachable(d):
+    """reach[v]: the vertices that a walk of one or more arcs from v ends
+    at, as a bitmask, by Warshall's closure of the arc relation.
+    """
+    reach = [0] * d.n
+    for t, h in d.arcs:
+        reach[t] |= 1 << h
+    for u in range(d.n):
+        for v in range(d.n):
+            if reach[v] >> u & 1:
+                reach[v] |= reach[u]
+    return reach
+
+
+def assert_condensation_is_reachability(d):
+    # Same label iff mutually reachable, labels 0..k-1, no arc to a lower
+    # label; acyclic iff no vertex reaches itself; totally cyclic iff
+    # every arc's tail is reachable from its head.
+    reach = reachable(d)
+    label, k = condensation_labels(d)
+    assert sorted(set(label)) == list(range(k))
+    for u in range(d.n):
+        for v in range(d.n):
+            mutual = u == v or reach[u] >> v & 1 and reach[v] >> u & 1
+            assert (label[u] == label[v]) == bool(mutual)
+    assert all(label[t] <= label[h] for t, h in d.arcs)
+    assert is_acyclic(d) == (not any(reach[v] >> v & 1 for v in range(d.n)))
+    assert is_totally_cyclic(d) == all(reach[h] >> t & 1 for t, h in d.arcs)
 
 
 class TestDigraphType:
@@ -121,10 +152,10 @@ class TestWeakComponentsAndRank:
 
 class TestSCCs:
     def test_cycle_is_one_scc(self, cycle3):
-        assert strongly_connected_components(cycle3) == [[0, 1, 2]]
+        assert condensation_labels(cycle3) == ([0, 0, 0], 1)
 
     def test_k3_unique_topological_order(self, k3_acyclic):
-        assert strongly_connected_components(k3_acyclic) == [[0], [1], [2]]
+        assert condensation_labels(k3_acyclic) == ([0, 1, 2], 3)
 
     def test_figure_condensation_sizes(self):
         # 6 vertices: source 0, strong middle {1,2,3,4}, sink 5.
@@ -136,16 +167,29 @@ class TestSCCs:
                 (1, 5), (2, 5), (3, 5), (4, 5),
             ),
         )
-        sizes = tuple(len(c) for c in strongly_connected_components(d))
-        assert sizes == (1, 4, 1)
+        assert condensation_labels(d) == ([0, 1, 1, 1, 1, 2], 3)
 
-    @given(small_digraphs())
+    @given(small_digraphs(max_n=7, max_m=12))
     def test_condensation_order_and_acyclicity(self, d):
-        label, k = condensation_labels(d)
-        for t, h in d.arcs:
-            assert label[t] <= label[h]
-        cond_arcs = {(label[t], label[h]) for t, h in d.arcs if label[t] != label[h]}
-        assert is_acyclic(Digraph(k, tuple(cond_arcs)))
+        assert_condensation_is_reachability(d)
+
+    def test_catalog_equals_reachability(self, catalog_full):
+        for d in catalog_full:
+            assert_condensation_is_reachability(d)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_long_path_and_cycle_without_recursion(self, closed):
+        # 10^5 vertices, far beyond the interpreter's recursion limit.
+        n = 10**5
+        d = Digraph(n, tuple((i, (i + 1) % n) for i in range(n if closed else n - 1)))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            label, k = condensation_labels(d)
+            times.append(time.perf_counter() - start)
+        assert (label, k) == (([0] * n, 1) if closed else (list(range(n)), n))
+        assert is_acyclic(d) != closed and is_totally_cyclic(d) == closed
+        assert min(times) < 1, times
 
 
 class TestTotallyCyclic:
@@ -196,27 +240,31 @@ class TestContractDelete:
 
 
 class TestTopologicalOrder:
+    # An acyclic digraph's condensation labels are a topological order.
     def test_k3_order_unique(self, k3_acyclic):
-        assert topological_order(k3_acyclic) == [0, 1, 2]
+        assert is_acyclic(k3_acyclic)
+        assert condensation_labels(k3_acyclic)[0] == [0, 1, 2]
 
     def test_cycle_absent(self, cycle3):
-        assert topological_order(cycle3) is None
         assert not is_acyclic(cycle3)
 
     def test_loop_is_cyclic(self):
-        assert topological_order(Digraph(1, ((0, 0),))) is None
+        # A loop leaves its vertex a component of its own.
+        d = Digraph(1, ((0, 0),))
+        assert condensation_labels(d) == ([0], 1)
+        assert not is_acyclic(d)
 
     def test_k5_order(self):
         d = Digraph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5)))
-        assert topological_order(d) == [0, 1, 2, 3, 4]
+        assert is_acyclic(d)
+        assert condensation_labels(d)[0] == [0, 1, 2, 3, 4]
 
     @given(small_digraphs())
     def test_order_is_valid_when_present(self, d):
-        order = topological_order(d)
-        if order is not None:
-            pos = {v: i for i, v in enumerate(order)}
-            assert sorted(order) == list(range(d.n))
-            assert all(pos[t] < pos[h] for t, h in d.arcs)
+        label, k = condensation_labels(d)
+        if is_acyclic(d):
+            assert k == d.n and sorted(label) == list(range(d.n))
+            assert all(label[t] < label[h] for t, h in d.arcs)
 
 
 class TestTextFormat:

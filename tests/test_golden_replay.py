@@ -4,7 +4,9 @@ workloads (one round each) and of lattice (two rounds), byte for byte.
 cli-edge holds fixed commands over the lattice and matroid inputs where
 lists enter the CLI: dijoin's --arcs (empty, valid, out of range,
 negative, with blank items, malformed), matroid poly-fit, and malformed
---k-range and --sizes lists.
+--k-range and --sizes lists.  refusals holds fixed commands on fixed
+inputs that the budget, the lattice cap or the mask limit refuse before
+the work starts, and one answered control.
 
 tests/golden/<name>.json holds the inputs and one record per command;
 scripts/make_replay_corpus.py regenerates them.  The oracles check the
@@ -13,6 +15,7 @@ error lines included.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -91,3 +94,16 @@ def test_cli_edge_pins_every_kind_of_list():
     assert any(r["stdout"].startswith('{"coeffs"') for r in fits) and any("x^" in r["stdout"] for r in fits)
     for option in ("--k-range", "--sizes"):
         assert any(r["stderr"].startswith(f"error: usage: argument {option}:") for r in records), option
+
+
+def test_refusals_are_byte_identical_and_quick(tmp_path, monkeypatch, capsys):
+    # Each refusal answers in milliseconds; one that started the work it
+    # refuses would take seconds or run out of memory.
+    start = time.perf_counter()
+    data, wrong = replay("refusals", tmp_path, monkeypatch, capsys)
+    assert time.perf_counter() - start < 5
+    assert data["workload"] == "refusals" and len(data["records"]) == 10
+    assert not wrong, f"{len(wrong)} of {len(data['records'])} differ; first: {wrong[0]}"
+    refused = [r["stderr"] for r in data["records"] if r["exit"] == 1]
+    assert len(refused) == 9
+    assert all(e.startswith(("error: budget: ", "error: lattice-size: ")) for e in refused)

@@ -1,5 +1,6 @@
-"""Smoke tests for scripts/: each runs as __main__ on a small catalog,
-exits 0 and prints its summary line.  bench_pairs.py is checked on canned
+"""Smoke tests for scripts/: each runs as __main__ on a small catalog
+(code_lines.py on two small modules and on src/nlflow), exits 0 and
+prints its summary line.  bench_pairs.py is checked on canned
 run.py output, without running the benchmark.
 """
 
@@ -38,6 +39,19 @@ def test_fit_flow_polynomials(monkeypatch, capsys):
         r"fitted 23 digraphs in \d+\.\d s; 0 interpolants have non-integer coefficients",
         lines[-1],
     )
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks(monkeypatch, capsys, tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""Module\n\ndocstring."""\n\n# comment\nimport os  # kept\n\n\n'
+        'def f(x):\n    """Function docstring."""\n    s = """a string,\n    not a docstring"""\n    return x\n'
+    )
+    (tmp_path / "b.py").write_text("class C:\n    '''Doc.'''\n\n    x = 1\n")
+    lines = run_script(monkeypatch, capsys, "code_lines.py", "--src", str(tmp_path))
+    assert lines == ["     5  a.py", "     2  b.py", "     7  total"]
+    lines = run_script(monkeypatch, capsys, "code_lines.py")
+    counts = [int(line.split()[0]) for line in lines]
+    assert lines[-1].endswith("  total") and counts[-1] == sum(counts[:-1])
 
 
 def canned_run(workload, seed, jobs_per_s, p50_ms, failed=0):

@@ -22,7 +22,7 @@ from nlflow import (
     strong_tournament,
 )
 from nlflow import tournaments
-from nlflow.digraphs import is_totally_cyclic, strongly_connected_components
+from nlflow.digraphs import condensation_labels, is_totally_cyclic
 
 def composition_sum(sizes) -> IntPolynomial:
     """The condensation formula summed term by term: over every
@@ -205,7 +205,7 @@ class TestWitnesses:
         for k in (1, 3, 4, 5, 6, 7):
             t = strong_tournament(k)
             assert t.m == comb(k, 2)
-            assert len(strongly_connected_components(t)) == 1
+            assert condensation_labels(t) == ([0] * k, 1)
             assert k == 1 or is_totally_cyclic(t)
 
     def test_size_two_rejected(self):
@@ -219,8 +219,8 @@ class TestWitnesses:
             d = complete_digraph_witness(sizes)
             assert d.n == sum(sizes)
             assert d.m == comb(d.n, 2)
-            got = tuple(len(c) for c in strongly_connected_components(d))
-            assert got == sizes
+            label, k = condensation_labels(d)
+            assert tuple(label.count(c) for c in range(k)) == sizes
 
     def test_witness_agrees_with_formula(self):
         d = complete_digraph_witness((1, 4, 1))
