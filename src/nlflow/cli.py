@@ -270,7 +270,9 @@ def main(argv=None) -> int:
         status, report = _run(args, sys.stdout)
     except tuple(cls for cls, _ in _ERROR_KINDS) as exc:
         kind = next(k for cls, k in _ERROR_KINDS if isinstance(exc, cls))
-        print(f"error: {kind}: {exc}", file=sys.stderr)
+        # numpy's MemoryError can carry no text.
+        reason = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+        print(f"error: {kind}: {reason}", file=sys.stderr)
         return 1
     if args.report:
         report = {

@@ -13,11 +13,13 @@ meet every positive cocircuit, indexed by them, or, where that table
 would cost more than one batch, the up-set walk over the Farkas
 contraction predicate (cyclic_supports).  Column sets are int bitmasks,
 bit c for column c, as arc sets are in nlflow.digraphs.
-The integer kernel basis behind the Farkas certificates and that
-predicate, the rows the table combines and the filter's choice all read
-the matrix's prepared kernel (nlflow.oracles._kernel, one read-only
-record per row tuple) that those counters walk, so each matrix is
-row-reduced once and its arrays built once for all its counts.  The
+The Farkas certificate of total cyclicity is one LP on the matrix's own
+rows and reads no elimination, so it shares none with the counts it is
+checked beside.  The integer kernel basis behind the contraction
+predicate, the rows the table combines and the filter's choice read the
+matrix's prepared kernel (nlflow.oracles._kernel, one read-only record
+per row tuple) that those counters walk, so each matrix is row-reduced
+once and its arrays built once for all its counts.  The
 counters and the table's seeds read their points from the one source
 the digraph counts use (nlflow.oracles._points).
 """
@@ -25,9 +27,11 @@ the digraph counts use (nlflow.oracles._points).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 import numpy as np
 
@@ -134,10 +138,10 @@ def is_totally_unimodular(m: TUMatrix, max_dim: int = DEFAULT_TU_CHECK_BOUND) ->
 
 
 def _kernel_basis(m: TUMatrix):
-    """An integer kernel basis, one vector per free (cotree) column, read
-    off the prepared kernel the counters walk (its exact ints, at any
-    width): vector j is denom at column free[j] and -expr[r][j] at
-    pivots[r].
+    """An integer kernel basis for the contraction predicate, one vector
+    per free (cotree) column, read off the prepared kernel the counters
+    walk (its exact ints, at any width): vector j is denom at column
+    free[j] and -expr[r][j] at pivots[r].
     """
     kernel = _kernel(m.rows, m.q)
     basis = []
@@ -153,37 +157,27 @@ def _kernel_basis(m: TUMatrix):
 # --- total cyclicity and the Farkas alternative ---------------------------
 
 
-def positive_span_certificate(vectors, q: int):
-    """Given spanning vectors of a subspace of Q^q, return either
-    ("positive", x) with x in the span and x >= 1 componentwise, or
-    ("obstruction", g) with g >= 0, g != 0, orthogonal to the span.
-
-    Exactly one side exists (Farkas); validity of either excludes the
-    other because g . x would have to be both 0 and >= sum(g) > 0.
-    """
-    if q == 0:
-        return "positive", []
-    r = len(vectors)
-    # Feasibility of K lam >= 1 with lam free: columns [K, -K, -I].
-    a = []
-    for i in range(q):
-        row = [v[i] for v in vectors]
-        row += [-x for x in row]
-        row += [-int(i == t) for t in range(q)]
-        a.append(row)
-    status, sol = farkas_nonneg_solve(a, [1] * q)
-    if status == "feasible":
-        lam = [sol[j] - sol[r + j] for j in range(r)]
-        x = [sum(lam[j] * vectors[j][i] for j in range(r)) for i in range(q)]
-        return "positive", x
-    return "obstruction", sol
-
-
 def farkas_certificate(m: TUMatrix):
-    """Alternative for total cyclicity of the matroid of m: a strictly
-    positive kernel vector, or a nonnegative nonzero row-space vector.
+    """Alternative for total cyclicity of the matroid of m: ("positive", x)
+    with x >= 1 componentwise in the kernel, or ("obstruction", g) with
+    g >= 0, g != 0, in the row space.  Exactly one exists (Farkas 1902);
+    both would make g . x zero and at least sum(g) > 0.
+
+    Decided on the rows A themselves, with no elimination: put x = 1 + z,
+    so A x = 0 with x >= 1 is A z = -A 1 with z >= 0, one
+    farkas_nonneg_solve of p rows by q columns.  Feasible gives x = 1 + z.
+    Infeasible gives y with y A <= 0 and -y A 1 > 0, so g = -y A is >= 0,
+    in the row space and of sum -y A 1 > 0.  g is summed in integers over
+    the lcm of y's denominators, one Fraction per column.
     """
-    return positive_span_certificate(_kernel_basis(m), m.q)
+    if not m.q:
+        return "positive", []
+    status, sol = farkas_nonneg_solve(m.rows, [-sum(row) for row in m.rows])
+    if status == "feasible":
+        return "positive", [1 + z for z in sol]
+    scale = lcm(*(y.denominator for y in sol))
+    ys = [y.numerator * (scale // y.denominator) for y in sol]
+    return "obstruction", [Fraction(-sum(map(mul, ys, col)), scale) for col in zip(*m.rows)]
 
 
 def is_totally_cyclic_matroid(m: TUMatrix) -> bool:
@@ -192,10 +186,17 @@ def is_totally_cyclic_matroid(m: TUMatrix) -> bool:
 
 @lru_cache(maxsize=4096)
 def _support_contraction_cyclic(m: TUMatrix, mask: int) -> bool:
-    """Is M/S totally cyclic, S the support of mask?  Its flows are M's off S."""
+    """Is M/S totally cyclic, S the support of mask?  Its flows are M's off
+    S: is K lam >= 1 on the kept columns for some free lam, K the kernel
+    basis?  One LP, columns [K, -K, -I] and right side 1.
+    """
     keep = [c for c in range(m.q) if not mask >> c & 1]
-    vectors = [[v[c] for c in keep] for v in _kernel_basis(m)]
-    return positive_span_certificate(vectors, len(keep))[0] == "positive"
+    if not keep:
+        return True
+    basis = _kernel_basis(m)
+    rows = [[v[c] for v in basis] for c in keep]
+    a = [row + [-x for x in row] + [-int(c == t) for t in keep] for row, c in zip(rows, keep)]
+    return farkas_nonneg_solve(a, [1] * len(keep))[0] == "feasible"
 
 
 @lru_cache(maxsize=1)

@@ -279,8 +279,9 @@ def _prepare(pivots, free, expr, denom: int = 1, unimodular: bool = True, checke
 @lru_cache(maxsize=1)
 def _kernel(rows: tuple[tuple[int, ...], ...], ncols: int) -> _Kernel:
     """The prepared kernel of a matrix given as a tuple of row tuples, with
-    no width check: the Farkas certificates read it at any width.  One
-    slot: the counts of one matrix run back to back.
+    no width check: the matroid contraction predicate reads its kernel
+    basis at any width.  One slot: the counts of one matrix run back to
+    back.
     """
     pivots, free, expr, denom, unimodular = _cotree_expression(rows, ncols)
     checked = None if unimodular else _prepare([], range(ncols), rows)

@@ -139,10 +139,6 @@ class IntPolynomial(_Polynomial):
     def __call__(self, k: int) -> int:
         return sum(c * k**e for e, c in self._coeffs.items())
 
-    @classmethod
-    def from_json_dict(cls, data: dict):
-        return cls({int(e): int(c) for e, c in data["coeffs"].items()})
-
 
 class RationalPolynomial(_Polynomial):
     """Polynomial with exact Fraction coefficients; shows up as the result

@@ -1,19 +1,34 @@
-"""Test oracle for the Farkas LP: the phase-1 revised simplex that
-nlflow.linalg.farkas_nonneg_solve used before its fraction-free tableau.
+"""Test oracles for the Farkas LP and the certificates of total
+cyclicity.
 
+reference_farkas_nonneg_solve is the phase-1 revised simplex that
+nlflow.linalg.farkas_nonneg_solve used before its fraction-free tableau.
 It runs on fractions.Fraction and refactorizes the basis with a Gaussian
 solve on every iteration, by the dense rref of tests/reference_linalg.py,
 so it shares no elimination code with the tableau.  Its pivot rule
 (Bland's, ties evicting the smallest basic index) is the tableau's, so
 the two reach the same final basis and return identical (status, vector)
 pairs.
+
+positive_span_certificate is the kernel form of the certificate that
+nlflow.matroids.farkas_certificate computed before it moved to the
+matrix's rows: an LP over a spanning set K of the kernel with columns
+[K, -K, -I].  It is solved by nlflow.linalg.farkas_nonneg_solve, which
+the tests compare with the reference simplex on every LP shape, because
+the reference simplex would take half a minute over the catalog.
+reference_farkas_certificate applies it to the reference kernel basis of
+tests/reference_linalg.py, and is_valid_certificate checks either side
+of the alternative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from reference_linalg import rref_dense
+from reference_linalg import kernel_basis, matrix_rank, rref_dense
+
+from nlflow.linalg import farkas_nonneg_solve
 
 
 def _frac_rows(mat):
@@ -97,3 +112,58 @@ def reference_farkas_nonneg_solve(a_mat, b_vec):
         return "feasible", z
     y_out = [signs[i] * y[i] for i in range(p)]
     return "infeasible", y_out
+
+
+def positive_span_certificate(vectors, q: int):
+    """Given spanning vectors of a subspace of Q^q, return either
+    ("positive", x) with x in the span and x >= 1 componentwise, or
+    ("obstruction", g) with g >= 0, g != 0, orthogonal to the span.
+
+    Exactly one side exists (Farkas); validity of either excludes the
+    other because g . x would have to be both 0 and >= sum(g) > 0.  Each
+    vector is first scaled to integers by the lcm of its denominators,
+    a positive multiple with the same span.
+    """
+    if q == 0:
+        return "positive", []
+    scales = (lcm(*(Fraction(x).denominator for x in v)) for v in vectors)
+    vectors = [[int(x * scale) for x in v] for v, scale in zip(vectors, scales)]
+    r = len(vectors)
+    # Feasibility of K lam >= 1 with lam free: columns [K, -K, -I].
+    a = []
+    for i in range(q):
+        row = [v[i] for v in vectors]
+        row += [-x for x in row]
+        row += [-int(i == t) for t in range(q)]
+        a.append(row)
+    status, sol = farkas_nonneg_solve(a, [1] * q)
+    if status == "feasible":
+        lam = [sol[j] - sol[r + j] for j in range(r)]
+        x = [sum(lam[j] * vectors[j][i] for j in range(r)) for i in range(q)]
+        return "positive", x
+    return "obstruction", sol
+
+
+def reference_farkas_certificate(rows, q: int):
+    """The kernel-form certificate of the matroid of rows, over the
+    reference kernel basis."""
+    return positive_span_certificate(kernel_basis([list(r) for r in rows], q), q)
+
+
+def is_valid_certificate(rows, q: int, cert) -> bool:
+    """("positive", x): q entries, x >= 1 and every row orthogonal to x.
+    ("obstruction", g): q entries, g >= 0, g != 0 and g in the row space
+    (adding it leaves the rank unchanged).
+    """
+    kind, vec = cert
+    rows = [list(r) for r in rows]
+    if len(vec) != q:
+        return False
+    if kind == "positive":
+        return all(x >= 1 for x in vec) and all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    return (
+        kind == "obstruction"
+        and all(x >= 0 for x in vec)
+        and any(x > 0 for x in vec)
+        and matrix_rank(rows) == matrix_rank(rows + [list(vec)])
+    )

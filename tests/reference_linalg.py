@@ -4,9 +4,10 @@ fractions.Fraction, independent of nlflow.linalg.
 rref_dense rebuilds every row over every column at each pivot, dividing
 in Fractions: the version nlflow.linalg.rref, a view of the fraction-free
 Gauss-Jordan int_rref, is compared with.  matrix_rank and kernel_basis
-are read straight off it.  nlflow.matroids reads its integer kernel basis
-off the cached cotree expression the counters walk, scaled by its common
-denominator; kernel_basis is what the tests compare it with.
+are read straight off it.  nlflow.matroids reads the integer kernel
+basis of its contraction predicate off the cached cotree expression the
+counters walk, scaled by its common denominator; kernel_basis is what
+the tests compare it with.
 reference_cotree_expression is that expression as it was built before
 the fraction-free elimination: a Fraction rref, the lcm of the free
 entries' denominators, and a separate forward Bareiss determinant (det)

@@ -389,6 +389,16 @@ class TestErrors:
         assert status == 1 and out == ""
         assert err.startswith("error: lattice-size:")
 
+    def test_memory_error_without_text_names_a_reason(self, capsys, cycle_path, monkeypatch):
+        # An allocation numpy cannot make raises MemoryError(), whose str
+        # is empty; one with a message keeps it.
+        for exc, reason in ((MemoryError(), "out of memory"), (MemoryError("no room"), "no room")):
+            def refuse(d, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli, "nl_flow_polynomial", refuse)
+            assert run(capsys, ["poly", cycle_path]) == (1, "", f"error: budget: {reason}\n")
+
     def test_bad_group_spec(self, capsys, cycle_path):
         status, _, err = run(capsys, ["count", cycle_path, "--group", "q7"])
         assert status == 1

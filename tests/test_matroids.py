@@ -7,7 +7,6 @@ import time
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, product
-from math import lcm
 from random import Random
 
 import numpy as np
@@ -19,7 +18,12 @@ from reference_counters import (
     dense_group_flow_count,
     count_nl_integer_kflows_matroid_naive,
 )
-from reference_farkas import reference_farkas_nonneg_solve
+from reference_farkas import (
+    is_valid_certificate,
+    positive_span_certificate,
+    reference_farkas_certificate,
+    reference_farkas_nonneg_solve,
+)
 from reference_linalg import kernel_basis, reference_cotree_expression, rref_dense
 
 from nlflow import (
@@ -46,7 +50,6 @@ from nlflow.matroids import (
     _cocircuit_table,
     _support_contraction_cyclic,
     fit_integer_flow_polynomial_matroid,
-    positive_span_certificate,
 )
 
 # [I5 | A] represents R10, which is neither graphic nor cographic.
@@ -64,6 +67,18 @@ R10 = TUMatrix(
         )
     )
 )
+
+
+def relabelled_r10(seed: int) -> TUMatrix:
+    """R10 with rows and columns shuffled, and each negated or not: its
+    elements renamed and some reoriented, still TU."""
+    rng = Random(seed)
+    rows = [tuple(sign * x for x in row) for row, sign in zip(R10.rows, rng.choices((1, -1), k=5))]
+    rng.shuffle(rows)
+    signs = [rng.choice((1, -1)) for _ in range(R10.q)]
+    order = list(range(R10.q))
+    rng.shuffle(order)
+    return TUMatrix(tuple(tuple(signs[j] * row[j] for j in order) for row in rows))
 
 
 def inc(d: Digraph) -> TUMatrix:
@@ -162,27 +177,69 @@ class TestTotalCyclicity:
             assert is_totally_cyclic_matroid(inc(d)) == is_totally_cyclic(d), d
 
 
-class TestFarkasCertificate:
-    def test_exactly_one_side(self, catalog_small):
-        for d in catalog_small[:200]:
-            m = inc(d)
-            kind, vec = farkas_certificate(m)
-            if kind == "positive":
-                # Strictly positive kernel vector.
-                assert all(x >= 1 for x in vec)
-                for row in m.rows:
-                    assert sum(Fraction(a) * x for a, x in zip(row, vec)) == 0
-            else:
-                # Nonnegative nonzero row-space vector; its inner product
-                # with any strictly positive kernel vector would be both
-                # zero (orthogonality) and positive, so no such vector
-                # can exist: the two certificates exclude each other.
-                assert kind == "obstruction"
-                assert all(x >= 0 for x in vec) and any(x > 0 for x in vec)
-                from reference_linalg import matrix_rank
+def check_certificate(m: TUMatrix) -> str:
+    """The row-form certificate of m is valid and has the verdict of the
+    kernel-form oracle; its kind."""
+    cert = farkas_certificate(m)
+    assert is_valid_certificate(m.rows, m.q, cert), (m, cert)
+    assert cert[0] == reference_farkas_certificate(m.rows, m.q)[0], m
+    return cert[0]
 
-                rows = [list(r) for r in m.rows]
-                assert matrix_rank(rows) == matrix_rank(rows + [list(vec)])
+
+class TestFarkasCertificate:
+    """The certificate is one LP on the matrix's own rows.  Either side is
+    checked for validity: a kernel vector x >= 1, or a g >= 0, g != 0 in
+    the row space, whose inner product with such an x would be both zero
+    and positive, so the two exclude each other.  Its verdict is the
+    kernel-form oracle's (tests/reference_farkas.py).
+    """
+
+    def test_exactly_one_side(self, catalog_full):
+        kinds = {check_certificate(f(d)) for d in catalog_full for f in (inc, cographic)}
+        assert kinds == {"positive", "obstruction"}
+
+    def test_r10_relabelled(self):
+        kinds = {check_certificate(m) for m in [R10, *map(relabelled_r10, range(12))]}
+        assert kinds == {"positive", "obstruction"}
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 7), st.data())
+    def test_random_matrices(self, p, q, data):
+        # {0, +-1} matrices, TU or not.
+        m = TUMatrix(
+            tuple(tuple(data.draw(st.integers(-1, 1)) for _ in range(q)) for _ in range(p))
+        )
+        check_certificate(m)
+
+    def test_edge_cases(self):
+        # No columns; the free matroid on three elements, one zero row.
+        for m in (TUMatrix(()), TUMatrix(((), ()))):
+            assert farkas_certificate(m) == ("positive", [])
+        assert farkas_certificate(read_matrix("1 3\n0 0 0\n")) == ("positive", [1, 1, 1])
+        # Incidence rows, of rank n - 1; non-TU rows with a zero kernel.
+        cycle = inc(Digraph(3, ((0, 1), (1, 2), (2, 0))))
+        path = inc(Digraph(3, ((0, 1), (1, 2))))
+        non_tu = TUMatrix(((1, 1), (1, -1), (1, 0)))
+        assert [check_certificate(m) for m in (cycle, path, non_tu)] == ["positive", "obstruction", "obstruction"]
+
+    def test_shares_no_elimination_with_the_counts(self, monkeypatch):
+        # Criterion 9 checks the certificate beside the counts: on a fresh
+        # matrix it runs no row reduction and leaves the prepared kernel's
+        # cache as it was.
+        calls = []
+
+        def spy(mat):
+            calls.append(mat)
+            return int_rref(mat)
+
+        for module in (oracles, linalg, matroids):
+            monkeypatch.setattr(module, "int_rref", spy)
+        for m in (R10, cographic(Digraph(3, ((0, 1), (1, 2), (2, 0), (0, 2)))), TUMatrix(((1, 1), (1, -1), (1, 0)))):
+            oracles._kernel.cache_clear()
+            before = oracles._kernel.cache_info()
+            farkas_certificate(m)
+            assert oracles._kernel.cache_info() == before
+        assert calls == []
 
 
 class TestFarkasAgainstReference:
@@ -219,14 +276,6 @@ class TestFarkasAgainstReference:
         assert len(checked) == (1 << R10.q) - 1  # contracting everything leaves no LP
 
 
-def integral(vectors):
-    """Each vector times the lcm of its entries' denominators: integer
-    input for the Farkas LP, a positive multiple of the vector.
-    """
-    scales = (lcm(*(Fraction(x).denominator for x in v)) for v in vectors)
-    return [[int(x * scale) for x in v] for v, scale in zip(vectors, scales)]
-
-
 def scaled_reference_basis(m: TUMatrix):
     """The reference kernel basis of m next to the derived one, checked to
     differ only by a positive factor per vector (the derived vector's
@@ -243,11 +292,11 @@ def scaled_reference_basis(m: TUMatrix):
 
 
 class TestKernelBasisFromCotree:
-    """The Farkas certificate and the contraction predicate read the
-    integer kernel basis off the cotree expression the counters walk.  It
-    equals the reference basis of tests/reference_linalg.py on TU
-    matrices, and is a positive multiple of it vector by vector otherwise,
-    which leaves every certificate unchanged.
+    """The contraction predicate reads the integer kernel basis off the
+    cotree expression the counters walk.  It equals the reference basis of
+    tests/reference_linalg.py on TU matrices, and is a positive multiple
+    of it vector by vector otherwise, which leaves every kernel-form
+    certificate unchanged.
     """
 
     def test_equals_reference_on_tu_matrices(self, catalog_full):
@@ -259,13 +308,15 @@ class TestKernelBasisFromCotree:
     @given(st.integers(1, 4), st.integers(1, 6), st.data())
     def test_certificates_equal_reference_on_random_matrices(self, p, q, data):
         # {0, +-1} matrices, TU or not; where denom > 1 the derived vectors
-        # are the reference ones times denom.
+        # are the reference ones times denom.  The row-form certificate is
+        # valid, of the kernel-form verdict.
         m = TUMatrix(
             tuple(tuple(data.draw(st.integers(-1, 1)) for _ in range(q)) for _ in range(p))
         )
         derived, reference = scaled_reference_basis(m)
-        reference = integral(reference)
-        assert farkas_certificate(m) == positive_span_certificate(reference, q)
+        cert = farkas_certificate(m)
+        assert is_valid_certificate(m.rows, q, cert)
+        assert cert[0] == positive_span_certificate(reference, q)[0]
         for mask in range(1 << q):
             keep = [c for c in range(q) if not mask >> c & 1]
             want = positive_span_certificate([[v[c] for c in keep] for v in reference], len(keep))
@@ -280,11 +331,14 @@ class TestKernelBasisFromCotree:
         assert oracles._cotree_expression(m.rows, m.q)[3] == 2
         derived, reference = scaled_reference_basis(m)
         assert derived == [[-1, 1, 2]] and reference == [[Fraction(-1, 2), Fraction(1, 2), 1]]
-        assert farkas_certificate(m) == positive_span_certificate(integral(reference), 3)
+        cert = farkas_certificate(m)
+        assert is_valid_certificate(m.rows, 3, cert)
+        assert cert[0] == positive_span_certificate(reference, 3)[0] == "obstruction"
 
     def test_one_rref_per_matrix(self, monkeypatch):
-        # Counts, fit, certificate and every contraction predicate of a
-        # fresh matrix share one row reduction, kept in the one slot.
+        # Counts, fit and every contraction predicate of a fresh matrix
+        # share one row reduction, kept in the one slot; the certificate
+        # adds none.
         assert oracles._kernel.cache_info().maxsize == 1
         m = cographic(Digraph(3, ((0, 1), (1, 2), (2, 0), (0, 2), (1, 0))))
         calls = []
@@ -387,15 +441,7 @@ class TestCocircuitTable:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_r10_relabelled(self, seed):
-        # Rows and columns shuffled, and each negated or not: R10 with its
-        # elements renamed and some reoriented, still TU.
-        rng = Random(seed)
-        rows = [tuple(sign * x for x in row) for row, sign in zip(R10.rows, rng.choices((1, -1), k=5))]
-        rng.shuffle(rows)
-        signs = [rng.choice((1, -1)) for _ in range(R10.q)]
-        order = list(range(R10.q))
-        rng.shuffle(order)
-        m = TUMatrix(tuple(tuple(signs[j] * row[j] for j in order) for row in rows))
+        m = relabelled_r10(seed)
         assert is_totally_unimodular(m, max_dim=5)
         assert _cocircuit_table(m).tolist() == every_mask(m)
 

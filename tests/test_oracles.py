@@ -425,7 +425,7 @@ class TestPreparedKernel:
             kernel.free_bits[0] = 0
 
     def test_arrays_left_out_where_they_do_not_fit(self):
-        # The Farkas certificates read the exact ints at any width; the
+        # The contraction predicate reads the exact ints at any width; the
         # bits of a 70-column matrix and an expr entry of 2^63 are not
         # int64, and the walks refuse both before reading them.
         cycle = Digraph(70, tuple((i, (i + 1) % 70) for i in range(70)))
